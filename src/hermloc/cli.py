@@ -45,8 +45,8 @@ from .experiments import (
     ratio_reconstruction,
     run_experiment,
 )
-from .gaussian_net import prefab_kernel_network, write_network_json
-from .kernels import eval_kernel
+from .gaussian_net import MAX_M, prefab_kernel_network, write_network_json
+from .kernels import eval_kernel, kernel_form
 
 # named constituents deep-eval can attach to DAG nodes
 CONSTITUENTS = {
@@ -124,6 +124,11 @@ def _cmd_estimate(args) -> int:
         if ds.ambient_dim != 3:
             raise ValueError("--helix-grid needs a 3-coordinate dataset")
 
+    form = kernel_form(ecfg.table)
+    print(
+        f"kernel: table length {ecfg.table.a.size}, cutoff {form.rcut:g}, "
+        f"{form.panels} panels of degree {form.degree}, certificate {form.certificate:.3e}"
+    )
     raw = estimate_batch(ds, ecfg, xs)
     cols = {"raw": raw}
     if args.ratio:
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth-net", help="build a Gaussian network for a kernel")
     _add_common(p)
-    p.add_argument("--n", type=int, help="kernel degree (2..8, default 4)")
+    p.add_argument("--n", type=int, help=f"kernel degree (2..{MAX_M}, default 4)")
     p.add_argument("--q", type=int, help="manifold dimension (default 1)")
     p.add_argument("--ambient-dim", type=int, help="ambient dimension Q (default 2)")
     p.add_argument("--alpha", type=float, help="localization exponent (default 1)")

@@ -31,7 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .estimator import Dataset, EstimatorConfig, estimate_batch
+from .estimator import Dataset, EstimatorConfig, _kernel_passes
 
 __all__ = [
     "make_pooling",
@@ -372,7 +372,7 @@ def build_deep_approx(dag: Dag, node_points: Mapping, node_configs: Mapping) -> 
     (shape (M, in_dim)); labels come from the node's true constituent.
     ``node_configs`` maps node id -> EstimatorConfig.  Each resulting g_v is
     the two-pass kernel estimate (value pass / unit pass) closed over its
-    dataset, evaluated pointwise.
+    dataset, evaluated pointwise; both passes share one kernel computation.
     """
     approx: dict = {}
     for nid, node in dag.nodes.items():
@@ -384,12 +384,11 @@ def build_deep_approx(dag: Dag, node_points: Mapping, node_configs: Mapping) -> 
         labels = np.array([float(node.constituent(p)) for p in pts])
         cfg: EstimatorConfig = node_configs[nid]
         ds = Dataset(pts, labels, cfg.table.q)
-        ones = ds.with_unit_values()
 
-        def g(z, ds=ds, ones=ones, cfg=cfg):
+        def g(z, ds=ds, cfg=cfg):
             z = np.asarray(z, dtype=float).reshape(1, -1)
-            num = float(estimate_batch(ds, cfg, z)[0])
-            den = float(estimate_batch(ones, cfg, z)[0])
+            nums, dens = _kernel_passes(ds, cfg, z, unit_pass=True)
+            num, den = float(nums[0]), float(dens[0])
             if den == 0.0:
                 return 0.0
             return num / den

@@ -10,6 +10,11 @@ with the compiled radial kernel from :mod:`hermloc.kernels`.  There is no
 fitting step; accuracy is controlled by n, the localization exponent alpha,
 and the sample budget M.
 
+Every kernel value comes from the table's certified piecewise-Chebyshev
+form (:func:`hermloc.kernels.kernel_form`).  The value pass and the unit
+pass of a ratio estimate share one computation of the radii and the kernel
+matrix, reduced against the values and against ones.
+
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
 normalized arc-length measure.  It serves as the oracle against which the
@@ -27,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import KernelTable, _eval_even_series, compile_kernel
+from .kernels import KernelTable, compile_kernel, kernel_form
 
 __all__ = [
     "LabeledSample",
@@ -166,6 +171,39 @@ def _check_points(ds: Dataset, cfg: EstimatorConfig, xs: np.ndarray) -> np.ndarr
     return xs
 
 
+# test points are processed in chunks of about this many (point, sample)
+# pairs, so the difference array and the kernel matrix stay small
+_PAIRS_PER_CHUNK = 1 << 16
+
+
+def _kernel_passes(
+    ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Value pass and, if asked, unit pass of the estimator at many points.
+
+    The radii and the kernel matrix are computed once per chunk of test
+    points.  Each kernel row is reduced in the fixed dataset order with
+    compensated summation, once times the sample values (value pass) and,
+    if asked, once as it is (unit pass: bitwise the value pass over
+    all-ones values, since k * 1.0 == k).  Results per point are bitwise
+    the same whatever the batch it sits in.
+    """
+    xs = _check_points(ds, cfg, xs)
+    form = kernel_form(cfg.table)
+    lam = cfg.n ** (1.0 - cfg.alpha)
+    factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
+    rows = max(1, _PAIRS_PER_CHUNK // ds.size)
+    num, den = [], []
+    for start in range(0, xs.shape[0], rows):
+        diff = xs[start : start + rows, None, :] - ds.points[None, :, :]
+        kern = form(lam * np.sqrt(np.einsum("tmq,tmq->tm", diff, diff)))
+        for row in kern:
+            num.append(factor * math.fsum((row * ds.values).tolist()))
+            if unit_pass:
+                den.append(factor * math.fsum(row.tolist()))
+    return np.array(num), (np.array(den) if unit_pass else None)
+
+
 def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     """Evaluate the estimator at many points; one kernel pass per batch.
 
@@ -174,14 +212,7 @@ def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     dataset order with compensated summation.  Results per point are
     identical whether the point is evaluated alone or inside any batch.
     """
-    xs = _check_points(ds, cfg, xs)
-    lam = cfg.n ** (1.0 - cfg.alpha)
-    diff = xs[:, None, :] - ds.points[None, :, :]
-    r = lam * np.sqrt(np.einsum("tmq,tmq->tm", diff, diff))
-    kern = _eval_even_series(cfg.table.a, r)  # (T, M)
-    factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
-    terms = kern * ds.values[None, :]
-    return np.array([factor * math.fsum(row.tolist()) for row in terms])
+    return _kernel_passes(ds, cfg, xs, unit_pass=False)[0]
 
 
 def estimate_at(ds: Dataset, cfg: EstimatorConfig, x) -> float:
@@ -214,75 +245,6 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when panel refinement does not reach the requested tolerance."""
 
 
-# Piecewise-Chebyshev proxies for compiled kernels, keyed by n.  The proxy
-# is only used inside the quadrature; its deviation from the exact series
-# is verified at build time against an absolute budget far below the
-# integration tolerance it serves.  A single global Chebyshev would need a
-# degree in the thousands here, where interpolating against the series'
-# own rounding floor stalls; short panels keep every degree modest.
-_PROXY_CACHE: dict[float, tuple] = {}
-
-_PROXY_TOL = 1e-9
-_PANEL_WIDTH = 0.25
-
-
-class _PanelProxy:
-    """Kernel values on [0, rcut] from per-panel Chebyshev interpolants."""
-
-    def __init__(self, pieces: list, width: float, rcut: float):
-        self.pieces = pieces
-        self.width = width
-        self.rcut = rcut
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        idx = np.minimum((r / self.width).astype(int), len(self.pieces) - 1)
-        out = np.empty_like(r)
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = self.pieces[i](r[sel])
-        return out
-
-
-def _kernel_proxy(n: float):
-    key = float(n)
-    if key in _PROXY_CACHE:
-        return _PROXY_CACHE[key]
-    table = compile_kernel(n, 1)
-    probe = np.linspace(0.0, 16.0, 8001)
-    exact = _eval_even_series(table.a, probe)
-    peak = float(np.max(np.abs(exact)))
-    above = np.nonzero(np.abs(exact) >= 0.1 * _PROXY_TOL)[0]
-    rcut = max(1.0, float(probe[above[-1]]) + 0.05)
-
-    def f(r):
-        return _eval_even_series(table.a, np.asarray(r, dtype=float))
-
-    npanels = int(math.ceil(rcut / _PANEL_WIDTH))
-    width = rcut / npanels
-    # highest local frequency is ~sqrt(2)*n; a safety factor then super-
-    # geometric panel convergence put the fit error below the series' own
-    # rounding noise
-    deg = max(24, int(1.3 * math.sqrt(2.0) * n * width) + 10)
-    for _ in range(3):
-        pieces = [
-            np.polynomial.chebyshev.Chebyshev.interpolate(
-                f, deg, domain=[i * width, (i + 1) * width]
-            )
-            for i in range(npanels)
-        ]
-        proxy = _PanelProxy(pieces, width, rcut)
-        grid = np.linspace(0.0, rcut, max(4001, 8 * npanels * deg))
-        err = float(np.max(np.abs(proxy(grid) - _eval_even_series(table.a, grid))))
-        if err <= _PROXY_TOL:
-            break
-        deg = int(deg * 1.5)
-    else:
-        raise RuntimeError("kernel proxy failed to reach interpolation accuracy")
-    _PROXY_CACHE[key] = (proxy, rcut, peak)
-    return _PROXY_CACHE[key]
-
-
 def continuous_operator_on_curve(
     curve: Curve,
     f: Callable[[np.ndarray], np.ndarray],
@@ -298,16 +260,19 @@ def continuous_operator_on_curve(
         sigma_{n,lam}(x) = lam * integral Phi~_{n,1}(lam |x - y(t)|) f(y(t)) dmu(t)
 
     where mu is arc length normalized to total mass 1, the distribution of
-    uniformly drawn samples.  The integral is evaluated with composite
-    Gauss-Legendre panels, refined by doubling until two consecutive
-    refinements agree to ``tol`` (absolute, relative above magnitude 1).
+    uniformly drawn samples.  The kernel values come from the certified form
+    of ``compile_kernel(n, 1)``, the same evaluator the estimator uses; it
+    is exactly 0 beyond the form's cutoff.  The integral is evaluated with
+    composite Gauss-Legendre panels, refined by doubling until two
+    consecutive refinements agree to ``tol`` (absolute, relative above
+    magnitude 1).
 
     ``f`` receives points of R^Q, shape (N, Q), and returns (N,) values.
     """
     if not np.isfinite(lam) or lam < 1.0:
         raise ValueError("lam must be a finite real >= 1")
     x = np.asarray(x, dtype=float).reshape(-1)
-    cheb, rcut, _ = _kernel_proxy(n)
+    form = kernel_form(compile_kernel(n, 1))
     span = curve.t1 - curve.t0
     if span <= 0:
         raise ValueError("curve must have t1 > t0")
@@ -330,7 +295,7 @@ def continuous_operator_on_curve(
         pts = curve.chart(tnodes)
         sp = curve.speed_at(tnodes)
         r = lam * np.sqrt(np.sum((pts - x[None, :]) ** 2, axis=1))
-        kern = np.where(r <= rcut, cheb(np.minimum(r, rcut)), 0.0)
+        kern = form(r)
         mass = float(np.dot(wnodes, sp))
         integ = float(np.dot(wnodes, kern * np.asarray(f(pts), dtype=float) * sp))
         return integ, mass

@@ -12,7 +12,8 @@ the observed values and once on all-ones values, and reports the ratio.
 The raw estimate converges to a kernel-weighted local average against the
 sampling measure, so the unit-value pass cancels the volume factor that a
 mass-one measure on a curve of length sqrt(8)*pi^2 would otherwise leave
-in.  Both passes share the training set, kernel table, and test grid.
+in.  Both passes share the training set, kernel table, test grid, and one
+computation of the kernel matrix.
 
 Noise models for the observed values:
 
@@ -54,7 +55,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .estimator import Curve, Dataset, EstimatorConfig, estimate_batch
+from .estimator import Curve, Dataset, EstimatorConfig, _kernel_passes
 
 __all__ = [
     "HelixSpec",
@@ -263,11 +264,12 @@ def _cumulative_histogram(errors: np.ndarray) -> np.ndarray:
 def ratio_reconstruction(ds: Dataset, ecfg: EstimatorConfig, xs: np.ndarray) -> np.ndarray:
     """Two-pass kernel estimate: value pass over unit-value pass.
 
-    A vanishing unit pass means no training mass reaches x at this scale;
+    Both passes come from one kernel matrix; they are bitwise equal to
+    ``estimate_batch`` on ``ds`` and on ``ds.with_unit_values()``.  A
+    vanishing unit pass means no training mass reaches x at this scale;
     the reconstruction is reported as 0 there rather than a blow-up.
     """
-    num = estimate_batch(ds, ecfg, xs)
-    den = estimate_batch(ds.with_unit_values(), ecfg, xs)
+    num, den = _kernel_passes(ds, ecfg, xs, unit_pass=True)
     safe = np.where(np.abs(den) < 1e-12, np.inf, den)
     return num / safe
 

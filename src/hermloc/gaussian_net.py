@@ -232,8 +232,9 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
 
     nonzero only for all-even k (psi_k(0) vanishes otherwise).
     """
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= 8:
-        raise ValueError("n must be an integer in 2..8 at this synthesis scale")
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_M:
+        # the synthesis parameter m is n, capped by poly_to_gaussian
+        raise ValueError(f"n must be an integer in 2..{MAX_M} at this synthesis scale")
     if not (isinstance(q, (int, np.integer)) and isinstance(Q, (int, np.integer))):
         raise ValueError("q and Q must be integers")
     if not 1 <= q <= Q <= MAX_DIM:

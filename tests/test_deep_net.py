@@ -21,7 +21,7 @@ from hermloc.deep_net import (
     read_dag_json,
     write_dag_json,
 )
-from hermloc.estimator import EstimatorConfig
+from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch
 
 
 def two_level_tree():
@@ -271,6 +271,34 @@ class TestPropagation:
 
 
 class TestBuildDeepApprox:
+    def test_g_equals_two_estimate_calls_bitwise(self):
+        # one shared kernel pass must give exactly the old value pass over
+        # unit pass, including the zero-mass guard
+        dag = two_level_tree()
+        side = np.linspace(-1.0, 1.0, 12)
+        pts = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+        g1 = np.linspace(-1.0, 1.0, 50).reshape(-1, 1)
+        cfg = EstimatorConfig.build(8.0, 1.0, 2)
+        approx = build_deep_approx(
+            dag,
+            {"s1": g1, "s2": g1, "top": pts},
+            {
+                "s1": EstimatorConfig.build(8.0, 1.0, 1),
+                "s2": EstimatorConfig.build(8.0, 1.0, 1),
+                "top": cfg,
+            },
+        )
+        g = approx.nodes["top"].constituent
+        labels = np.array([float(dag.nodes["top"].constituent(p)) for p in pts])
+        ds = Dataset(pts, labels, 2)
+        ones = ds.with_unit_values()
+        zs = np.random.default_rng(3).uniform(-1.2, 1.2, (25, 2))
+        for z in list(zs) + [np.array([40.0, 40.0])]:
+            num = float(estimate_batch(ds, cfg, z.reshape(1, -1))[0])
+            den = float(estimate_batch(ones, cfg, z.reshape(1, -1))[0])
+            want = 0.0 if den == 0.0 else num / den
+            assert g(z) == want
+
     def test_validation(self):
         dag = two_level_tree()
         pts = {"s1": np.zeros((4, 1)), "s2": np.zeros((4, 1)), "top": np.zeros((4, 1))}

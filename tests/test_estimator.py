@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hermloc.estimator import (
+    _PAIRS_PER_CHUNK,
     Curve,
     Dataset,
     EstimatorConfig,
@@ -128,6 +129,17 @@ class TestEstimate:
         xs = np.random.default_rng(5).normal(size=(7, 3))
         batch = estimate_batch(ds, cfg, xs)
         for i in range(7):
+            assert estimate_at(ds, cfg, xs[i]) == batch[i]
+
+    def test_single_equals_batch_across_chunks(self):
+        # 300 points against 512 samples span three chunks of test points
+        ds = self._dataset(m=512, seed=12)
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        xs = np.random.default_rng(13).normal(size=(300, 3))
+        rows = _PAIRS_PER_CHUNK // ds.size
+        assert 2 * rows < xs.shape[0]
+        batch = estimate_batch(ds, cfg, xs)
+        for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, 299):
             assert estimate_at(ds, cfg, xs[i]) == batch[i]
 
     def test_batch_order_invariance(self):

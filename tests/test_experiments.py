@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hermloc.estimator import Dataset, EstimatorConfig
+from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch
 from hermloc.experiments import (
     INTERIOR_HI,
     INTERIOR_LO,
@@ -158,6 +158,21 @@ class TestRatioReconstruction:
         xs = spec.point(np.linspace(1.0, 5.0, 9))
         out = ratio_reconstruction(const, ecfg, xs)
         np.testing.assert_allclose(out, 2.5, rtol=1e-12)
+
+    def test_equals_two_estimate_batch_calls_bitwise(self):
+        # the shared kernel pass must reproduce the value pass over the unit
+        # pass exactly, including the guard on a vanishing unit pass
+        spec = HelixSpec()
+        ds = gen_training(spec, 96, "additive", seed=5)
+        ecfg = EstimatorConfig.build(16.0, 1.0, 1)
+        xs = np.concatenate([spec.point(np.linspace(0.0, 6.0, 301)),
+                             [[50.0, 50.0, 50.0]]])
+        num = estimate_batch(ds, ecfg, xs)
+        den = estimate_batch(ds.with_unit_values(), ecfg, xs)
+        want = num / np.where(np.abs(den) < 1e-12, np.inf, den)
+        got = ratio_reconstruction(ds, ecfg, xs)
+        np.testing.assert_array_equal(got, want)
+        assert got[-1] == 0.0
 
     def test_dead_zone_reports_zero(self):
         # samples clustered near t = 1 leave no kernel mass at t = 5 for a

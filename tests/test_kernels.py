@@ -1,21 +1,29 @@
 """Filter, projection polynomials, compiled kernels, reductions.
 
 Oracles: the tensor-product slice enumeration (proj_tensor), closed-form
-Mehler sums, and frozen coefficient values cross-checked at build time.
+Mehler sums, frozen coefficient values cross-checked at build time, and the
+Hermite series over the compiled table, which the evaluated
+piecewise-Chebyshev form is checked against.
 """
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from hermloc import kernels
 from hermloc.hermite import gauss_hermite_rule, hermite_matrix, hermite_row, psi_at_zero
 from hermloc.kernels import (
+    _BLOCK,
     MAX_COMPOSITIONS,
+    _eval_even_series,
     compile_kernel,
     d_sequence,
     eval_kernel,
     filter_h,
+    kernel_form,
     mehler_closed_form,
     p_coeffs,
     phi_localized,
@@ -169,6 +177,87 @@ class TestCompileKernel:
             eval_kernel(table, -0.2)
         with pytest.raises(ValueError):
             eval_kernel(table, math.inf)
+
+
+class TestKernelForm:
+    CASES = [(2, 1), (3, 2), (3, 3), (6, 1), (8, 1), (8, 2), (10, 2), (16, 2), (32, 1), (64, 1)]
+
+    def test_certificate_bounds_series_deviation(self):
+        rng = np.random.default_rng(20)
+        for n, q in self.CASES:
+            table = compile_kernel(float(n), q)
+            form = kernel_form(table)
+            # dense near the peak, where rounding noise is largest, and
+            # across the whole cutoff range and beyond it
+            rs = np.concatenate([
+                [0.0],
+                rng.uniform(0.0, 1.0, 6000),
+                rng.uniform(0.0, 1.1 * form.rcut, 14000),
+            ])
+            series = _eval_even_series(table.a, rs)
+            dev = float(np.max(np.abs(eval_kernel(table, rs) - series)))
+            assert dev <= form.certificate, (n, q, dev, form.certificate)
+            peak = float(np.max(np.abs(series)))
+            assert form.certificate <= 1e-13 * max(1.0, peak), (n, q)
+
+    def test_zero_beyond_cutoff(self):
+        for n, q in [(1, 1), (8, 2), (64, 1)]:
+            table = compile_kernel(float(n), q)
+            form = kernel_form(table)
+            assert form.rcut >= math.sqrt(4 * (table.a.size - 1) + 1) + 6.0
+            far = np.array([form.rcut, np.nextafter(form.rcut, np.inf),
+                            form.rcut + 0.3, 2.0 * form.rcut, 1e6, 1e300])
+            assert np.all(eval_kernel(table, far) == 0.0)
+            assert eval_kernel(table, form.rcut) == 0.0
+
+    def test_attributes_read_only(self):
+        form = kernel_form(compile_kernel(8.0, 1))
+        assert form.panels == 70 and form.rcut == 17.5
+        assert form.coeffs.shape == (form.degree + 1, form.panels)
+        with pytest.raises(AttributeError):
+            form.certificate = 0.0
+        with pytest.raises(ValueError):
+            form.coeffs[0, 0] = 1.0
+
+    def test_single_equals_batch_across_blocks(self):
+        table = compile_kernel(64.0, 1)
+        rs = np.random.default_rng(21).uniform(0.0, 20.0, 2 * _BLOCK + 5000)
+        batch = eval_kernel(table, rs)
+        for b in (1, 2):
+            for i in (b * _BLOCK - 1, b * _BLOCK, b * _BLOCK + 1):
+                assert eval_kernel(table, float(rs[i])) == batch[i]
+        tail = eval_kernel(table, rs[_BLOCK - 3 : _BLOCK + 3])
+        np.testing.assert_array_equal(tail, batch[_BLOCK - 3 : _BLOCK + 3])
+        mat = eval_kernel(table, rs[: 2 * _BLOCK].reshape(2, _BLOCK))
+        np.testing.assert_array_equal(mat.ravel(), batch[: 2 * _BLOCK])
+
+    def test_concurrent_cold_build_builds_once(self, monkeypatch):
+        build = kernels._build_form
+        calls = []
+
+        def slow_build(table):
+            calls.append(table.n)
+            time.sleep(0.05)  # hold the build so the second thread arrives
+            return build(table)
+
+        monkeypatch.setattr(kernels, "_FORMS", {})
+        monkeypatch.setattr(kernels, "_build_form", slow_build)
+        table = compile_kernel(5.5, 1)
+        start = threading.Barrier(2)
+        got = []
+
+        def worker():
+            start.wait(timeout=10)
+            got.append(kernel_form(table))
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+            assert not th.is_alive()
+        assert calls == [5.5]
+        assert len(got) == 2 and got[0] is got[1]
 
 
 class TestDSequence:
