@@ -10,10 +10,17 @@ Subcommands:
   synth-net       build the Gaussian network for a localized kernel
   deep-eval       evaluate a DAG composition from JSON descriptions
 
-Common flags on every subcommand: --config <json> supplies defaults for
-that subcommand's parameters (explicit flags win; for `helix` the schema
-mirrors ExperimentConfig field for field), --seed <u64>, --out <dir>,
---trials <k>.  Exit code 0 on success, 2 on a validation error (bad flag,
+Shared flags, each only where its subcommand reads it:
+
+  --out <dir>      every subcommand
+  --config <json>  gen-data, estimate, helix, baseline-heat, synth-net:
+                   defaults for the subcommand's parameters (explicit flags
+                   win; for `helix` the schema mirrors ExperimentConfig
+                   field for field)
+  --seed <u64>     gen-data, helix, baseline-heat
+  --trials <k>     helix
+
+Exit code 0 on success, 2 on a validation error (bad or unknown flag,
 malformed config or input file), 1 on a runtime failure.
 """
 
@@ -32,6 +39,8 @@ from .deep_net import eval_gfunction, read_dag_json
 from .estimator import (
     EstimatorConfig,
     estimate_batch,
+    guarded_ratio,
+    ratio_reconstruction,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -42,7 +51,6 @@ from .experiments import (
     bernstein_demo,
     gen_training,
     heat_kernel_baseline,
-    ratio_reconstruction,
     run_experiment,
 )
 from .gaussian_net import MAX_M, prefab_kernel_network, write_network_json
@@ -99,12 +107,6 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _helix_grid_points(count: int) -> tuple[np.ndarray, np.ndarray]:
-    spec = HelixSpec()
-    t = np.linspace(spec.t_min, spec.t_max, count)
-    return t, spec.point(t)
-
-
 def _cmd_estimate(args) -> int:
     config = _load_config(args.config)
     n = int(_pick(args.n, config, "n", 64))
@@ -120,7 +122,7 @@ def _cmd_estimate(args) -> int:
         else:
             xs = _read_points_csv(args.points, ds.ambient_dim)
     else:
-        t, xs = _helix_grid_points(args.helix_grid)
+        t, xs = HelixSpec().grid(args.helix_grid)
         if ds.ambient_dim != 3:
             raise ValueError("--helix-grid needs a 3-coordinate dataset")
 
@@ -220,17 +222,13 @@ def _cmd_baseline_heat(args) -> int:
     spec = HelixSpec()
     ds = gen_training(spec, m, "none", seed=seed)
     ones = ds.with_unit_values()
-    t_grid = np.linspace(spec.t_min, spec.t_max, test_points)
-    xs = spec.point(t_grid)
+    t_grid, xs = spec.grid(test_points)
     f_true = spec.target(t_grid)
-    span = spec.t_max - spec.t_min
-    interior = (t_grid >= spec.t_min + 0.1 * span) & (t_grid <= spec.t_min + 0.9 * span)
+    interior = spec.interior(t_grid)
 
     rows = []
     for t in times:
-        num = heat_kernel_baseline(ds, t, xs)
-        den = heat_kernel_baseline(ones, t, xs)
-        est = num / np.where(np.abs(den) < 1e-12, np.inf, den)
+        est = guarded_ratio(heat_kernel_baseline(ds, t, xs), heat_kernel_baseline(ones, t, xs))
         err = float(np.max(np.abs((est - f_true)[interior])))
         rows.append(("heat", t, err))
     for n in n_list:
@@ -322,7 +320,11 @@ def _cmd_deep_eval(args) -> int:
     for assignment in assignments:
         if not isinstance(assignment, dict):
             raise ValueError("each input assignment must map source id -> coordinates")
-        values.append(eval_gfunction(dag, assignment, constituents=names))
+        try:
+            coords = {sid: np.asarray(v, dtype=float) for sid, v in assignment.items()}
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"source coordinates must be numbers: {exc}") from exc
+        values.append(eval_gfunction(dag, coords, constituents=names))
 
     for v in values:
         print(repr(v))
@@ -336,11 +338,11 @@ def _cmd_deep_eval(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file of parameter defaults")
-    sub.add_argument("--seed", type=int, help="RNG seed (unsigned integer)")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--trials", type=int, help="number of trials")
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,16 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Training-free localized-kernel function approximation toolkit",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    out = _flag("--out", help="output directory")
+    config = _flag("--config", help="JSON file of parameter defaults")
+    seed = _flag("--seed", type=int, help="RNG seed (unsigned integer)")
+    trials = _flag("--trials", type=int, help="number of trials")
 
-    p = subs.add_parser("gen-data", help="draw helix training samples to CSV")
-    _add_common(p)
+    p = subs.add_parser("gen-data", parents=[out, config, seed],
+                        help="draw helix training samples to CSV")
     p.add_argument("--m", type=int, help="number of samples (default 256)")
     p.add_argument("--noise", choices=NOISE_MODELS, help="noise model")
     p.add_argument("--sigma", type=float, help="additive noise std (default 0.3)")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = subs.add_parser("estimate", help="run the kernel estimator on a dataset CSV")
-    _add_common(p)
+    p = subs.add_parser("estimate", parents=[out, config],
+                        help="run the kernel estimator on a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV (gen-data format)")
     p.add_argument("--n", type=int, help="kernel degree (default 64)")
     p.add_argument("--alpha", type=float, help="localization exponent (default 1)")
@@ -372,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the two-pass ratio reconstruction column")
     p.set_defaults(func=_cmd_estimate)
 
-    p = subs.add_parser("helix", help="run the helix reconstruction experiment")
-    _add_common(p)
+    p = subs.add_parser("helix", parents=[out, config, seed, trials],
+                        help="run the helix reconstruction experiment")
     p.add_argument("--m", type=int, help="training size M")
     p.add_argument("--n", type=int, help="kernel degree")
     p.add_argument("--alpha", type=float, help="localization exponent")
@@ -382,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-points", type=int, help="test grid size")
     p.set_defaults(func=_cmd_helix)
 
-    p = subs.add_parser("baseline-heat", help="heat smoother vs kernel estimator table")
-    _add_common(p)
+    p = subs.add_parser("baseline-heat", parents=[out, config, seed],
+                        help="heat smoother vs kernel estimator table")
     p.add_argument("--m", type=int, help="training size (default 1024)")
     p.add_argument("--times", default="0.1,0.05,0.025",
                    help="comma-separated diffusion times")
@@ -392,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-points", type=int, help="test grid size (default 512)")
     p.set_defaults(func=_cmd_baseline_heat)
 
-    p = subs.add_parser("demo-bernstein", help="Bernstein saturation table")
-    _add_common(p)
+    p = subs.add_parser("demo-bernstein", parents=[out],
+                        help="Bernstein saturation table")
     p.add_argument("--n-list", default="16,64,256", help="comma-separated degrees")
     p.add_argument("--grid", type=int, default=257, help="grid size on [0,1]")
     p.set_defaults(func=_cmd_demo_bernstein)
 
-    p = subs.add_parser("synth-net", help="build a Gaussian network for a kernel")
-    _add_common(p)
+    p = subs.add_parser("synth-net", parents=[out, config],
+                        help="build a Gaussian network for a kernel")
     p.add_argument("--n", type=int, help=f"kernel degree (2..{MAX_M}, default 4)")
     p.add_argument("--q", type=int, help="manifold dimension (default 1)")
     p.add_argument("--ambient-dim", type=int, help="ambient dimension Q (default 2)")
@@ -408,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare the network against the kernel on [0,3]")
     p.set_defaults(func=_cmd_synth_net)
 
-    p = subs.add_parser("deep-eval", help="evaluate a DAG composition")
-    _add_common(p)
+    p = subs.add_parser("deep-eval", parents=[out], help="evaluate a DAG composition")
     p.add_argument("--graph", required=True, help="DAG JSON (nodes name constituents)")
     p.add_argument("--inputs", required=True,
                    help="JSON: {source id: coords} or a list of such objects")

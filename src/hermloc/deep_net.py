@@ -18,8 +18,10 @@ c(v) is the pooling contract constant: the pooling must satisfy
 |pool(a) - pool(b)| <= c(v) * sum_k |a_k - b_k| on its inputs.
 
 ``build_deep_approx`` replaces every constituent by a one-shot kernel
-estimate from per-node training data; the two-pass form (value pass over a
-unit-value pass) is used so sampling density never biases the node scale.
+estimate from per-node training data: ``estimator.ratio_reconstruction``,
+the two-pass form (value pass over a unit-value pass), so sampling density
+never biases the node scale; where the unit pass vanishes the estimator
+module's zero-mass policy applies.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .estimator import Dataset, EstimatorConfig, _kernel_passes
+from .estimator import Dataset, EstimatorConfig, ratio_reconstruction
 
 __all__ = [
     "make_pooling",
@@ -371,8 +373,7 @@ def build_deep_approx(dag: Dag, node_points: Mapping, node_configs: Mapping) -> 
     ``node_points`` maps node id -> sample points of that node's input set
     (shape (M, in_dim)); labels come from the node's true constituent.
     ``node_configs`` maps node id -> EstimatorConfig.  Each resulting g_v is
-    the two-pass kernel estimate (value pass / unit pass) closed over its
-    dataset, evaluated pointwise; both passes share one kernel computation.
+    ``ratio_reconstruction`` closed over its dataset, evaluated pointwise.
     """
     approx: dict = {}
     for nid, node in dag.nodes.items():
@@ -387,11 +388,7 @@ def build_deep_approx(dag: Dag, node_points: Mapping, node_configs: Mapping) -> 
 
         def g(z, ds=ds, cfg=cfg):
             z = np.asarray(z, dtype=float).reshape(1, -1)
-            nums, dens = _kernel_passes(ds, cfg, z, unit_pass=True)
-            num, den = float(nums[0]), float(dens[0])
-            if den == 0.0:
-                return 0.0
-            return num / den
+            return float(ratio_reconstruction(ds, cfg, z)[0])
 
         approx[nid] = g
     return dag.with_constituents(approx)

@@ -11,9 +11,11 @@ fitting step; accuracy is controlled by n, the localization exponent alpha,
 and the sample budget M.
 
 Every kernel value comes from the table's certified piecewise-Chebyshev
-form (:func:`hermloc.kernels.kernel_form`).  The value pass and the unit
-pass of a ratio estimate share one computation of the radii and the kernel
-matrix, reduced against the values and against ones.
+form (:func:`hermloc.kernels.kernel_form`).  ``ratio_reconstruction`` is the
+two-pass estimate: the value pass over the unit pass (the same sum with all
+values 1).  Both passes share one computation of the radii and the kernel
+matrix.  Its zero-mass policy, applied by ``guarded_ratio`` alone, covers
+every ratio of passes in the package.
 
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
@@ -40,6 +42,9 @@ __all__ = [
     "EstimatorConfig",
     "estimate_at",
     "estimate_batch",
+    "ZERO_MASS",
+    "guarded_ratio",
+    "ratio_reconstruction",
     "write_dataset_csv",
     "read_dataset_csv",
     "Curve",
@@ -213,6 +218,28 @@ def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     identical whether the point is evaluated alone or inside any batch.
     """
     return _kernel_passes(ds, cfg, xs, unit_pass=False)[0]
+
+
+ZERO_MASS = 1e-12
+
+
+def guarded_ratio(num, den) -> np.ndarray:
+    """``num / den``, and 0 wherever |den| < ``ZERO_MASS``."""
+    den = np.asarray(den, dtype=float)
+    return num / np.where(np.abs(den) < ZERO_MASS, np.inf, den)
+
+
+def ratio_reconstruction(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
+    """Two-pass kernel estimate at many points: value pass over unit pass.
+
+    Both passes come from one kernel matrix; they are bitwise equal to
+    ``estimate_batch`` on ``ds`` and on ``ds.with_unit_values()``.
+
+    Zero-mass policy: where |unit pass| < ``ZERO_MASS`` no training mass
+    reaches x at this scale, and the estimate is 0 there, not a blow-up.
+    """
+    num, den = _kernel_passes(ds, cfg, xs, unit_pass=True)
+    return guarded_ratio(num, den)
 
 
 def estimate_at(ds: Dataset, cfg: EstimatorConfig, x) -> float:

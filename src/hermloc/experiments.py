@@ -7,13 +7,12 @@ arc length.  The target value at x(t) is
 
     f(x(t)) = cos(cos(pi t) - sin(pi t) - pi t / 2).
 
-Reconstruction runs the one-shot kernel estimator twice per trial, once on
-the observed values and once on all-ones values, and reports the ratio.
-The raw estimate converges to a kernel-weighted local average against the
-sampling measure, so the unit-value pass cancels the volume factor that a
-mass-one measure on a curve of length sqrt(8)*pi^2 would otherwise leave
-in.  Both passes share the training set, kernel table, test grid, and one
-computation of the kernel matrix.
+Reconstruction is ``estimator.ratio_reconstruction`` per trial: the value
+pass over the unit-value pass.  The raw estimate converges to a
+kernel-weighted local average against the sampling measure, so the unit
+pass cancels the volume factor that a mass-one measure on a curve of length
+sqrt(8)*pi^2 would otherwise leave in.  Where the unit pass vanishes the
+estimator module's zero-mass policy applies.
 
 Noise models for the observed values:
 
@@ -55,7 +54,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .estimator import Curve, Dataset, EstimatorConfig, _kernel_passes
+from .estimator import Curve, Dataset, EstimatorConfig, ratio_reconstruction
 
 __all__ = [
     "HelixSpec",
@@ -128,6 +127,19 @@ class HelixSpec:
         return Curve(chart=lambda t: self.point(t), speed=self.speed,
                      t0=self.t_min, t1=self.t_max)
 
+    def grid(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` equidistant parameters on [t_min, t_max] and their points."""
+        t = np.linspace(self.t_min, self.t_max, count)
+        return t, self.point(t)
+
+    def interior(self, t) -> np.ndarray:
+        """Mask of the t in [INTERIOR_LO, INTERIOR_HI] of the way along the range."""
+        t = np.asarray(t, dtype=float)
+        span = self.t_max - self.t_min
+        lo = self.t_min + INTERIOR_LO * span
+        hi = self.t_min + INTERIOR_HI * span
+        return (t >= lo) & (t <= hi)
+
 
 def helix_target(t):
     """Module-level convenience for the default helix target."""
@@ -172,6 +184,12 @@ def gen_training(
     return Dataset(points=points, values=values, q=1)
 
 
+# accepted types per ExperimentConfig field; a bool is neither int nor float
+_INT, _REAL = (int, np.integer), (float, int, np.integer, np.floating)
+_FIELD_TYPES = {"M": _INT, "n": _INT, "alpha": _REAL, "noise": (str,), "sigma": _REAL,
+                "trials": _INT, "test_points": _INT, "seed": _INT, "output": (str, type(None))}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Run parameters; mirrors the JSON config schema field for field."""
@@ -187,6 +205,10 @@ class ExperimentConfig:
     output: str | None = None
 
     def validate(self) -> None:
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be of type {kinds[0].__name__}, got {value!r}")
         if self.M < 1 or self.trials < 1 or self.test_points < 2:
             raise ValueError("M, trials must be >= 1 and test_points >= 2")
         if self.n < 2:
@@ -237,13 +259,6 @@ class ExperimentReport:
     rng_kind: str = "PCG64"
 
 
-def _interior_mask(spec: HelixSpec, t_grid: np.ndarray) -> np.ndarray:
-    span = spec.t_max - spec.t_min
-    lo = spec.t_min + INTERIOR_LO * span
-    hi = spec.t_min + INTERIOR_HI * span
-    return (t_grid >= lo) & (t_grid <= hi)
-
-
 def _summary(errors: np.ndarray, interior: np.ndarray) -> dict:
     abs_err = np.abs(errors)
     return {
@@ -261,19 +276,6 @@ def _cumulative_histogram(errors: np.ndarray) -> np.ndarray:
     return np.stack([p, y], axis=1)
 
 
-def ratio_reconstruction(ds: Dataset, ecfg: EstimatorConfig, xs: np.ndarray) -> np.ndarray:
-    """Two-pass kernel estimate: value pass over unit-value pass.
-
-    Both passes come from one kernel matrix; they are bitwise equal to
-    ``estimate_batch`` on ``ds`` and on ``ds.with_unit_values()``.  A
-    vanishing unit pass means no training mass reaches x at this scale;
-    the reconstruction is reported as 0 there rather than a blow-up.
-    """
-    num, den = _kernel_passes(ds, ecfg, xs, unit_pass=True)
-    safe = np.where(np.abs(den) < 1e-12, np.inf, den)
-    return num / safe
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Reconstruct the helix target per trial and assemble the report.
 
@@ -282,10 +284,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     cfg.validate()
     spec = HelixSpec()
-    t_grid = np.linspace(spec.t_min, spec.t_max, cfg.test_points)
-    xs = spec.point(t_grid)
+    t_grid, xs = spec.grid(cfg.test_points)
     f_true = spec.target(t_grid)
-    interior = _interior_mask(spec, t_grid)
+    interior = spec.interior(t_grid)
     ecfg = EstimatorConfig.build(cfg.n, cfg.alpha, q=1)
 
     def one_trial(i: int) -> TrialReport:

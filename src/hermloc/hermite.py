@@ -42,7 +42,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 __all__ = [
-    "HermiteRow",
     "QuadratureRule",
     "hermite_row",
     "hermite_matrix",
@@ -64,19 +63,6 @@ MAX_RULE_SIZE = 256
 # means the eigensolver handed back a wrong root
 _NEWTON_STEPS = 2
 _NEWTON_STEP_CAP = 1e-10
-
-
-@dataclass(frozen=True)
-class HermiteRow:
-    """Values ``psi_0(x) .. psi_kmax(x)`` at a single point."""
-
-    kmax: int
-    point: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.kmax + 1,):
-            raise ValueError("values must have length kmax + 1")
 
 
 @dataclass(frozen=True)
@@ -119,12 +105,11 @@ def hermite_matrix(kmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_row(kmax: int, x: float) -> HermiteRow:
+def hermite_row(kmax: int, x: float) -> np.ndarray:
     """All Hermite-function values ``psi_0(x) .. psi_kmax(x)`` in O(kmax)."""
     if not np.isfinite(x):
         raise ValueError("x must be finite")
-    values = hermite_matrix(kmax, np.array([float(x)]))[0]
-    return HermiteRow(kmax=kmax, point=float(x), values=values)
+    return hermite_matrix(kmax, np.array([float(x)]))[0]
 
 
 def psi_at_zero(ell: int) -> float:

@@ -240,7 +240,8 @@ def _eval_even_series(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     acc = a[0] * psi_prev
     if a.size == 1:
         return acc.reshape(shape)
-    psi_cur = _sqrt2_times(x, psi_prev)  # psi_1
+    psi_cur = x * psi_prev
+    psi_cur *= math.sqrt(2.0)  # psi_1
     kmax = 2 * (a.size - 1)
     tmp = np.empty_like(x)
     for k in range(2, kmax + 1):
@@ -258,12 +259,6 @@ def _eval_even_series(a: np.ndarray, r: np.ndarray) -> np.ndarray:
                 np.multiply(psi_cur, coef, out=tmp)
                 acc += tmp
     return acc.reshape(shape)
-
-
-def _sqrt2_times(x: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    out = x * psi0
-    out *= math.sqrt(2.0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -530,7 +525,8 @@ def proj_tensor(m: int, d: int, x, y) -> float:
     return float(total)
 
 
-def _mehler_forms(d: int, x, y, w: float) -> tuple[float, float, float]:
+def mehler_closed_form(d: int, x, y, w: float) -> float:
+    """Closed form of sum_m w**m Proj_{m,d}(x, y) for |w| <= 0.95."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.size != d or y.size != d:
@@ -541,30 +537,9 @@ def _mehler_forms(d: int, x, y, w: float) -> tuple[float, float, float]:
     xx = float(x @ x)
     yy = float(y @ y)
     xy = float(x @ y)
-    f1 = pref * math.exp(
+    return pref * math.exp(
         (4.0 * w * xy - (1.0 + w * w) * (xx + yy)) / (2.0 * (1.0 - w * w))
     )
-    diff = float(np.sum((x - y) ** 2))
-    summ = float(np.sum((x + y) ** 2))
-    f2 = pref * math.exp(
-        -(1.0 + w) / (1.0 - w) * diff / 4.0 - (1.0 - w) / (1.0 + w) * summ / 4.0
-    )
-    shift = float(np.sum((x - (2.0 * w / (1.0 + w * w)) * y) ** 2))
-    f3 = pref * math.exp(
-        -(1.0 + w * w) / (2.0 * (1.0 - w * w)) * shift
-        - (1.0 - w * w) / (2.0 * (1.0 + w * w)) * yy
-    )
-    return f1, f2, f3
-
-
-def mehler_closed_form(d: int, x, y, w: float) -> float:
-    """Closed form of sum_m w**m Proj_{m,d}(x, y) for |w| <= 0.95.
-
-    Three algebraically equivalent exponential forms are evaluated; they
-    agree to ~1e-12 relative and the first is returned.
-    """
-    f1, _, _ = _mehler_forms(d, x, y, w)
-    return f1
 
 
 def proj_reduced(m: int, q: int, Q: int, x, y) -> float:
@@ -605,8 +580,8 @@ def proj_reduced(m: int, q: int, Q: int, x, y) -> float:
     if q == 1:
         if nx > 0.0 and ny > 0.0 and abs(abs(cos_t) - 1.0) > 1e-10:
             raise ValueError("q = 1 requires collinear points")
-        u = hermite_row(m, nx).values[m]
-        v = hermite_row(m, ny * cos_t).values[m]
+        u = hermite_row(m, nx)[m]
+        v = hermite_row(m, ny * cos_t)[m]
         return float(u * v)
 
     rows = hermite_matrix(m, np.array([nx, ny * cos_t, 0.0, ny * sin_t]))

@@ -1,6 +1,10 @@
 """The command-line front end, driven in process through ``cli.main``."""
 
+import argparse
 import csv
+import json
+
+import pytest
 
 from hermloc import cli
 from hermloc.gaussian_net import MAX_M
@@ -37,3 +41,113 @@ class TestEstimate:
         with open(out_dir / "estimates.csv", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
         assert header == ["t", "y_1", "y_2", "y_3", "raw", "ratio"]
+
+
+GRAPH = {
+    "nodes": [
+        {"id": "s1", "kind": "source", "in_dim": 1, "constituent": "sum"},
+        {"id": "s2", "kind": "source", "in_dim": 2, "constituent": "norm"},
+        {"id": "top", "kind": "internal", "in_dim": 2, "children": ["s1", "s2"],
+         "constituent": "prod"},
+    ],
+    "sink": "top",
+}
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestSubcommandsWriteOutput:
+    def test_gen_data(self, tmp_path):
+        rc = cli.main(["gen-data", "--m", "8", "--seed", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "data.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["y_1", "y_2", "y_3", "value"] and len(rows) == 9
+
+    def test_helix(self, tmp_path):
+        rc = cli.main(["helix", "--m", "16", "--n", "4", "--test-points", "8",
+                       "--trials", "2", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        for name in ("summary.json", "trial_000.csv", "trial_001.csv", "average.csv"):
+            assert (tmp_path / name).stat().st_size > 0
+
+    def test_baseline_heat(self, tmp_path):
+        rc = cli.main(["baseline-heat", "--m", "16", "--times", "0.1", "--n-list", "4",
+                       "--test-points", "16", "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "baseline_heat.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows] == ["method", "heat", "kernel"]
+
+    def test_demo_bernstein(self, tmp_path):
+        rc = cli.main(["demo-bernstein", "--n-list", "4,8", "--grid", "9",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "bernstein.csv", encoding="utf-8") as fh:
+            assert len(list(csv.reader(fh))) == 3
+
+    def test_deep_eval(self, tmp_path):
+        graph = _write_json(tmp_path / "graph.json", GRAPH)
+        inputs = _write_json(tmp_path / "inputs.json",
+                             [{"s1": [2.0], "s2": [3.0, 4.0]}, {"s1": [1.0], "s2": [0.0, 0.5]}])
+        out = tmp_path / "out"
+        rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "deep_eval.json").read_text())
+        assert doc == {"values": [10.0, 0.5]}
+
+
+class TestExitCodes:
+    def test_runtime_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def boom(cfg):
+            raise RuntimeError("no luck")
+
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        rc = cli.main(["helix", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "failed: no luck" in capsys.readouterr().err
+
+    def test_helix_config_of_wrong_type_exits_2(self, tmp_path, capsys):
+        config = _write_json(tmp_path / "c.json", {"M": "256"})
+        rc = cli.main(["helix", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: M must be of type int" in capsys.readouterr().err
+
+    def test_deep_eval_non_numeric_coordinates_exit_2(self, tmp_path, capsys):
+        graph = _write_json(tmp_path / "graph.json", GRAPH)
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": {"a": 1}, "s2": [0.0, 1.0]})
+        rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
+        assert rc == 2
+        assert "error: source coordinates must be numbers" in capsys.readouterr().err
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sub in subs.choices.items()
+        }
+        assert got == {
+            "gen-data": {"--out", "--config", "--seed", "--m", "--noise", "--sigma"},
+            "estimate": {"--out", "--config", "--data", "--n", "--alpha", "--q",
+                         "--points", "--helix-grid", "--ratio"},
+            "helix": {"--out", "--config", "--seed", "--trials", "--m", "--n", "--alpha",
+                      "--noise", "--sigma", "--test-points"},
+            "baseline-heat": {"--out", "--config", "--seed", "--m", "--times", "--n-list",
+                              "--test-points"},
+            "demo-bernstein": {"--out", "--n-list", "--grid"},
+            "synth-net": {"--out", "--config", "--n", "--q", "--ambient-dim", "--alpha",
+                          "--check"},
+            "deep-eval": {"--out", "--graph", "--inputs"},
+        }
+
+    def test_unread_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["demo-bernstein", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from hermloc.deep_net import (
     read_dag_json,
     write_dag_json,
 )
-from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch
+from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch, ratio_reconstruction
 
 
 def two_level_tree():
@@ -298,6 +298,20 @@ class TestBuildDeepApprox:
             den = float(estimate_batch(ones, cfg, z.reshape(1, -1))[0])
             want = 0.0 if den == 0.0 else num / den
             assert g(z) == want
+
+    def test_g_follows_the_zero_mass_policy(self):
+        # one sample at 0 seen from 15.5: the unit pass is about 1.4e-21, so g
+        # reports 0 like ratio_reconstruction, not the sample value 2.5
+        node = DagNode(id="s", kind="source", in_dim=1, constituent=lambda x: 2.5)
+        dag = Dag(nodes={"s": node}, sink="s")
+        cfg = EstimatorConfig.build(8, 1, 1)
+        approx = build_deep_approx(dag, {"s": np.zeros((1, 1))}, {"s": cfg})
+        g = approx.nodes["s"].constituent
+        ds = Dataset(np.zeros((1, 1)), np.array([2.5]), 1)
+        want = ratio_reconstruction(ds, cfg, [[15.5]])[0]
+        assert want == 0.0
+        assert g(np.array([15.5])) == want
+        assert g(np.array([0.5])) == 2.5
 
     def test_validation(self):
         dag = two_level_tree()

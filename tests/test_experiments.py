@@ -62,6 +62,17 @@ class TestHelixSpec:
             spec.target_ambient(spec.point(t)), spec.target(t), atol=1e-15
         )
 
+    def test_grid_and_interior_window(self):
+        spec = HelixSpec()
+        t, pts = spec.grid(11)
+        np.testing.assert_array_equal(t, np.linspace(0.0, 2.0 * math.pi, 11))
+        np.testing.assert_array_equal(pts, spec.point(t))
+        inside = spec.interior(t)
+        assert inside.tolist() == [False] + [True] * 9 + [False]
+        lo, hi = (spec.t_max - spec.t_min) * np.array([INTERIOR_LO, INTERIOR_HI])
+        assert spec.interior([lo, hi]).all()
+        assert not spec.interior(np.nextafter([lo, hi], [0.0, 10.0])).any()
+
     def test_module_level_conveniences(self):
         assert helix_target(1.3) == HelixSpec().target(1.3)
         curve = helix_curve()
@@ -136,6 +147,14 @@ class TestExperimentConfig:
             ExperimentConfig(test_points=1).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(seed=-1).validate()
+
+    def test_field_types(self):
+        for bad in ({"M": "256"}, {"M": 2.0}, {"trials": True}, {"alpha": True},
+                    {"sigma": "0.3"}, {"noise": 1}, {"output": 3}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ExperimentConfig.from_dict(bad)
+        cfg = ExperimentConfig.from_dict({"M": np.int64(8), "alpha": 1, "sigma": 1})
+        assert cfg.M == 8 and cfg.alpha == 1
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):

@@ -43,13 +43,13 @@ def psi2_direct(x: float) -> float:
 class TestRecurrence:
     def test_low_degrees_match_closed_forms(self):
         for x in [-2.5, -1.0, 0.0, 0.3, 1.5, 4.0]:
-            row = hermite_row(2, x).values
+            row = hermite_row(2, x)
             assert row[0] == pytest.approx(psi0_direct(x), abs=1e-15)
             assert row[1] == pytest.approx(psi1_direct(x), abs=1e-15)
             assert row[2] == pytest.approx(psi2_direct(x), abs=1e-15)
 
     def test_frozen_row_at_1p5(self):
-        row = hermite_row(4, 1.5).values
+        row = hermite_row(4, 1.5)
         want = [
             0.24385476130642741,
             0.5172940660332053,
@@ -63,7 +63,7 @@ class TestRecurrence:
         xs = np.array([-1.7, 0.0, 0.4, 2.2])
         mat = hermite_matrix(12, xs)
         for i, x in enumerate(xs):
-            np.testing.assert_array_equal(mat[i], hermite_row(12, float(x)).values)
+            np.testing.assert_array_equal(mat[i], hermite_row(12, float(x)))
 
     def test_uniform_bound_holds(self):
         # sup_x |psi_k(x)| is maximized at k=0; 1.1 is a safe envelope
@@ -72,9 +72,9 @@ class TestRecurrence:
         assert np.max(np.abs(mat)) <= 1.1
 
     def test_high_degree_stays_finite(self):
-        vals = hermite_row(5000, 30.0).values
+        vals = hermite_row(5000, 30.0)
         assert np.all(np.isfinite(vals))
-        vals = hermite_row(5000, 0.0).values
+        vals = hermite_row(5000, 0.0)
         assert np.all(np.isfinite(vals))
 
     def test_validation(self):
@@ -99,7 +99,7 @@ class TestPsiAtZero:
             assert psi_at_zero(ell) == 0.0
 
     def test_matches_recurrence(self):
-        row = hermite_row(60, 0.0).values
+        row = hermite_row(60, 0.0)
         for ell in range(61):
             assert psi_at_zero(ell) == pytest.approx(row[ell], abs=1e-13)
 

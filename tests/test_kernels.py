@@ -99,7 +99,7 @@ class TestPCoeffs:
             for m in [0, 1, 2, 4]:
                 c = p_coeffs(m, q).coeffs
                 for r in [0.0, 0.3, 1.1]:
-                    row = hermite_row(2 * m, r).values
+                    row = hermite_row(2 * m, r)
                     series = float(np.dot(c, row[::2]))
                     zero = np.zeros(q)
                     e1 = np.zeros(q)
@@ -338,7 +338,7 @@ class TestProjTensor:
         for m in [0, 3, 10]:
             for xv, yv in [(0.2, -1.3), (1.0, 1.0)]:
                 got = proj_tensor(m, 1, [xv], [yv])
-                want = hermite_row(m, xv).values[m] * hermite_row(m, yv).values[m]
+                want = hermite_row(m, xv)[m] * hermite_row(m, yv)[m]
                 assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
     def test_symmetry(self):
@@ -390,8 +390,8 @@ class TestProjReduced:
                 got = proj_reduced(m, 1, 3, x, c * x)
                 nx = float(np.linalg.norm(x))
                 want = (
-                    hermite_row(m, nx).values[m]
-                    * hermite_row(m, c * nx).values[m]
+                    hermite_row(m, nx)[m]
+                    * hermite_row(m, c * nx)[m]
                 )
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
         with pytest.raises(ValueError):
