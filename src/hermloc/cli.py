@@ -35,13 +35,14 @@ import sys
 
 import numpy as np
 
-from .deep_net import eval_gfunction, read_dag_json
+from .deep_net import dag_from_doc, eval_gfunction
 from .estimator import (
     EstimatorConfig,
     estimate_batch,
     guarded_ratio,
     ratio_reconstruction,
     read_dataset_csv,
+    value_and_unit_passes,
     write_dataset_csv,
 )
 from .experiments import (
@@ -78,13 +79,24 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _pick(flag, config: dict, key: str, default):
-    """Explicit flag > config value > built-in default."""
+# JSON types a config value may have, per parameter type; a bool is neither
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _pick(flag, config: dict, key: str, default, kind: type):
+    """Explicit flag > config value > built-in default, as ``kind``.
+
+    A config value of another JSON type (null, list, object, bool, or a
+    string for a number) raises ``ValueError``.
+    """
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _out_dir(args, default: str) -> str:
@@ -95,10 +107,10 @@ def _out_dir(args, default: str) -> str:
 
 def _cmd_gen_data(args) -> int:
     config = _load_config(args.config)
-    m = int(_pick(args.m, config, "M", 256))
-    noise = str(_pick(args.noise, config, "noise", "none"))
-    sigma = float(_pick(args.sigma, config, "sigma", 0.3))
-    seed = int(_pick(args.seed, config, "seed", 0))
+    m = _pick(args.m, config, "M", 256, int)
+    noise = _pick(args.noise, config, "noise", "none", str)
+    sigma = _pick(args.sigma, config, "sigma", 0.3, float)
+    seed = _pick(args.seed, config, "seed", 0, int)
     ds = gen_training(HelixSpec(), m, noise, sigma=sigma, seed=seed)
     out = _out_dir(args, "data_out")
     path = os.path.join(out, "data.csv")
@@ -109,9 +121,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _load_config(args.config)
-    n = int(_pick(args.n, config, "n", 64))
-    alpha = float(_pick(args.alpha, config, "alpha", 1.0))
-    q = int(_pick(args.q, config, "q", 1))
+    n = _pick(args.n, config, "n", 64, int)
+    alpha = _pick(args.alpha, config, "alpha", 1.0, float)
+    q = _pick(args.q, config, "q", 1, int)
     ds = read_dataset_csv(args.data, q)
     ecfg = EstimatorConfig.build(n, alpha, ds.q)
 
@@ -131,10 +143,11 @@ def _cmd_estimate(args) -> int:
         f"kernel: table length {ecfg.table.a.size}, cutoff {form.rcut:g}, "
         f"{form.panels} panels of degree {form.degree}, certificate {form.certificate:.3e}"
     )
-    raw = estimate_batch(ds, ecfg, xs)
-    cols = {"raw": raw}
     if args.ratio:
-        cols["ratio"] = ratio_reconstruction(ds, ecfg, xs)
+        num, den = value_and_unit_passes(ds, ecfg, xs)
+        cols = {"raw": num, "ratio": guarded_ratio(num, den)}
+    else:
+        cols = {"raw": estimate_batch(ds, ecfg, xs)}
 
     out = _out_dir(args, "estimate_out")
     path = os.path.join(out, "estimates.csv")
@@ -211,9 +224,9 @@ def _cmd_helix(args) -> int:
 
 def _cmd_baseline_heat(args) -> int:
     config = _load_config(args.config)
-    m = int(_pick(args.m, config, "M", 1024))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    test_points = int(_pick(args.test_points, config, "test_points", 512))
+    m = _pick(args.m, config, "M", 1024, int)
+    seed = _pick(args.seed, config, "seed", 0, int)
+    test_points = _pick(args.test_points, config, "test_points", 512, int)
     times = [float(s) for s in args.times.split(",")]
     n_list = [int(s) for s in args.n_list.split(",")]
     if any(t <= 0 for t in times):
@@ -276,10 +289,10 @@ def _cmd_demo_bernstein(args) -> int:
 
 def _cmd_synth_net(args) -> int:
     config = _load_config(args.config)
-    n = int(_pick(args.n, config, "n", 4))
-    q = int(_pick(args.q, config, "q", 1))
-    big_q = int(_pick(args.ambient_dim, config, "ambient_dim", 2))
-    alpha = float(_pick(args.alpha, config, "alpha", 1.0))
+    n = _pick(args.n, config, "n", 4, int)
+    q = _pick(args.q, config, "q", 1, int)
+    big_q = _pick(args.ambient_dim, config, "ambient_dim", 2, int)
+    alpha = _pick(args.alpha, config, "alpha", 1.0, float)
     net = prefab_kernel_network(n, q, big_q, alpha)
     out = _out_dir(args, "synth_out")
     path = os.path.join(out, "network.json")
@@ -299,11 +312,11 @@ def _cmd_synth_net(args) -> int:
 
 
 def _cmd_deep_eval(args) -> int:
-    dag = read_dag_json(args.graph)
     with open(args.graph, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        doc = json.load(fh)
+    dag = dag_from_doc(doc, args.graph)
     names = {}
-    for row in raw.get("nodes", []):
+    for row in doc["nodes"]:
         name = row.get("constituent")
         if name is None:
             raise ValueError(f"node {row.get('id')!r}: missing constituent name")

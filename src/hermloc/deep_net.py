@@ -40,6 +40,7 @@ __all__ = [
     "DagNode",
     "Dag",
     "read_dag_json",
+    "dag_from_doc",
     "write_dag_json",
     "eval_gfunction",
     "estimate_lipschitz",
@@ -198,7 +199,14 @@ class Dag:
 def read_dag_json(path: str) -> Dag:
     """Load graph structure from JSON; constituents are attached in code."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return dag_from_doc(json.load(fh), path)
+
+
+def dag_from_doc(doc, path: str) -> Dag:
+    """Graph structure from a parsed DAG JSON document read from ``path``.
+
+    ``path`` only names the source in error messages.
+    """
     if "nodes" not in doc or "sink" not in doc:
         raise ValueError(f"{path}: document needs 'nodes' and 'sink'")
     nodes = {}

@@ -17,6 +17,13 @@ values 1).  Both passes share one computation of the radii and the kernel
 matrix.  Its zero-mass policy, applied by ``guarded_ratio`` alone, covers
 every ratio of passes in the package.
 
+Each sum over the samples is a compensated pairwise tree of TwoSum steps,
+with the exact rounding errors added in a second tree (the error-free
+transformations of Ogita, Rump and Oishi, "Accurate sum and dot product",
+SIAM J. Sci. Comput. 2005); its error bound is stated in ``_tree_sums``.
+It runs as numpy element-wise operations, which release the GIL, so
+threads estimating separate batches run in parallel.
+
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
 normalized arc-length measure.  It serves as the oracle against which the
@@ -42,6 +49,7 @@ __all__ = [
     "EstimatorConfig",
     "estimate_at",
     "estimate_batch",
+    "value_and_unit_passes",
     "ZERO_MASS",
     "guarded_ratio",
     "ratio_reconstruction",
@@ -181,43 +189,121 @@ def _check_points(ds: Dataset, cfg: EstimatorConfig, xs: np.ndarray) -> np.ndarr
 _PAIRS_PER_CHUNK = 1 << 16
 
 
+def _two_sum_error(a, b, s, out) -> None:
+    """``out`` = a + b - s exactly, for s = fl(a + b) (TwoSum); ``b`` is spoiled."""
+    np.subtract(s, a, out)  # z
+    np.subtract(b, out, b)  # b - z
+    np.subtract(s, out, out)  # s - z
+    np.subtract(a, out, out)  # a - (s - z)
+    np.add(out, b, out)  # e
+
+
+def _tree_sums(terms: np.ndarray) -> np.ndarray:
+    """Compensated sum of each column of ``terms`` (M, K); overwrites ``terms``.
+
+    The M terms of a column are added in a fixed pairwise tree: at each
+    level, term i is paired with term i + w//2 of the current width w, and
+    an odd last term is carried up unchanged.  Every addition is a TwoSum,
+    so its rounding error is known exactly; those errors are added in a
+    second pairwise tree of the same shape and folded into the sum once, at
+    the end.  All steps are element-wise across columns, so each column's
+    result depends only on that column and on M.
+
+    With u = 2**-53, k = ceil(log2 M) and gamma_j = j*u / (1 - j*u), the
+    result s^ of a column with exact sum S satisfies
+
+        |s^ - S| <= u*|S| + gamma_k * gamma_{2k} * sum |terms|,
+
+    because the errors of the k levels add up to at most
+    (1 + u)*gamma_k*sum|terms| in magnitude, each passes through at most
+    2k - 2 additions of the error tree, and the final addition rounds once.
+    That is about eps/2*|S| + (k*eps)**2/2 * sum|terms| with eps = 2**-52:
+    the second term is the square of plain pairwise summation's bound.
+    """
+    width, cols = terms.shape
+    if width == 1:
+        return terms[0] + 0.0
+    # levels write (sum, error) pairs into two flat buffers in turn; the
+    # terms' own buffer is spent after the first level and large enough for
+    # every later one
+    bufs = (terms.reshape(-1), np.empty(2 * ((width + 1) // 2) * cols))
+    cur, flip = None, 1
+    while width > 1:
+        h, odd = width // 2, width % 2
+        nxt = bufs[flip][: 2 * (h + odd) * cols].reshape(2, h + odd, cols)
+        s = nxt[:, :h]
+        if cur is None:  # first level: the terms carry no errors yet
+            a, b = terms[:h], terms[h : 2 * h]
+            np.add(a, b, s[0])
+            _two_sum_error(a, b, s[0], s[1])
+            if odd:
+                nxt[0, h], nxt[1, h] = terms[2 * h], 0.0
+        else:
+            a, b = cur[:, :h], cur[:, h : 2 * h]
+            np.add(a, b, s)  # the sums and their error sums at once
+            _two_sum_error(a[0], b[0], s[0], a[1])  # a[1] is spent
+            np.add(s[1], a[1], s[1])
+            if odd:
+                nxt[:, h] = cur[:, 2 * h]
+        cur, width, flip = nxt, h + odd, 1 - flip
+    return cur[0, 0] + cur[1, 0]
+
+
 def _kernel_passes(
     ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Value pass and, if asked, unit pass of the estimator at many points.
 
     The radii and the kernel matrix are computed once per chunk of test
-    points.  Each kernel row is reduced in the fixed dataset order with
-    compensated summation, once times the sample values (value pass) and,
-    if asked, once as it is (unit pass: bitwise the value pass over
-    all-ones values, since k * 1.0 == k).  Results per point are bitwise
-    the same whatever the batch it sits in.
+    points.  Each kernel row is multiplied by the sample values (value
+    pass) and, if asked, also kept as it is (unit pass: bitwise the value
+    pass over all-ones values, since k * 1.0 == k); all these rows go into
+    one buffer and are summed together by ``_tree_sums``, a compensated
+    pairwise tree whose error bound is stated there.  A row's sum depends
+    only on that row, so results per point are bitwise the same whatever
+    the batch it sits in, and with or without the unit pass.
     """
     xs = _check_points(ds, cfg, xs)
     form = kernel_form(cfg.table)
     lam = cfg.n ** (1.0 - cfg.alpha)
     factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
     rows = max(1, _PAIRS_PER_CHUNK // ds.size)
-    num, den = [], []
+    passes = 2 if unit_pass else 1
+    sums = [np.empty((passes, 0))]
     for start in range(0, xs.shape[0], rows):
         diff = xs[start : start + rows, None, :] - ds.points[None, :, :]
-        kern = form(lam * np.sqrt(np.einsum("tmq,tmq->tm", diff, diff)))
-        for row in kern:
-            num.append(factor * math.fsum((row * ds.values).tolist()))
-            if unit_pass:
-                den.append(factor * math.fsum(row.tolist()))
-    return np.array(num), (np.array(den) if unit_pass else None)
+        kern = form(lam * np.sqrt(np.einsum("tmq,tmq->tm", diff, diff))).T
+        t = kern.shape[1]
+        terms = np.empty((ds.size, passes * t))
+        np.multiply(kern, ds.values[:, None], out=terms[:, :t])
+        if unit_pass:
+            terms[:, t:] = kern
+        sums.append(factor * _tree_sums(terms).reshape(passes, t))
+    sums = np.concatenate(sums, axis=1)
+    return sums[0], (sums[1] if unit_pass else None)
 
 
 def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     """Evaluate the estimator at many points; one kernel pass per batch.
 
-    Each output entry is the exact estimator sum for its point: the kernel
-    value per sample, multiplied by the sample value, reduced in the fixed
-    dataset order with compensated summation.  Results per point are
+    Each output entry is the estimator sum for its point: the kernel value
+    per sample, multiplied by the sample value, summed by a compensated
+    pairwise tree (error within u*|sum| + gamma_k*gamma_{2k}*sum|terms|,
+    k = ceil(log2 M); see ``_tree_sums``).  Results per point are
     identical whether the point is evaluated alone or inside any batch.
     """
     return _kernel_passes(ds, cfg, xs, unit_pass=False)[0]
+
+
+def value_and_unit_passes(
+    ds: Dataset, cfg: EstimatorConfig, xs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value pass and unit pass at many points, from one kernel matrix.
+
+    They are bitwise equal to ``estimate_batch`` on ``ds`` and on
+    ``ds.with_unit_values()``.
+    """
+    return _kernel_passes(ds, cfg, xs, unit_pass=True)
 
 
 ZERO_MASS = 1e-12
@@ -238,8 +324,7 @@ def ratio_reconstruction(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     Zero-mass policy: where |unit pass| < ``ZERO_MASS`` no training mass
     reaches x at this scale, and the estimate is 0 there, not a blow-up.
     """
-    num, den = _kernel_passes(ds, cfg, xs, unit_pass=True)
-    return guarded_ratio(num, den)
+    return guarded_ratio(*value_and_unit_passes(ds, cfg, xs))
 
 
 def estimate_at(ds: Dataset, cfg: EstimatorConfig, x) -> float:

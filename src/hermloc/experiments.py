@@ -38,7 +38,9 @@ without letting it mask interior behavior.
 
 Trials run in parallel worker threads; trial i owns the independent
 generator seeded by (seed, i), and report assembly is single-threaded in
-trial order, so results are identical to a serial run.
+trial order, so results are identical to a serial run.  The estimator's
+kernel evaluation and sums release the GIL, so the trial threads overlap:
+two dense trials on two cores take about as long as one.
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@ import json
 import pytest
 
 from hermloc import cli
+from hermloc.estimator import (
+    EstimatorConfig,
+    estimate_batch,
+    ratio_reconstruction,
+    read_dataset_csv,
+)
+from hermloc.experiments import HelixSpec
 from hermloc.gaussian_net import MAX_M
 
 
@@ -41,6 +48,30 @@ class TestEstimate:
         with open(out_dir / "estimates.csv", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
         assert header == ["t", "y_1", "y_2", "y_3", "raw", "ratio"]
+
+    def test_ratio_takes_both_columns_from_one_pass(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--m", "64", "--noise", "additive",
+                         "--out", str(data_dir)]) == 0
+        ds = read_dataset_csv(str(data_dir / "data.csv"), 1)
+        ecfg = EstimatorConfig.build(8, 1.0, 1)
+        _, xs = HelixSpec().grid(40)
+        want_raw = estimate_batch(ds, ecfg, xs)
+        want_ratio = ratio_reconstruction(ds, ecfg, xs)
+
+        def second_pass(*args):
+            raise AssertionError("a second kernel pass")
+
+        monkeypatch.setattr(cli, "estimate_batch", second_pass)
+        monkeypatch.setattr(cli, "ratio_reconstruction", second_pass)
+        out_dir = tmp_path / "est"
+        rc = cli.main(["estimate", "--data", str(data_dir / "data.csv"), "--n", "8",
+                       "--helix-grid", "40", "--ratio", "--out", str(out_dir)])
+        assert rc == 0
+        with open(out_dir / "estimates.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["raw"]) for r in rows] == want_raw.tolist()
+        assert [float(r["ratio"]) for r in rows] == want_ratio.tolist()
 
 
 GRAPH = {
@@ -115,6 +146,25 @@ class TestExitCodes:
         rc = cli.main(["helix", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error: M must be of type int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("gen-data", {"M": None}),
+        ("estimate", {"n": [8]}),
+        ("baseline-heat", {"M": True}),
+        ("synth-net", {"n": {"value": 3}}),
+    ])
+    def test_config_value_of_wrong_json_type_exits_2(self, tmp_path, capsys, command, doc):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--m", "8", "--out", str(data)]) == 0
+        capsys.readouterr()
+        config = _write_json(tmp_path / "c.json", doc)
+        extra = ["--data", str(data / "data.csv")] if command == "estimate" else []
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", config, "--out", str(out)] + extra)
+        assert rc == 2
+        key = next(iter(doc))
+        assert f"error: {key} must be of type" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deep_eval_non_numeric_coordinates_exit_2(self, tmp_path, capsys):
         graph = _write_json(tmp_path / "graph.json", GRAPH)

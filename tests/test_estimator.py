@@ -7,12 +7,15 @@ the kernel's unit mass.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from hermloc import estimator
 from hermloc.estimator import (
     _PAIRS_PER_CHUNK,
+    _tree_sums,
     Curve,
     Dataset,
     EstimatorConfig,
@@ -21,7 +24,10 @@ from hermloc.estimator import (
     continuous_operator_on_curve,
     estimate_at,
     estimate_batch,
+    guarded_ratio,
+    ratio_reconstruction,
     read_dataset_csv,
+    value_and_unit_passes,
     write_dataset_csv,
 )
 from hermloc.experiments import HelixSpec, gen_training
@@ -142,6 +148,13 @@ class TestEstimate:
         for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, 299):
             assert estimate_at(ds, cfg, xs[i]) == batch[i]
 
+    def test_no_test_points(self):
+        ds = self._dataset()
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        assert estimate_batch(ds, cfg, np.zeros((0, 3))).shape == (0,)
+        num, den = value_and_unit_passes(ds, cfg, np.zeros((0, 3)))
+        assert num.shape == den.shape == (0,)
+
     def test_batch_order_invariance(self):
         ds = self._dataset()
         cfg = EstimatorConfig.build(8.0, 1.0, 1)
@@ -200,6 +213,111 @@ class TestEstimate:
             EstimatorConfig.build(8.0, 1.5, 1)
         with pytest.raises(ValueError):
             EstimatorConfig(8.0, 1.0, compile_kernel(6.0, 1))
+
+
+def _tree_sum_bound(terms: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Largest |tree sum - fsum| that ``_tree_sums`` promises, per column.
+
+    The tree is within u*|S| + gamma_k*gamma_{2k}*sum|terms| of the exact
+    sum S, and fsum, the correctly rounded S, is within u*|S| of it.
+    """
+    u = 2.0**-53
+    k = math.ceil(math.log2(terms.shape[0]))
+
+    def gamma(j):
+        return j * u / (1.0 - j * u)
+
+    absum = np.array([math.fsum(col) for col in np.abs(terms).T])
+    return 2.0 * u * (1.0 + 2.0 * u) * np.abs(want) + gamma(k) * gamma(2 * k) * absum
+
+
+def _ill_conditioned_columns(m: int, seed: int) -> np.ndarray:
+    """Three ill-conditioned columns of length m.
+
+    +-1e16 alternating with remainders in [-1, 1]; pairs x, -x that cancel
+    exactly; terms spread over 24 decades whose last term is minus the
+    correctly rounded sum of the others.
+    """
+    rng = np.random.default_rng(seed)
+    big = np.where(np.arange(m) % 4 == 0, 1e16, -1e16)
+    alternating = np.where(np.arange(m) % 2 == 0, big, rng.uniform(-1.0, 1.0, m))
+    half = rng.normal(size=m // 2) * 10.0 ** rng.integers(-12, 12, m // 2)
+    cancelling = rng.permutation(np.concatenate([half, -half, np.zeros(m % 2)]))
+    wide = rng.normal(size=m) * 10.0 ** rng.integers(-12, 12, m)
+    if m > 1:
+        wide[-1] = -math.fsum(wide[:-1])
+    return np.stack([alternating, cancelling, wide], axis=1)
+
+
+class TestTreeSums:
+    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 16384])
+    def test_agrees_with_fsum_within_its_bound(self, m):
+        terms = _ill_conditioned_columns(m, seed=m)
+        want = np.array([math.fsum(col) for col in terms.T])
+        bound = _tree_sum_bound(terms, want)
+        got = _tree_sums(terms.copy())
+        assert np.all(np.abs(got - want) <= bound), (got, want, bound)
+
+    def test_columns_are_independent(self):
+        # a column's sum does not depend on its neighbours or their count
+        terms = _ill_conditioned_columns(1000, seed=11)
+        alone = [_tree_sums(terms[:, [j]].copy())[0] for j in range(3)]
+        together = _tree_sums(np.tile(terms, (1, 3)).copy())
+        np.testing.assert_array_equal(together, np.tile(alone, 3))
+
+    def test_single_equals_batch_at_odd_width(self):
+        # M = 1000 is not a power of two; 200 points span four chunks
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(1000, 3))
+        ds = Dataset(pts, np.cos(pts @ np.array([1.0, -1.0, 0.5])), 1)
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        xs = rng.normal(size=(200, 3))
+        rows = _PAIRS_PER_CHUNK // ds.size
+        assert 3 * rows < xs.shape[0]
+        num, den = value_and_unit_passes(ds, cfg, xs)
+        np.testing.assert_array_equal(num, estimate_batch(ds, cfg, xs))
+        np.testing.assert_array_equal(den, estimate_batch(ds.with_unit_values(), cfg, xs))
+        np.testing.assert_array_equal(ratio_reconstruction(ds, cfg, xs), guarded_ratio(num, den))
+        for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, 3 * rows, 199):
+            assert estimate_at(ds, cfg, xs[i]) == num[i]
+            one_num, one_den = value_and_unit_passes(ds, cfg, xs[i : i + 1])
+            assert (one_num[0], one_den[0]) == (num[i], den[i])
+
+    def test_threads_match_a_serial_run_bitwise(self):
+        rng = np.random.default_rng(22)
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        xs = rng.normal(size=(300, 3))
+        sets = [Dataset(p, np.sin(p[:, 0]), 1) for p in rng.normal(size=(2, 2000, 3))]
+        serial = [ratio_reconstruction(ds, cfg, xs) for ds in sets]
+        threaded = [None, None]
+        start = threading.Barrier(2)
+
+        def work(i):
+            start.wait(timeout=60)
+            threaded[i] = ratio_reconstruction(sets[i], cfg, xs)
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+        for got, want in zip(threaded, serial):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_per_row_fsum(self, monkeypatch):
+        # the estimator's sums never go through a Python-level fsum loop
+        def no_fsum(_):
+            raise AssertionError("math.fsum called")
+
+        monkeypatch.setattr(math, "fsum", no_fsum)
+        assert not hasattr(estimator, "fsum")
+        pts = np.random.default_rng(23).normal(size=(300, 3))
+        ds = Dataset(pts, np.cos(pts[:, 0]), 1)
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        xs = pts[:5]
+        assert np.all(np.isfinite(estimate_batch(ds, cfg, xs)))
+        assert np.all(np.isfinite(ratio_reconstruction(ds, cfg, xs)))
 
 
 class TestKernelMass:
