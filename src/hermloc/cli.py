@@ -51,11 +51,14 @@ from .experiments import (
     HelixSpec,
     bernstein_demo,
     gen_training,
-    heat_kernel_baseline,
+    heat_value_and_unit_passes,
     run_experiment,
 )
 from .gaussian_net import MAX_M, prefab_kernel_network, write_network_json
 from .kernels import eval_kernel, kernel_form
+
+# unit roundoff of float64
+_U = 2.0**-53
 
 # named constituents deep-eval can attach to DAG nodes
 CONSTITUENTS = {
@@ -234,14 +237,13 @@ def _cmd_baseline_heat(args) -> int:
 
     spec = HelixSpec()
     ds = gen_training(spec, m, "none", seed=seed)
-    ones = ds.with_unit_values()
     t_grid, xs = spec.grid(test_points)
     f_true = spec.target(t_grid)
     interior = spec.interior(t_grid)
 
     rows = []
     for t in times:
-        est = guarded_ratio(heat_kernel_baseline(ds, t, xs), heat_kernel_baseline(ones, t, xs))
+        est = guarded_ratio(*heat_value_and_unit_passes(ds, t, xs))
         err = float(np.max(np.abs((est - f_true)[interior])))
         rows.append(("heat", t, err))
     for n in n_list:
@@ -297,7 +299,7 @@ def _cmd_synth_net(args) -> int:
     out = _out_dir(args, "synth_out")
     path = os.path.join(out, "network.json")
     write_network_json(net, path)
-    print(f"wrote {path} ({net.centers.shape[0]} Gaussian terms, scale={net.scale})")
+    print(f"wrote {path} ({net.coeffs.size} Gaussian terms, scale={net.scale})")
     if args.check:
         table_cfg = EstimatorConfig.build(n, alpha, q)
         radii = np.linspace(0.0, 3.0, 121)
@@ -307,7 +309,9 @@ def _cmd_synth_net(args) -> int:
         want = float(n) ** (q * (1.0 - alpha)) * eval_kernel(table_cfg.table, lam * radii)
         got = net(pts)
         dev = float(np.max(np.abs(got - want)))
-        print(f"max |network - localized kernel| on [0,3]: {dev:.3e}")
+        mass = float(np.sum(np.abs(net.coeffs)))
+        print(f"max |network - localized kernel| on [0,3]: {dev:.3e} "
+              f"(sum |c_j| = {mass:.3e}, rounding scale u*sum |c_j| = {_U * mass:.3e})")
     return 0
 
 

@@ -72,6 +72,7 @@ __all__ = [
     "run_experiment",
     "write_report",
     "heat_kernel_baseline",
+    "heat_value_and_unit_passes",
     "bernstein_demo",
 ]
 
@@ -362,23 +363,39 @@ def write_report(report: ExperimentReport, out_dir: str) -> None:
         fh.write("\n")
 
 
-def heat_kernel_baseline(ds: Dataset, t: float, x) -> float | np.ndarray:
-    """Monte-Carlo heat-kernel smoother (1/(M (4 pi t)^{q/2})) sum exp(-|x-y_j|^2/t) F_j.
-
-    Reported raw; run a second pass on unit values for the normalized form.
-    Accepts one point (Q,) or a batch (N, Q).
-    """
+def _heat_weights(ds: Dataset, t: float, xs: np.ndarray):
+    """Prefactor 1/(M (4 pi t)^{q/2}) and the matrix exp(-|x_i - y_j|^2/t)."""
     if t <= 0:
         raise ValueError("diffusion time t must be positive")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = x.reshape(1, -1) if single else x
     if xs.shape[1] != ds.ambient_dim:
         raise ValueError(f"points must have {ds.ambient_dim} coordinates")
     d2 = np.sum((xs[:, None, :] - ds.points[None, :, :]) ** 2, axis=2)
     scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
-    out = scale * (np.exp(-d2 / t) @ ds.values)
+    return scale, np.exp(-d2 / t)
+
+
+def heat_kernel_baseline(ds: Dataset, t: float, x) -> float | np.ndarray:
+    """Monte-Carlo heat-kernel smoother (1/(M (4 pi t)^{q/2})) sum exp(-|x-y_j|^2/t) F_j.
+
+    Reported raw; ``heat_value_and_unit_passes`` gives the unit pass of
+    the normalized form from the same matrix.  Accepts one point (Q,) or a
+    batch (N, Q).
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    scale, weights = _heat_weights(ds, t, x.reshape(1, -1) if single else x)
+    out = scale * (weights @ ds.values)
     return float(out[0]) if single else out
+
+
+def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Heat smoother on the values and on a unit column, from one exp(-d^2/t) matrix.
+
+    Each pass equals ``heat_kernel_baseline`` on the values and on
+    ``ds.with_unit_values()`` bitwise; ``xs`` is a batch (N, Q).
+    """
+    scale, weights = _heat_weights(ds, t, np.asarray(xs, dtype=float))
+    return scale * (weights @ ds.values), scale * (weights @ np.ones(ds.size))
 
 
 def bernstein_demo(f: Callable[[float], float], n: int, x) -> float | np.ndarray:

@@ -17,6 +17,26 @@ decays like m**(d-2) 3**(-m**2/2).
 
 Networks carry an input scale s and evaluate x -> base(s * x); nothing else
 is trained or adapted.
+
+Because the centers form a tensor grid, a network is stored as its 1-D
+axis centers (K = 2m**2 values) and a coefficient tensor of shape (K,)*d,
+and it is evaluated in tensor-product form: exp(-|s x - z_j|**2) is the
+product over the axes of exp(-(s x_a - z_{j_a})**2), so the network is a
+d-way contraction of the coefficients with one (points x K) factor matrix
+per axis.  That costs O(K**d) multiply-adds per point and no exponential
+per (center, point) pair.  Points are contracted one at a time in chunks
+whose intermediate holds at most ``_CHUNK_ENTRIES`` values, so memory is
+flat in the number of points and a point's value never depends on the
+batch it came in.
+
+Rounding: the coefficients of a synthesized kernel cancel heavily, so an
+evaluation is exact only to the scale u * sum_j |c_j| (u = 2**-53), far
+above u times the output.  For ``prefab_kernel_network(6, 2, 3, 1.0)``,
+sum_j |c_j| = 5.3e5 and u * sum_j |c_j| = 5.9e-11 against a peak output of
+3.4.  The network's own evaluation order therefore sets the rounding noise
+in any comparison of the network against its kernel (the benchmark's
+``net_kernel_dev``): a dense sum over the K**d centers would carry noise
+of the same scale, rounded differently, so it is no more exact.
 """
 
 from __future__ import annotations
@@ -47,53 +67,103 @@ MAX_M = 6
 MAX_DIM = 3
 
 
+# Entries of the (points x K**(dim-1)) intermediate of one chunk of points:
+# 2**20 doubles (8 MB), whatever the number of points evaluated.
+_CHUNK_ENTRIES = 1 << 20
+
+
 @dataclass(frozen=True)
 class GaussianNetwork:
-    """Shallow Gaussian network: x -> sum_j coeffs[j] exp(-|scale*x - centers[j]|**2)."""
+    """Gaussian network on a tensor grid of centers.
+
+    Evaluates
+
+        x -> sum_j coeffs[j] exp(-|scale*x - z_j|**2),
+
+    where j = (j_1, .., j_dim) runs over the tensor grid whose coordinates
+    are the 1-D ``axis_centers`` (K,), z_j = (axis_centers[j_1], ..,
+    axis_centers[j_dim]), and ``coeffs`` has shape (K,)*dim.  Since each
+    Gaussian factors over the axes, the sum is a contraction of ``coeffs``
+    with one (points x K) factor matrix exp(-(scale*x_a - axis_centers)**2)
+    per axis a: no exponential is formed per (center, point) pair.
+
+    Each point is contracted on its own, the last axis first: one
+    matrix-vector product (K**(dim-1) x K) per point, then dim-1 smaller
+    ones on the shrinking per-point vectors.  A point's value therefore
+    depends only on that point, so a scalar call, a batch and any chunking
+    agree bitwise.  Points are processed in chunks of at most
+    ``_CHUNK_ENTRIES // K**(dim-1)``, so memory stays flat in the number
+    of points.
+
+    The rounding error of the sum is on the scale u * sum_j |coeffs[j]|
+    (u = 2**-53), not of the output: the coefficients of a synthesized
+    kernel cancel heavily (sum |c_j| = 5.3e5 against a peak output of 3.4
+    for ``prefab_kernel_network(6, 2, 3, 1.0)``).
+    """
 
     dim: int
     scale: float
-    centers: np.ndarray
+    axis_centers: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centers, dtype=float)
-        a = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[1] != self.dim:
-            raise ValueError("centers must have shape (K, dim)")
-        if a.shape != (c.shape[0],):
-            raise ValueError("coeffs must have one entry per center")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError("dim must be a positive integer")
+        z = np.asarray(self.axis_centers, dtype=float)
+        c = np.asarray(self.coeffs, dtype=float)
+        if z.ndim != 1 or z.size == 0:
+            raise ValueError("axis_centers must be a non-empty 1-D array")
+        if c.ndim != dim or c.shape != (z.size,) * c.ndim:
+            raise ValueError(f"coeffs must have shape (K,)*dim with K = {z.size}, got {c.shape}")
         if not np.isfinite(self.scale) or self.scale <= 0:
-            raise ValueError("scale must be a positive real")
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "coeffs", a)
+            raise ValueError("scale must be a positive finite real")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("axis_centers must be finite")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coeffs must be finite")
+        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "axis_centers", z)
+        object.__setattr__(self, "coeffs", c)
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
         pts = np.atleast_2d(x) * self.scale
-        if pts.shape[1] != self.dim:
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
-        out = np.zeros(pts.shape[0])
-        # chunk the center axis so the (N, K) distance block stays small
-        chunk = max(1, 16_000_000 // max(1, pts.shape[0]))
-        pn = np.sum(pts * pts, axis=1)
-        for start in range(0, self.centers.shape[0], chunk):
-            cen = self.centers[start : start + chunk]
-            r2 = pn[:, None] - 2.0 * pts @ cen.T + np.sum(cen * cen, axis=1)[None, :]
-            np.maximum(r2, 0.0, out=r2)
-            with np.errstate(under="ignore"):
-                out += np.exp(-r2) @ self.coeffs[start : start + chunk]
+        step = max(1, _CHUNK_ENTRIES // self.axis_centers.size ** (self.dim - 1))
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], step):
+            out[start : start + step] = self._contract(pts[start : start + step])
         return float(out[0]) if scalar else out
+
+    def _contract(self, pts: np.ndarray) -> np.ndarray:
+        n, k = pts.shape[0], self.axis_centers.size
+        with np.errstate(under="ignore"):
+            # factors[p, a, i] = exp(-(pts[p, a] - axis_centers[i])**2)
+            factors = np.exp(-((pts[:, :, None] - self.axis_centers) ** 2))
+        # a stack of per-point matrix-vector products, one BLAS call each
+        vals = self.coeffs.reshape(-1, k) @ factors[:, -1, :, None]
+        for a in range(self.dim - 2, -1, -1):
+            vals = vals.reshape(n, -1, k) @ factors[:, a, :, None]
+        return vals.reshape(n)
 
 
 def write_network_json(net: GaussianNetwork, path: str) -> None:
-    """Serialize with shortest round-trip decimals; reload is bit exact."""
+    """Serialize in tensor form with shortest round-trip decimals; reload is bit exact.
+
+    The document holds ``dim``, ``scale``, ``axis_centers`` (K values) and
+    ``coeffs`` as ``{"shape": [K, .., K], "values": [...]}`` in C order.
+    """
     doc = {
         "dim": net.dim,
         "scale": net.scale,
-        "centers": [[float(v) for v in row] for row in net.centers],
-        "coeffs": [float(v) for v in net.coeffs],
+        "axis_centers": [float(v) for v in net.axis_centers],
+        "coeffs": {
+            "shape": list(net.coeffs.shape),
+            "values": [float(v) for v in net.coeffs.ravel()],
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -101,17 +171,50 @@ def write_network_json(net: GaussianNetwork, path: str) -> None:
 
 
 def read_network_json(path: str) -> GaussianNetwork:
+    """Read the tensor form that ``write_network_json`` writes.
+
+    Raises ValueError, naming the field, for the retired dense format
+    (a ``centers`` list), a missing field, a coefficient count that does
+    not match the stated shape, and non-finite values (``json`` reads
+    NaN and Infinity).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key in ("dim", "scale", "centers", "coeffs"):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a network must be a JSON object")
+    if "centers" in doc:
+        raise ValueError(
+            f"{path}: field 'centers' belongs to the dense network format, which is "
+            "no longer read; write the network again in tensor form"
+        )
+    for key in ("dim", "scale", "axis_centers", "coeffs"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
-    return GaussianNetwork(
-        dim=int(doc["dim"]),
-        scale=float(doc["scale"]),
-        centers=np.array(doc["centers"], dtype=float),
-        coeffs=np.array(doc["coeffs"], dtype=float),
-    )
+    scale, coeffs = doc["scale"], doc["coeffs"]
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        raise ValueError(f"{path}: field 'scale' must be a number")
+    if not isinstance(coeffs, dict) or set(coeffs) != {"shape", "values"}:
+        raise ValueError(f"{path}: field 'coeffs' must be an object with 'shape' and 'values'")
+    shape = coeffs["shape"]
+    if not isinstance(shape, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape
+    ):
+        raise ValueError(f"{path}: field 'coeffs' needs a shape of nonnegative integers")
+    try:
+        centers = np.array(doc["axis_centers"], dtype=float)
+        values = np.array(coeffs["values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: axis_centers and coeffs must hold numbers: {exc}") from exc
+    if values.ndim != 1 or values.size != math.prod(shape):
+        raise ValueError(
+            f"{path}: field 'coeffs' holds {values.size} values for shape {tuple(shape)}"
+        )
+    try:
+        return GaussianNetwork(
+            dim=doc["dim"], scale=float(scale), axis_centers=centers, coeffs=values.reshape(shape)
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -131,22 +234,12 @@ class WeightedPolyCoeffs:
                 raise ValueError(f"coefficient at {k} must be finite")
 
 
-def _grid_and_weights(m: int, d: int):
-    """Shared center grid for parameters (m, d) and per-axis node weights."""
-    rule = gauss_hermite_rule(2 * m * m)
-    nodes = rule.nodes
-    # lambda_j * exp(3|x_j|^2/4), formed per axis in log space
-    logw = np.log(rule.weights) + 0.75 * nodes * nodes
-    axis_w = np.exp(logw)
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    grid = np.stack([g.ravel() for g in grids], axis=1)
-    return rule, grid, axis_w
-
-
 def poly_to_gaussian(P: WeightedPolyCoeffs, m: int) -> GaussianNetwork:
     """Convert a weighted polynomial (all |k|_1 < m**2) to a Gaussian network.
 
-    Coefficients are linear in P: center z_j receives
+    The network's axis centers are (sqrt(3)/2) x_i over the nodes x_i of
+    the size-2m**2 Gauss-Hermite rule.  Coefficients are linear in P:
+    center z_j = (sqrt(3)/2) x_j, j = (j_1, .., j_d), receives
 
         c_j = (3/(2 pi))**(d/2) * prod_axis [lambda exp(3 x**2/4)](x_j,axis)
               * sum_k b_k 3**(|k|/2) psi_k(x_j).
@@ -164,8 +257,9 @@ def poly_to_gaussian(P: WeightedPolyCoeffs, m: int) -> GaussianNetwork:
         if sum(k) >= kcap:
             raise ValueError(f"multi-index {k} has |k|_1 >= m**2 = {kcap}")
 
-    rule, grid, axis_w = _grid_and_weights(int(m), d)
-    nn = rule.size
+    rule = gauss_hermite_rule(2 * kcap)
+    # lambda_i * exp(3 x_i^2/4), formed per axis in log space
+    axis_w = np.exp(np.log(rule.weights) + 0.75 * rule.nodes * rule.nodes)
 
     B = np.zeros((kcap,) * d)
     for k, b in P.entries.items():
@@ -176,21 +270,19 @@ def poly_to_gaussian(P: WeightedPolyCoeffs, m: int) -> GaussianNetwork:
 
     # mode products: contract each leading k axis with the scaled node rows;
     # the node axis lands at the end, so after d rounds the axis order is
-    # (n_1, .., n_d), matching the C-order raveled grid
+    # (n_1, .., n_d)
     vals = B
     for _ in range(d):
         vals = np.tensordot(vals, psi_scaled, axes=([0], [1]))
-    vals = vals.ravel()
 
     wgrid = axis_w
     for _ in range(d - 1):
         wgrid = np.multiply.outer(wgrid, axis_w)
-    wgrid = wgrid.ravel()
 
     pref = (3.0 / (2.0 * math.pi)) ** (d / 2.0)
     coeffs = pref * wgrid * vals
-    centers = (math.sqrt(3.0) / 2.0) * grid
-    return GaussianNetwork(dim=d, scale=1.0, centers=centers, coeffs=coeffs)
+    axis_centers = (math.sqrt(3.0) / 2.0) * rule.nodes
+    return GaussianNetwork(dim=d, scale=1.0, axis_centers=axis_centers, coeffs=coeffs)
 
 
 def gaussian_basis_network(k, m: int, d: int) -> GaussianNetwork:
@@ -245,20 +337,26 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     n2 = n * n
     half = (Q - q) / 2.0
     pref = math.pi ** half
-    entries: dict[tuple, float] = {}
-    for k in _even_multi_indices(int(Q), n2):
-        kk = sum(k)
+    # the filter sum depends on k only through |k|_1; terms are added in the
+    # order of increasing degree, skipping zero filter values
+    h = filter_h(np.sqrt(np.arange(n2)) / n).tolist()
+    binoms = [float(_binom(half, ell)) for ell in range(n2 // 2 + 1)]
+    acc_by_total = {}
+    for kk in range(0, n2, 2):
         acc = 0.0
         for mdeg in range(kk, n2, 2):
-            h = filter_h(math.sqrt(mdeg) / n)
-            if h == 0.0:
+            if h[mdeg] == 0.0:
                 continue
             ell = (mdeg - kk) // 2
-            acc += h * (-1.0) ** ell * float(_binom(half, ell))
+            acc += h[mdeg] * (-1.0) ** ell * binoms[ell]
+        acc_by_total[kk] = acc
+    psi_tab = [psi_at_zero(ell) for ell in range(n2)]
+    entries: dict[tuple, float] = {}
+    for k in _even_multi_indices(int(Q), n2):
         psi0 = 1.0
         for ki in k:
-            psi0 *= psi_at_zero(ki)
-        b = psi0 * pref * acc
+            psi0 *= psi_tab[ki]
+        b = psi0 * pref * acc_by_total[sum(k)]
         if b != 0.0:
             entries[k] = b
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from hermloc import cli
@@ -14,7 +15,8 @@ from hermloc.estimator import (
     read_dataset_csv,
 )
 from hermloc.experiments import HelixSpec
-from hermloc.gaussian_net import MAX_M
+from hermloc.gaussian_net import MAX_M, prefab_kernel_network
+from hermloc.kernels import eval_kernel
 
 
 class TestSynthNet:
@@ -29,6 +31,25 @@ class TestSynthNet:
         rc = cli.main(["synth-net", "--n", "3", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "network.json").stat().st_size > 0
+
+    def test_check_prints_term_count_and_rounding_scale(self, tmp_path, capsys):
+        rc = cli.main(["synth-net", "--n", "3", "--check", "--out", str(tmp_path)])
+        assert rc == 0
+        wrote, check = capsys.readouterr().out.splitlines()
+        path = tmp_path / "network.json"
+        assert wrote == f"wrote {path} (324 Gaussian terms, scale=1.0)"
+        net = prefab_kernel_network(3, 1, 2, 1.0)
+        radii = np.linspace(0.0, 3.0, 121)
+        pts = np.stack([radii, np.zeros_like(radii)], axis=1)
+        kernel = eval_kernel(EstimatorConfig.build(3, 1.0, 1).table, radii)
+        dev = float(np.max(np.abs(net(pts) - kernel)))
+        mass = float(np.sum(np.abs(net.coeffs)))
+        assert check == (
+            f"max |network - localized kernel| on [0,3]: {dev:.3e} "
+            f"(sum |c_j| = {mass:.3e}, rounding scale u*sum |c_j| = {2.0**-53 * mass:.3e})"
+        )
+        # the file holds the network only: no timings, no check figures
+        assert sorted(json.loads(path.read_text())) == ["axis_centers", "coeffs", "dim", "scale"]
 
 
 class TestEstimate:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from hermloc import experiments
 from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch
 from hermloc.experiments import (
     INTERIOR_HI,
@@ -22,6 +23,7 @@ from hermloc.experiments import (
     bernstein_demo,
     gen_training,
     heat_kernel_baseline,
+    heat_value_and_unit_passes,
     helix_curve,
     helix_target,
     ratio_reconstruction,
@@ -317,12 +319,28 @@ class TestHeatKernelBaseline:
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.05)
 
+    def test_passes_from_one_matrix_equal_two_calls_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.normal(size=(40, 3)), rng.normal(size=40), 1)
+        xs = rng.normal(size=(9, 3))
+        want = (heat_kernel_baseline(ds, 0.3, xs),
+                heat_kernel_baseline(ds.with_unit_values(), 0.3, xs))
+        calls = []
+        real_exp = np.exp
+        monkeypatch.setattr(experiments.np, "exp", lambda a: calls.append(a) or real_exp(a))
+        num, den = heat_value_and_unit_passes(ds, 0.3, xs)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(num, want[0])
+        np.testing.assert_array_equal(den, want[1])
+
     def test_validation(self):
         ds = Dataset(np.zeros((2, 2)), np.ones(2), 1)
         with pytest.raises(ValueError):
             heat_kernel_baseline(ds, 0.0, np.zeros(2))
         with pytest.raises(ValueError):
             heat_kernel_baseline(ds, 0.1, np.zeros(3))
+        with pytest.raises(ValueError):
+            heat_value_and_unit_passes(ds, 0.0, np.zeros((1, 2)))
 
 
 class TestBernsteinDemo:

@@ -5,11 +5,14 @@ kernel tables for the prefab surrogates, and the plain kernel estimator
 for the shallow-network estimate.
 """
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hermloc import gaussian_net
 from hermloc.estimator import Dataset, EstimatorConfig, estimate_at
 from hermloc.gaussian_net import (
     GaussianNetwork,
@@ -41,13 +44,35 @@ def basis_error(k, m, d):
     return float(np.max(np.abs(got - want)))
 
 
+U = 2.0**-53
+
+
+def dense_sum(net, x):
+    """Reference sum_j c_j exp(-|s x - z_j|**2) over every center of the grid.
+
+    Each term is formed from the squared distance itself (no expansion
+    into |x|**2 - 2 x.z + |z|**2) and the terms are added by numpy's
+    pairwise summation.
+    """
+    grids = np.meshgrid(*([net.axis_centers] * net.dim), indexing="ij")
+    centers = np.stack([g.ravel() for g in grids], axis=1)
+    coeffs = net.coeffs.ravel()
+    out = []
+    for p in np.atleast_2d(x) * net.scale:
+        r2 = np.sum((p - centers) ** 2, axis=1)
+        with np.errstate(under="ignore"):
+            out.append(np.sum(coeffs * np.exp(-r2)))
+    return np.array(out)
+
+
 class TestGaussianNetwork:
     def test_call_scalar_and_batch(self):
+        # centers (0, 0) and (1, -1) with weights 2 and -0.5
+        coeffs = np.zeros((3, 3))
+        coeffs[1, 1] = 2.0
+        coeffs[2, 0] = -0.5
         net = GaussianNetwork(
-            dim=2,
-            scale=1.0,
-            centers=np.array([[0.0, 0.0], [1.0, -1.0]]),
-            coeffs=np.array([2.0, -0.5]),
+            dim=2, scale=1.0, axis_centers=np.array([-1.0, 0.0, 1.0]), coeffs=coeffs
         )
         x = np.array([0.3, 0.4])
         single = net(x)
@@ -59,22 +84,81 @@ class TestGaussianNetwork:
 
     def test_scale_composes_with_input(self):
         net = GaussianNetwork(
-            dim=1, scale=3.0, centers=np.array([[0.6]]), coeffs=np.array([1.0])
+            dim=1, scale=3.0, axis_centers=np.array([0.6]), coeffs=np.array([1.0])
         )
         assert net(np.array([0.2])) == pytest.approx(1.0, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GaussianNetwork(dim=2, scale=1.0, centers=np.zeros((3, 1)), coeffs=np.zeros(3))
+            GaussianNetwork(dim=2, scale=1.0, axis_centers=np.zeros(3), coeffs=np.zeros(3))
         with pytest.raises(ValueError):
-            GaussianNetwork(dim=1, scale=1.0, centers=np.zeros((3, 1)), coeffs=np.zeros(2))
+            GaussianNetwork(dim=1, scale=1.0, axis_centers=np.zeros(3), coeffs=np.zeros(2))
         with pytest.raises(ValueError):
-            GaussianNetwork(dim=1, scale=0.0, centers=np.zeros((1, 1)), coeffs=np.zeros(1))
-        net = GaussianNetwork(
-            dim=1, scale=1.0, centers=np.zeros((1, 1)), coeffs=np.ones(1)
-        )
+            GaussianNetwork(dim=1, scale=0.0, axis_centers=np.zeros(1), coeffs=np.zeros(1))
+        with pytest.raises(ValueError):
+            GaussianNetwork(
+                dim=1, scale=1.0, axis_centers=np.zeros((1, 1)), coeffs=np.zeros(1)
+            )
+        with pytest.raises(ValueError, match="coeffs"):
+            GaussianNetwork(
+                dim=1, scale=1.0, axis_centers=np.zeros(2), coeffs=np.array([1.0, math.inf])
+            )
+        with pytest.raises(ValueError, match="axis_centers"):
+            GaussianNetwork(
+                dim=1, scale=1.0, axis_centers=np.array([math.nan]), coeffs=np.ones(1)
+            )
+        net = GaussianNetwork(dim=1, scale=1.0, axis_centers=np.zeros(1), coeffs=np.ones(1))
         with pytest.raises(ValueError):
             net(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gaussian_basis_network((3,), 3, 1),
+            lambda: prefab_kernel_network(4, 1, 2, 0.5),
+            lambda: prefab_kernel_network(4, 2, 3, 1.0),
+        ],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_matches_dense_sum_to_rounding(self, build):
+        # the network and the reference round differently; both stay within
+        # a small multiple of u * sum |c_j|, the scale of cancellation noise
+        net = build()
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-2.0, 2.0, size=(60, net.dim))
+        gap = float(np.max(np.abs(net(pts) - dense_sum(net, pts))))
+        assert gap <= 2.0 * U * float(np.sum(np.abs(net.coeffs)))
+
+    @pytest.mark.parametrize(
+        "n, q, Q, entries",
+        [(4, 1, 2, None), (4, 2, 3, None), (4, 2, 3, 3 * 32 * 32)],
+        ids=["d2", "d3", "d3-small-chunks"],
+    )
+    def test_scalar_batch_and_chunks_agree_bitwise(self, n, q, Q, entries, monkeypatch):
+        if entries is not None:
+            monkeypatch.setattr(gaussian_net, "_CHUNK_ENTRIES", entries)
+        net = prefab_kernel_network(n, q, Q, 1.0)
+        step = gaussian_net._CHUNK_ENTRIES // net.axis_centers.size ** (Q - 1)
+        pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(step + 5, Q))
+        batch = net(pts)
+        assert batch.shape == (step + 5,)
+        for i in (0, 1, step - 1, step, step + 4):
+            assert net(pts[i]) == batch[i]
+        np.testing.assert_array_equal(net(pts[step - 2 :]), batch[step - 2 :])
+
+    @pytest.mark.parametrize("count", [121, 1024])
+    def test_memory_is_flat_in_points(self, count):
+        # the dense sum over all 373,248 centers at once needs hundreds of MB
+        net = prefab_kernel_network(6, 2, 3, 1.0)
+        pts = np.zeros((count, 3))
+        pts[:, 0] = np.linspace(0.0, 3.0, count)
+        tracemalloc.start()
+        try:
+            net(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestBasisSynthesis:
@@ -105,7 +189,7 @@ class TestBasisSynthesis:
         np.testing.assert_allclose(
             gm.coeffs, 2.0 * ga.coeffs - 0.5 * gb.coeffs, rtol=1e-12, atol=1e-300
         )
-        np.testing.assert_array_equal(gm.centers, ga.centers)
+        np.testing.assert_array_equal(gm.axis_centers, ga.axis_centers)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,11 +275,62 @@ class TestNetworkJson:
         back = read_network_json(str(path))
         assert back.dim == net.dim
         assert back.scale == net.scale
-        np.testing.assert_array_equal(back.centers, net.centers)
+        np.testing.assert_array_equal(back.axis_centers, net.axis_centers)
+        assert back.coeffs.shape == net.coeffs.shape == (32, 32)
         np.testing.assert_array_equal(back.coeffs, net.coeffs)
+
+    def test_tensor_form_on_disk(self, tmp_path):
+        path = tmp_path / "net.json"
+        write_network_json(prefab_kernel_network(3, 1, 2, 1.0), str(path))
+        doc = json.loads(path.read_text())
+        assert sorted(doc) == ["axis_centers", "coeffs", "dim", "scale"]
+        assert len(doc["axis_centers"]) == 18
+        assert doc["coeffs"]["shape"] == [18, 18]
+        assert len(doc["coeffs"]["values"]) == 18 * 18
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "net.json"
-        path.write_text('{"dim": 1, "scale": 1.0, "centers": [[0.0]]}')
-        with pytest.raises(ValueError):
+        path.write_text('{"dim": 1, "scale": 1.0, "axis_centers": [0.0]}')
+        with pytest.raises(ValueError, match="'coeffs'"):
+            read_network_json(str(path))
+
+    def test_dense_format_rejected(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text('{"dim": 1, "scale": 1.0, "centers": [[0.0]], "coeffs": [1.0]}')
+        with pytest.raises(ValueError, match="'centers'"):
+            read_network_json(str(path))
+
+    def test_dim_not_matching_shape_rejected(self, tmp_path):
+        # a huge dim must be refused before anything of that size is built
+        path = tmp_path / "net.json"
+        doc = {"dim": 10**12, "scale": 1.0, "axis_centers": [0.0, 1.0],
+               "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="coeffs must have shape"):
+            read_network_json(str(path))
+
+    def test_count_not_matching_shape_rejected(self, tmp_path):
+        path = tmp_path / "net.json"
+        doc = {"dim": 2, "scale": 1.0, "axis_centers": [0.0, 1.0],
+               "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0]}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'coeffs' holds 3 values for shape"):
+            read_network_json(str(path))
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("scale", '"scale": NaN, "axis_centers": [0.0], "coeffs": '
+                      '{"shape": [1], "values": [1.0]}'),
+            ("axis_centers", '"scale": 1.0, "axis_centers": [Infinity], "coeffs": '
+                             '{"shape": [1], "values": [1.0]}'),
+            ("coeffs", '"scale": 1.0, "axis_centers": [0.0], "coeffs": '
+                       '{"shape": [1], "values": [NaN]}'),
+        ],
+        ids=["scale", "axis_centers", "coeffs"],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, field, text):
+        path = tmp_path / "net.json"
+        path.write_text('{"dim": 1, ' + text + "}")
+        with pytest.raises(ValueError, match=field):
             read_network_json(str(path))
