@@ -18,21 +18,12 @@ from .hermite import (
     quad_integrate,
 )
 from .kernels import (
-    DSequence,
     KernelForm,
     KernelTable,
-    PCoeffs,
     compile_kernel,
-    d_sequence,
     eval_kernel,
     filter_h,
     kernel_form,
-    mehler_closed_form,
-    p_coeffs,
-    phi_localized,
-    proj_reduced,
-    proj_tensor,
-    proj_via_extension,
 )
 from .estimator import (
     Curve,
@@ -97,21 +88,12 @@ __all__ = [
     "hermite_row",
     "psi_at_zero",
     "quad_integrate",
-    "DSequence",
     "KernelForm",
     "KernelTable",
-    "PCoeffs",
     "compile_kernel",
-    "d_sequence",
     "eval_kernel",
     "filter_h",
     "kernel_form",
-    "mehler_closed_form",
-    "p_coeffs",
-    "phi_localized",
-    "proj_reduced",
-    "proj_tensor",
-    "proj_via_extension",
     "Curve",
     "Dataset",
     "EstimatorConfig",

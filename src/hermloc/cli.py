@@ -16,7 +16,8 @@ Shared flags, each only where its subcommand reads it:
   --config <json>  gen-data, estimate, helix, baseline-heat, synth-net:
                    defaults for the subcommand's parameters (explicit flags
                    win; for `helix` the schema mirrors ExperimentConfig
-                   field for field)
+                   field for field); a key the subcommand does not read
+                   is a validation error
   --seed <u64>     gen-data, helix, baseline-heat
   --trials <k>     helix
 
@@ -72,13 +73,17 @@ CONSTITUENTS = {
 }
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys) -> dict:
+    """The JSON object at ``path``; a key outside ``keys`` raises ``ValueError``."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown config fields: {unknown}")
     return doc
 
 
@@ -109,7 +114,7 @@ def _out_dir(args, default: str) -> str:
 
 
 def _cmd_gen_data(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("M", "noise", "sigma", "seed"))
     m = _pick(args.m, config, "M", 256, int)
     noise = _pick(args.noise, config, "noise", "none", str)
     sigma = _pick(args.sigma, config, "sigma", 0.3, float)
@@ -123,7 +128,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("n", "alpha", "q"))
     n = _pick(args.n, config, "n", 64, int)
     alpha = _pick(args.alpha, config, "alpha", 1.0, float)
     q = _pick(args.q, config, "q", 1, int)
@@ -189,8 +194,7 @@ def _read_points_csv(path: str, expected_dim: int) -> np.ndarray:
 
 
 def _cmd_helix(args) -> int:
-    config = _load_config(args.config)
-    doc = dict(config)
+    doc = _load_config(args.config, ExperimentConfig.__dataclass_fields__)
     for key, flag in (
         ("M", args.m),
         ("n", args.n),
@@ -226,7 +230,7 @@ def _cmd_helix(args) -> int:
 
 
 def _cmd_baseline_heat(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("M", "seed", "test_points"))
     m = _pick(args.m, config, "M", 1024, int)
     seed = _pick(args.seed, config, "seed", 0, int)
     test_points = _pick(args.test_points, config, "test_points", 512, int)
@@ -290,7 +294,7 @@ def _cmd_demo_bernstein(args) -> int:
 
 
 def _cmd_synth_net(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("n", "q", "ambient_dim", "alpha"))
     n = _pick(args.n, config, "n", 4, int)
     q = _pick(args.q, config, "q", 1, int)
     big_q = _pick(args.ambient_dim, config, "ambient_dim", 2, int)

@@ -4,8 +4,8 @@ Each node v of the graph owns a constituent function f_v.  A source node
 reads a point of R^{in_dim} supplied by the caller; an internal node reads
 the tuple of its children's outputs, passed through the node's pooling map,
 and the single sink's output is the value of the composite.  Children are
-ordered; evaluation memoizes per node id, so any topological order yields
-the identical result.
+ordered.  A Dag fixes its children-first evaluation order when it is built,
+and every evaluation walks that order once, computing each node once.
 
 When every constituent f_v is replaced by an approximation g_v with
 per-node sup gap <= eps, the sink gap obeys the recursion
@@ -16,6 +16,9 @@ per-node sup gap <= eps, the sink gap obeys the recursion
 where L is the largest Lipschitz bound among internal constituents and
 c(v) is the pooling contract constant: the pooling must satisfy
 |pool(a) - pool(b)| <= c(v) * sum_k |a_k - b_k| on its inputs.
+``propagation_gap`` measures eps on the node inputs realized under both
+families: one walk per family, and each node's gap taken by calling the
+other family's constituent at the recorded inputs.
 
 ``build_deep_approx`` replaces every constituent by a one-shot kernel
 estimate from per-node training data: ``estimator.ratio_reconstruction``,
@@ -27,8 +30,7 @@ module's zero-mass policy applies.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -85,7 +87,11 @@ def make_pooling(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarra
 
 @dataclass(frozen=True)
 class DagNode:
-    """One vertex: identity, role, fan-in, ordered children, pooling, bounds."""
+    """One vertex: identity, role, fan-in, ordered children, pooling, bounds.
+
+    ``pooling`` is resolved from ``pooling_name`` and ``pooling_params`` when
+    the node is built, so a bad pooling fails here, not at evaluation.
+    """
 
     id: str
     kind: str  # "source" | "internal"
@@ -96,6 +102,7 @@ class DagNode:
     pooling_c: float = 1.0
     lipschitz: float | None = None
     constituent: Callable | None = None
+    pooling: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("source", "internal"):
@@ -113,45 +120,41 @@ class DagNode:
                 )
         if self.pooling_c <= 0:
             raise ValueError(f"node {self.id}: pooling_c must be positive")
-
-    @property
-    def pooling(self) -> Callable[[np.ndarray], np.ndarray]:
-        return make_pooling(self.pooling_name, self.pooling_params)
+        try:
+            pooling = make_pooling(self.pooling_name, self.pooling_params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"node {self.id}: {exc}") from exc
+        object.__setattr__(self, "pooling", pooling)
 
 
 @dataclass(frozen=True)
 class Dag:
-    """Validated DAG with ordered children and exactly one sink."""
+    """Validated DAG with ordered children and exactly one sink.
+
+    ``order`` is the children-first evaluation order, fixed at construction
+    by Kahn's algorithm, which also rejects cycles.
+    """
 
     nodes: dict
     sink: str
+    order: tuple = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = set(self.nodes)
-        if self.sink not in ids:
+        if self.sink not in self.nodes:
             raise ValueError(f"sink {self.sink!r} is not a node")
-        referenced = set()
-        for node in self.nodes.values():
+        parents: dict = {nid: [] for nid in self.nodes}
+        for nid, node in self.nodes.items():
             for child in node.children:
-                if child not in ids:
-                    raise ValueError(f"node {node.id}: unknown child {child!r}")
-                referenced.add(child)
-        unreferenced = ids - referenced
+                if child not in self.nodes:
+                    raise ValueError(f"node {nid}: unknown child {child!r}")
+                parents[child].append(nid)
+        unreferenced = {nid for nid, ps in parents.items() if not ps}
         if unreferenced != {self.sink}:
             raise ValueError(
                 f"graph must have exactly one sink; unreferenced nodes: {sorted(unreferenced)}"
             )
-        self.topological_order()  # raises on cycles
-
-    def topological_order(self) -> list:
-        """Children-first order via iterative Kahn's algorithm; cycle-checked."""
-        indeg = {i: 0 for i in self.nodes}
-        parents: dict = {i: [] for i in self.nodes}
-        for node in self.nodes.values():
-            indeg[node.id] = len(node.children)
-            for child in node.children:
-                parents[child].append(node.id)
-        ready = sorted(i for i, dgr in indeg.items() if dgr == 0)
+        indeg = {nid: len(node.children) for nid, node in self.nodes.items()}
+        ready = sorted(nid for nid, dgr in indeg.items() if dgr == 0)
         order: list = []
         while ready:
             cur = ready.pop()
@@ -162,37 +165,16 @@ class Dag:
                     ready.append(parent)
         if len(order) != len(self.nodes):
             raise ValueError("graph contains a cycle")
-        return order
-
-    def levels(self) -> dict:
-        """Longest source-to-node path length per node (sources at 0)."""
-        out: dict = {}
-        for nid in self.topological_order():
-            node = self.nodes[nid]
-            if node.kind == "source":
-                out[nid] = 0
-            else:
-                out[nid] = 1 + max(out[c] for c in node.children)
-        return out
+        object.__setattr__(self, "order", tuple(order))
 
     def sources(self) -> list:
         return sorted(i for i, n in self.nodes.items() if n.kind == "source")
 
     def with_constituents(self, constituents: Mapping) -> "Dag":
-        nodes = {}
-        for nid, node in self.nodes.items():
-            fn = constituents.get(nid, node.constituent)
-            nodes[nid] = DagNode(
-                id=node.id,
-                kind=node.kind,
-                in_dim=node.in_dim,
-                children=node.children,
-                pooling_name=node.pooling_name,
-                pooling_params=dict(node.pooling_params),
-                pooling_c=node.pooling_c,
-                lipschitz=node.lipschitz,
-                constituent=fn,
-            )
+        nodes = {
+            nid: replace(node, constituent=constituents.get(nid, node.constituent))
+            for nid, node in self.nodes.items()
+        }
         return Dag(nodes=nodes, sink=self.sink)
 
 
@@ -205,31 +187,40 @@ def read_dag_json(path: str) -> Dag:
 def dag_from_doc(doc, path: str) -> Dag:
     """Graph structure from a parsed DAG JSON document read from ``path``.
 
-    ``path`` only names the source in error messages.
+    ``path`` only names the source in error messages.  A node field of the
+    wrong JSON type raises ``ValueError`` naming the node and the field.
     """
-    if "nodes" not in doc or "sink" not in doc:
+    if not isinstance(doc, dict) or "nodes" not in doc or "sink" not in doc:
         raise ValueError(f"{path}: document needs 'nodes' and 'sink'")
     nodes = {}
     for row in doc["nodes"]:
         for key in ("id", "kind", "in_dim"):
             if key not in row:
                 raise ValueError(f"{path}: node missing field {key!r}")
+        nid = str(row["id"])
         pooling = row.get("pooling", {"name": "identity"})
-        params = {k: v for k, v in pooling.items() if k not in ("name", "c")}
-        node = DagNode(
-            id=str(row["id"]),
-            kind=str(row["kind"]),
-            in_dim=int(row["in_dim"]),
-            children=tuple(row.get("children", [])),
+        children = row.get("children", [])
+        lipschitz = row.get("lipschitz")
+        # exact JSON types: a bool is neither an integer nor a number
+        for key, ok, want in (
+            ("in_dim", type(row["in_dim"]) is int, "an integer"),
+            ("pooling", isinstance(pooling, dict), "an object"),
+            ("children", isinstance(children, list)
+             and all(isinstance(c, str) for c in children), "a list of strings"),
+            ("lipschitz", lipschitz is None or type(lipschitz) in (int, float),
+             "a number or null"),
+        ):
+            if not ok:
+                raise ValueError(f"{path}: node {nid!r}: {key} must be {want}, got {row[key]!r}")
+        if nid in nodes:
+            raise ValueError(f"{path}: duplicate node id {nid!r}")
+        nodes[nid] = DagNode(
+            id=nid, kind=str(row["kind"]), in_dim=row["in_dim"], children=tuple(children),
             pooling_name=str(pooling.get("name", "identity")),
-            pooling_params=params,
+            pooling_params={k: v for k, v in pooling.items() if k not in ("name", "c")},
             pooling_c=float(pooling.get("c", 1.0)),
-            lipschitz=None if row.get("lipschitz") is None else float(row["lipschitz"]),
+            lipschitz=None if lipschitz is None else float(lipschitz),
         )
-        make_pooling(node.pooling_name, node.pooling_params)  # validate name/params early
-        if node.id in nodes:
-            raise ValueError(f"{path}: duplicate node id {node.id!r}")
-        nodes[node.id] = node
     return Dag(nodes=nodes, sink=str(doc["sink"]))
 
 
@@ -240,33 +231,43 @@ def write_dag_json(dag: Dag, path: str) -> None:
         pooling = {"name": node.pooling_name, **node.pooling_params}
         if node.pooling_c != 1.0:
             pooling["c"] = node.pooling_c
-        rows.append(
-            {
-                "id": node.id,
-                "kind": node.kind,
-                "in_dim": node.in_dim,
-                "children": list(node.children),
-                "pooling": pooling,
-                "lipschitz": node.lipschitz,
-            }
-        )
+        rows.append({"id": node.id, "kind": node.kind, "in_dim": node.in_dim,
+                     "children": list(node.children), "pooling": pooling,
+                     "lipschitz": node.lipschitz})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"nodes": rows, "sink": dag.sink}, fh, indent=1)
         fh.write("\n")
 
 
-def eval_gfunction(
-    dag: Dag,
-    inputs: Mapping,
-    constituents: Mapping | None = None,
-    order: list | None = None,
-) -> float:
+def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:
+    """Each node's input point and value at one assignment of source inputs.
+
+    Walks ``dag.order`` once and calls ``funcs[v]`` once per node.  A source
+    without an input, or with the wrong number of coordinates, raises
+    ``ValueError``.
+    """
+    node_inputs: dict = {}
+    node_values: dict = {}
+    for nid in dag.order:
+        node = dag.nodes[nid]
+        if node.kind == "source":
+            if nid not in inputs:
+                raise ValueError(f"missing input for source {nid!r}")
+            z = np.asarray(inputs[nid], dtype=float).reshape(-1)
+            if z.size != node.in_dim:
+                raise ValueError(f"source {nid}: expected {node.in_dim} coordinates")
+        else:
+            z = node.pooling(np.array([node_values[c] for c in node.children], dtype=float))
+        node_inputs[nid] = z
+        node_values[nid] = float(funcs[nid](z))
+    return node_inputs, node_values
+
+
+def eval_gfunction(dag: Dag, inputs: Mapping, constituents: Mapping | None = None) -> float:
     """Evaluate the composite at one assignment of source inputs.
 
     ``inputs`` maps each source id to its point (array of length in_dim).
     ``constituents`` optionally overrides the functions stored on the nodes.
-    ``order`` may supply any valid topological order; the memoized result is
-    identical for all of them.
     """
     funcs = {}
     for nid, node in dag.nodes.items():
@@ -274,34 +275,7 @@ def eval_gfunction(
         if fn is None:
             raise ValueError(f"node {nid}: no constituent attached")
         funcs[nid] = fn
-    for sid in dag.sources():
-        if sid not in inputs:
-            raise ValueError(f"missing input for source {sid!r}")
-
-    if order is None:
-        order = dag.topological_order()
-    else:
-        seen = set()
-        for nid in order:
-            node = dag.nodes[nid]
-            if any(c not in seen for c in node.children):
-                raise ValueError("order is not topological")
-            seen.add(nid)
-        if seen != set(dag.nodes):
-            raise ValueError("order must cover every node exactly once")
-
-    memo: dict = {}
-    for nid in order:
-        node = dag.nodes[nid]
-        if node.kind == "source":
-            x = np.asarray(inputs[nid], dtype=float).reshape(-1)
-            if x.size != node.in_dim:
-                raise ValueError(f"source {nid}: expected {node.in_dim} coordinates")
-            memo[nid] = float(funcs[nid](x))
-        else:
-            vec = np.array([memo[c] for c in node.children], dtype=float)
-            memo[nid] = float(funcs[nid](node.pooling(vec)))
-    return memo[dag.sink]
+    return _walk(dag, inputs, funcs)[1][dag.sink]
 
 
 def estimate_lipschitz(fn: Callable, dim: int, rng: np.random.Generator,
@@ -339,40 +313,26 @@ def propagation_gap(dag: Dag, f_set: Mapping, g_set: Mapping, probe_inputs) -> P
         if nid not in f_set or nid not in g_set:
             raise ValueError(f"node {nid}: both constituent families must cover it")
 
-    order = dag.topological_order()
-    eps = 0.0
-    measured = 0.0
+    eps = measured = 0.0
     for inputs in probe_inputs:
-        values: dict = {"f": {}, "g": {}}
-        for label, funcs in (("f", f_set), ("g", g_set)):
-            memo = values[label]
-            for nid in order:
-                node = dag.nodes[nid]
-                if node.kind == "source":
-                    z = np.asarray(inputs[nid], dtype=float).reshape(-1)
-                else:
-                    vec = np.array([memo[c] for c in node.children], dtype=float)
-                    z = node.pooling(vec)
-                memo[nid] = float(funcs[nid](z))
-                # per-node sup gap, on inputs realized under either family
-                gap = abs(float(f_set[nid](z)) - float(g_set[nid](z)))
-                eps = max(eps, gap)
-        measured = max(measured, abs(values["f"][dag.sink] - values["g"][dag.sink]))
+        f_inputs, f_values = _walk(dag, inputs, f_set)
+        g_inputs, g_values = _walk(dag, inputs, g_set)
+        # per-node sup gap, on inputs realized under either family
+        for nid in dag.order:
+            eps = max(eps, abs(f_values[nid] - float(g_set[nid](f_inputs[nid]))))
+        for nid in dag.order:
+            eps = max(eps, abs(float(f_set[nid](g_inputs[nid])) - g_values[nid]))
+        measured = max(measured, abs(f_values[dag.sink] - g_values[dag.sink]))
 
-    lips = [n.lipschitz for n in dag.nodes.values() if n.kind == "internal"]
-    L = max(lips) if lips else 1.0
+    L = max((n.lipschitz for n in dag.nodes.values() if n.kind == "internal"), default=1.0)
     bound: dict = {}
-    for nid in order:
+    for nid in dag.order:
         node = dag.nodes[nid]
         if node.kind == "source":
             bound[nid] = eps
         else:
             bound[nid] = eps + node.pooling_c * L * sum(bound[c] for c in node.children)
-    return PropagationReport(
-        measured_gap=float(measured),
-        predicted_bound=float(bound[dag.sink]),
-        node_eps=float(eps),
-    )
+    return PropagationReport(float(measured), float(bound[dag.sink]), float(eps))
 
 
 def build_deep_approx(dag: Dag, node_points: Mapping, node_configs: Mapping) -> Dag:

@@ -187,12 +187,36 @@ class TestExitCodes:
         assert f"error: {key} must be of type" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "gen-data", "estimate", "helix", "baseline-heat", "synth-net",
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--m", "8", "--out", str(data)]) == 0
+        capsys.readouterr()
+        config = _write_json(tmp_path / "c.json", {"sigmaa": 3})
+        extra = ["--data", str(data / "data.csv")] if command == "estimate" else []
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", config, "--out", str(out)] + extra)
+        assert rc == 2
+        assert "error: unknown config fields: ['sigmaa']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deep_eval_non_numeric_coordinates_exit_2(self, tmp_path, capsys):
         graph = _write_json(tmp_path / "graph.json", GRAPH)
         inputs = _write_json(tmp_path / "inputs.json", {"s1": {"a": 1}, "s2": [0.0, 1.0]})
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
         assert "error: source coordinates must be numbers" in capsys.readouterr().err
+
+    def test_deep_eval_pooling_not_an_object_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRAPH))
+        doc["nodes"][2]["pooling"] = "clip"
+        graph = _write_json(tmp_path / "graph.json", doc)
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": [0.0], "s2": [0.0, 1.0]})
+        rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
+        assert rc == 2
+        assert "node 'top': pooling must be an object, got 'clip'" in capsys.readouterr().err
 
 
 class TestFlags:

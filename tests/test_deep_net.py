@@ -5,6 +5,7 @@ perturbations where the recursion is tight, and empirically, with
 kernel-estimate constituents produced by build_deep_approx.
 """
 
+import json
 import math
 
 import numpy as np
@@ -84,12 +85,11 @@ class TestPooling:
 class TestDagStructure:
     def test_orders_levels_sources(self):
         dag = two_level_tree()
-        order = dag.topological_order()
+        order = dag.order
         pos = {nid: i for i, nid in enumerate(order)}
         for node in dag.nodes.values():
             for child in node.children:
                 assert pos[child] < pos[node.id]
-        assert dag.levels() == {"s1": 0, "s2": 0, "top": 1}
         assert dag.sources() == ["s1", "s2"]
 
     def test_node_validation(self):
@@ -105,6 +105,11 @@ class TestDagStructure:
             DagNode(id="a", kind="internal", in_dim=3, children=("b", "c"))
         with pytest.raises(ValueError):
             DagNode(id="a", kind="source", in_dim=1, pooling_c=0.0)
+        with pytest.raises(ValueError, match="node a: unknown pooling 'softmax'"):
+            DagNode(id="a", kind="source", in_dim=1, pooling_name="softmax")
+        with pytest.raises(ValueError, match="node a: "):
+            DagNode(id="a", kind="source", in_dim=1, pooling_name="clip",
+                    pooling_params={"lo": [0.0]})
 
     def test_graph_validation(self):
         src = DagNode(id="s", kind="source", in_dim=1)
@@ -140,13 +145,6 @@ class TestEvalGFunction:
         out = eval_gfunction(dag, big)
         assert out == pytest.approx(math.cos(1.0), rel=1e-15)
 
-    def test_order_independence(self):
-        dag = two_level_tree()
-        inputs = {"s1": [0.1], "s2": [-0.7]}
-        base = eval_gfunction(dag, inputs)
-        for order in (["s1", "s2", "top"], ["s2", "s1", "top"]):
-            assert eval_gfunction(dag, inputs, order=order) == base
-
     def test_shared_child_memoized(self):
         calls = {"n": 0}
 
@@ -174,10 +172,6 @@ class TestEvalGFunction:
             eval_gfunction(dag, {"s1": [0.0]})
         with pytest.raises(ValueError):
             eval_gfunction(dag, {"s1": [0.0, 1.0], "s2": [0.0]})
-        with pytest.raises(ValueError):
-            eval_gfunction(dag, {"s1": [0.0], "s2": [0.0]}, order=["top", "s1", "s2"])
-        with pytest.raises(ValueError):
-            eval_gfunction(dag, {"s1": [0.0], "s2": [0.0]}, order=["s1", "s2"])
         bare = Dag(
             nodes={
                 "s": DagNode(id="s", kind="source", in_dim=1),
@@ -268,6 +262,33 @@ class TestPropagation:
             propagation_gap(unbounded, f_set, f_set, [])
         with pytest.raises(ValueError):
             propagation_gap(dag, f_set, {"s1": f_set["s1"]}, [])
+
+    def test_probe_of_wrong_shape_rejected(self):
+        dag = two_level_tree()
+        f_set = {nid: dag.nodes[nid].constituent for nid in dag.nodes}
+        with pytest.raises(ValueError, match="missing input for source 's2'"):
+            propagation_gap(dag, f_set, f_set, [{"s1": [0.0]}])
+        with pytest.raises(ValueError, match="source s1: expected 1 coordinates"):
+            propagation_gap(dag, f_set, f_set, [{"s1": [0.0, 1.0], "s2": [0.0]}])
+
+    def test_each_constituent_called_twice_per_node_per_probe(self):
+        # one walk per family, plus the other family at the recorded inputs
+        dag = two_level_tree()
+        calls = {}
+
+        def counted(label, nid, fn):
+            def wrapped(z):
+                calls[label, nid] = calls.get((label, nid), 0) + 1
+                return fn(z)
+            return wrapped
+
+        f_set = {nid: counted("f", nid, n.constituent) for nid, n in dag.nodes.items()}
+        g_set = {nid: counted("g", nid, lambda z, fn=n.constituent: fn(z) + 1e-3)
+                 for nid, n in dag.nodes.items()}
+        probes = [{"s1": [0.1 * i], "s2": [-0.2 * i]} for i in range(3)]
+        propagation_gap(dag, f_set, g_set, probes)
+        assert calls == {(label, nid): 2 * len(probes)
+                         for label in "fg" for nid in dag.nodes}
 
 
 class TestBuildDeepApprox:
@@ -378,3 +399,12 @@ class TestDagJson:
         path.write_text('{"nodes": [{"id": "s", "kind": "source"}], "sink": "s"}')
         with pytest.raises(ValueError):
             read_dag_json(str(path))
+        top = {"id": "t", "kind": "internal", "in_dim": 1, "children": ["s"]}
+        for key, bad in (("in_dim", 1.9), ("in_dim", True), ("pooling", "clip"),
+                         ("children", "s"), ("children", [1]),
+                         ("lipschitz", "1"), ("lipschitz", True)):
+            doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1}, {**top, key: bad}],
+                   "sink": "t"}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"node 't': {key} must be"):
+                read_dag_json(str(path))

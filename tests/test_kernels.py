@@ -17,13 +17,15 @@ from hermloc import kernels
 from hermloc.hermite import gauss_hermite_rule, hermite_matrix, hermite_row, psi_at_zero
 from hermloc.kernels import (
     _BLOCK,
-    MAX_COMPOSITIONS,
     _eval_even_series,
     compile_kernel,
-    d_sequence,
     eval_kernel,
     filter_h,
     kernel_form,
+)
+from oracles import (
+    MAX_COMPOSITIONS,
+    d_sequence,
     mehler_closed_form,
     p_coeffs,
     phi_localized,
