@@ -328,6 +328,10 @@ def _cmd_deep_eval(args) -> int:
         name = row.get("constituent")
         if name is None:
             raise ValueError(f"node {row.get('id')!r}: missing constituent name")
+        if not isinstance(name, str):
+            raise ValueError(
+                f"node {row.get('id')!r}: constituent must be a string, got {name!r}"
+            )
         if name not in CONSTITUENTS:
             raise ValueError(
                 f"unknown constituent {name!r}; choose from {sorted(CONSTITUENTS)}"

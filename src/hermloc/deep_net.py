@@ -188,12 +188,17 @@ def dag_from_doc(doc, path: str) -> Dag:
     """Graph structure from a parsed DAG JSON document read from ``path``.
 
     ``path`` only names the source in error messages.  A node field of the
-    wrong JSON type raises ``ValueError`` naming the node and the field.
+    wrong JSON type raises ``ValueError`` naming the node and the field; a
+    node row that is not an object is named by its position.
     """
     if not isinstance(doc, dict) or "nodes" not in doc or "sink" not in doc:
         raise ValueError(f"{path}: document needs 'nodes' and 'sink'")
+    if not isinstance(doc["nodes"], list):
+        raise ValueError(f"{path}: 'nodes' must be a list, got {doc['nodes']!r}")
     nodes = {}
-    for row in doc["nodes"]:
+    for i, row in enumerate(doc["nodes"]):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: node {i}: row must be an object, got {row!r}")
         for key in ("id", "kind", "in_dim"):
             if key not in row:
                 raise ValueError(f"{path}: node missing field {key!r}")
@@ -212,13 +217,18 @@ def dag_from_doc(doc, path: str) -> Dag:
         ):
             if not ok:
                 raise ValueError(f"{path}: node {nid!r}: {key} must be {want}, got {row[key]!r}")
+        pooling_c = pooling.get("c", 1.0)
+        if type(pooling_c) not in (int, float):
+            raise ValueError(
+                f"{path}: node {nid!r}: pooling c must be a number, got {pooling_c!r}"
+            )
         if nid in nodes:
             raise ValueError(f"{path}: duplicate node id {nid!r}")
         nodes[nid] = DagNode(
             id=nid, kind=str(row["kind"]), in_dim=row["in_dim"], children=tuple(children),
             pooling_name=str(pooling.get("name", "identity")),
             pooling_params={k: v for k, v in pooling.items() if k not in ("name", "c")},
-            pooling_c=float(pooling.get("c", 1.0)),
+            pooling_c=float(pooling_c),
             lipschitz=None if lipschitz is None else float(lipschitz),
         )
     return Dag(nodes=nodes, sink=str(doc["sink"]))

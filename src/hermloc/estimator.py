@@ -10,7 +10,7 @@ with the compiled radial kernel from :mod:`hermloc.kernels`.  There is no
 fitting step; accuracy is controlled by n, the localization exponent alpha,
 and the sample budget M.
 
-Every kernel value comes from the table's certified piecewise-Chebyshev
+Every kernel value comes from the table's certified piecewise-polynomial
 form (:func:`hermloc.kernels.kernel_form`).  ``ratio_reconstruction`` is the
 two-pass estimate: the value pass over the unit pass (the same sum with all
 values 1).  Both passes share one computation of the radii and the kernel

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 __all__ = [
@@ -63,6 +62,18 @@ MAX_RULE_SIZE = 256
 # means the eigensolver handed back a wrong root
 _NEWTON_STEPS = 2
 _NEWTON_STEP_CAP = 1e-10
+
+
+def eigh_tridiagonal(diag, off, eigvals_only):
+    """``scipy.linalg.eigh_tridiagonal``, imported on first use.
+
+    Only :func:`gauss_hermite_rule` needs it.  Importing ``scipy.linalg``
+    adds about 60 ms and several MB to a cold start, which paths that never
+    build a rule (the helix run, for one) do not pay.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(diag, off, eigvals_only=eigvals_only)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ where ``H`` is a smooth low-pass filter (1 on [0, 1/2], 0 on [1, inf)) and
 q-dimensional Hermite-function frame.  The kernel is compiled once into a
 coefficient table over even Hermite functions.  The series over that table
 costs O(n^2) per radius along the Hermite recurrence, so it is used only to
-build and certify a piecewise-Chebyshev form of the kernel (see
-:func:`kernel_form`): panels of width 1/4 on [0, rcut], rcut = sqrt(4L+1) + 6
-past the last turning point, one fixed-degree interpolant per panel.  The
-form is built once per process on first use -- about 2 ms at n = 8 and half
-a second at n = 64 -- and then costs one Clenshaw sum of degree about
-0.46 n + 12 (at least 16) per radius, whatever n is.
+build and certify a piecewise-polynomial form of the kernel (see
+:func:`kernel_form`).  Chebyshev interpolants are fitted on panels of width
+1/4 over [0, rcut], rcut = sqrt(4L+1) + 6 past the last turning point, then
+re-expanded on sub-panels of width 1/4, 1/8, ... (narrower as n grows),
+cut to the leading coefficients the certificate needs and turned into
+monomials.  The form is built once per process on first use -- a few
+milliseconds at n = 8 and about half a second at n = 64 -- and then costs
+one Horner sum of degree 9 to 13 per radius at every n from 2 to 96.
 
 The projection polynomials ``P_{m,q}`` and the degree-slice projections
 they come from are test-only oracles, kept in ``tests/oracles.py`` with the
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.chebyshev import cheb2poly
 from scipy.special import gammaln, logsumexp
 
 from .hermite import psi_zero_even
@@ -43,7 +46,7 @@ __all__ = [
 
 MAX_TABLE_LEN = 10_000_000
 
-# Piecewise-Chebyshev form.  Panel width 1/4 keeps a degree of about
+# Chebyshev fit.  Panel width 1/4 keeps a degree of about
 # 1.3 * sqrt(2) n / 4 + 12 enough for the highest local frequency sqrt(2) n,
 # and is a power of two, so panel index and local variable are exact.
 _PANEL_WIDTH = 0.25
@@ -53,13 +56,23 @@ _CUTOFF_MARGIN = 6.0
 # certificate budget relative to max(1, peak |K|); the tail beyond rcut is
 # kept below 1% of the absolute part of it
 _CERT_BUDGET = 1e-13
-# The check grid sees the rounding noise of the series and of the Clenshaw
-# sum only at its own points.  On 6e6 random radii per table (n <= 32) the
-# deviation reached 3.3 times the grid maximum, so the certificate takes
-# four times it.
+# Evaluated form.  Panels are halved until the highest local frequency over
+# half a sub-panel, sqrt(2) n w / 2, is at most this.  The Chebyshev
+# coefficients of a sub-panel then decay fast enough that a dozen or so meet
+# the certificate, and their monomial form, whose rounding grows like
+# (1 + sqrt(2))^k times the coefficient of T_k, stays near the noise level.
+_SUB_FREQUENCY = 1.5
+# The coefficients cut from each sub-panel sum to at most this share of the
+# budget in absolute value, leaving the rest to rounding noise.
+_TRUNCATION_SHARE = 1.0 / 16.0
+# The check grid sees the rounding noise of the series and of the Horner
+# sum only at its own points.  On 4e6 random radii per table (nine tables,
+# n <= 16) the deviation reached 2.0 times the grid maximum, and at most 1.3
+# times it at n = 32 and n = 64 on 1e6 radii, so the certificate takes four
+# times it.
 _GRID_SAFETY = 4.0
 _DEGREE_RAISES = 2
-# radii per evaluation block: keeps the Clenshaw temporaries in cache and
+# radii per evaluation block: keeps the Horner temporaries in cache and
 # the memory of one call flat in the number of radii
 _BLOCK = 32768
 
@@ -194,20 +207,23 @@ def _eval_even_series(a: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelForm:
-    """Piecewise-Chebyshev form of a compiled kernel on [0, rcut].
+    """Piecewise-polynomial form of a compiled kernel on [0, rcut].
 
-    Panel i covers [i/4, (i+1)/4); column i of ``coeffs`` holds the
-    coefficients of its Chebyshev interpolant in T_0 .. T_degree of the
-    panel-local variable.  ``certificate`` bounds the deviation from the
-    series sum_l a[l] psi_{2l}(r) at every r >= 0: four times the largest
-    deviation measured on a grid twice as dense as the interpolation nodes
-    (a margin for rounding noise between grid points), plus the bound
-    sum_l |a[l]| |psi_{2l}(rcut)| on the kernel beyond rcut, where the form
-    returns exactly 0.
+    Sub-panel i covers [i w, (i+1) w) with w = ``width``; column i of
+    ``coeffs`` holds the monomial coefficients of its polynomial in
+    t^0 .. t^degree of the sub-panel variable t in [-1, 1].  The polynomials
+    are the fitted Chebyshev interpolants re-expanded on the sub-panels and
+    cut to the terms the certificate needs.  ``certificate`` bounds the
+    deviation from the series sum_l a[l] psi_{2l}(r) at every r >= 0:
+    ``_GRID_SAFETY`` times the largest deviation of this form on the check
+    grid of the fit (a margin for rounding noise between grid points), plus
+    the bound sum_l |a[l]| |psi_{2l}(rcut)| on the kernel beyond rcut, where
+    the form returns exactly 0.
     """
 
     coeffs: np.ndarray
     rcut: float
+    width: float
     certificate: float
 
     @property
@@ -229,34 +245,26 @@ class KernelForm:
         out = np.empty_like(flat)
         for start in range(0, flat.size, _BLOCK):
             x = flat[start : start + _BLOCK]
-            out[start : start + _BLOCK] = self._clenshaw(x)
+            out[start : start + _BLOCK] = self._horner(x)
         return out.reshape(r.shape)
 
-    def _clenshaw(self, x: np.ndarray) -> np.ndarray:
-        """b_k = c_k + 2t b_{k+1} - b_{k+2}, K = c_0 + t b_1 - b_2 on one block.
+    def _horner(self, x: np.ndarray) -> np.ndarray:
+        """p = p t + c_k from k = degree down to 0 on one block.
 
-        Each c_k is gathered from the panel of its radius.
+        Each c_k is gathered from the sub-panel of its radius.
         """
         coeffs = self.coeffs
         far = x >= self.rcut
         # radii past rcut are evaluated at rcut (t = 1), then zeroed
         x = np.minimum(x, self.rcut)
-        idx = np.minimum((x * (1.0 / _PANEL_WIDTH)).astype(np.intp), self.panels - 1)
-        t = x * (2.0 / _PANEL_WIDTH) - (2 * idx + 1)
-        two_t = 2.0 * t
-        b1 = np.zeros_like(x)
-        b2 = np.zeros_like(x)
-        tmp = np.empty_like(x)
-        for k in range(self.degree, 0, -1):
-            np.multiply(two_t, b1, out=tmp)
-            tmp -= b2
-            tmp += coeffs[k].take(idx)
-            b2, b1, tmp = b1, tmp, b2
-        np.multiply(t, b1, out=tmp)
-        tmp -= b2
-        tmp += coeffs[0].take(idx)
-        tmp[far] = 0.0
-        return tmp
+        idx = np.minimum((x * (1.0 / self.width)).astype(np.intp), self.panels - 1)
+        t = x * (2.0 / self.width) - (2 * idx + 1)
+        p = coeffs[-1].take(idx)
+        for c in coeffs[-2::-1]:
+            p *= t
+            p += c.take(idx)
+        p[far] = 0.0
+        return p
 
 
 def _tail_bound(a: np.ndarray, rcut: float) -> float:
@@ -280,31 +288,77 @@ def _tail_bound(a: np.ndarray, rcut: float) -> float:
         return float(np.exp(logsumexp(np.log(np.abs(a)) + log_psi)))
 
 
-def _fit_panels(a: np.ndarray, panels: int, degree: int) -> tuple[np.ndarray, float, float]:
-    """Chebyshev coefficients per panel, max deviation on a check grid, peak |K|.
+def _fit_panels(
+    a: np.ndarray, panels: int, degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Chebyshev coefficients per panel of width 1/4, a check grid, the series on it, peak |K|.
 
     The series is interpolated at the first-kind Chebyshev nodes
     t_j = cos(pi (j + 1/2) / N), N = degree + 1, by a DCT-II: the FFT of
-    the mirrored node values, turned by exp(-i pi k / 2N).  The check grid
-    has twice as many points as there are nodes.
+    the mirrored node values, turned by exp(-i pi k / 2N).  Column i of the
+    (N, panels) coefficient array belongs to panel i.  The check grid has
+    twice as many points as there are nodes.
     """
     nodes = degree + 1
     k = np.arange(nodes)
     t = np.cos(math.pi * (k + 0.5) / nodes)
     left = _PANEL_WIDTH * np.arange(panels)[:, None]
     r_nodes = left + 0.5 * _PANEL_WIDTH * (t[None, :] + 1.0)
-    rcut = panels * _PANEL_WIDTH
-    grid = np.linspace(0.0, rcut, 2 * panels * nodes + 1)[:-1]
+    grid = np.linspace(0.0, panels * _PANEL_WIDTH, 2 * panels * nodes + 1)[:-1]
     values = _eval_even_series(a, np.concatenate([r_nodes.ravel(), grid]))
     f = values[: r_nodes.size].reshape(panels, nodes)
     spectrum = np.fft.rfft(np.concatenate([f, f[:, ::-1]], axis=1), axis=1)[:, :nodes]
     coeffs = (np.exp(-0.5j * math.pi * k / nodes) * spectrum).real / nodes
     coeffs[:, 0] *= 0.5
-    coeffs = np.ascontiguousarray(coeffs.T)
-    exact = values[r_nodes.size :]
-    form = KernelForm(coeffs, rcut, 0.0)
-    deviation = float(np.max(np.abs(form(grid) - exact)))
-    return coeffs, deviation, float(np.max(np.abs(values)))
+    peak = float(np.max(np.abs(values)))
+    return np.ascontiguousarray(coeffs.T), grid, values[r_nodes.size :], peak
+
+
+def _sub_panel_maps(nodes: int, subs: int) -> np.ndarray:
+    """Maps of Chebyshev coefficients onto ``subs`` equal sub-panels of [-1, 1].
+
+    ``maps[s] @ c`` holds the coefficients, in the variable u of sub-panel s,
+    of sum_k c_k T_k(t) restricted to t = m_s + u / subs, where m_s is the
+    sub-panel's midpoint.  Column k of ``maps[s]`` holds T_k(m_s + u / subs)
+    in T_0(u) .. T_k(u), built by the three-term recurrence with
+    u T_j = (T_{j+1} + T_{|j-1|}) / 2, so each map is exactly upper
+    triangular, and the identity when subs = 1.
+    """
+    mid = (2.0 * np.arange(subs) + 1.0) / subs - 1.0
+    maps = np.zeros((subs, nodes, nodes))
+    maps[:, 0, 0] = 1.0
+    if nodes > 1:
+        maps[:, 0, 1] = mid
+        maps[:, 1, 1] = 1.0 / subs
+    for k in range(1, nodes - 1):
+        col = maps[:, :, k]
+        u_col = np.zeros((subs, nodes))
+        u_col[:, 1:] = 0.5 * col[:, :-1]
+        u_col[:, :-1] += 0.5 * col[:, 1:]
+        u_col[:, 1] += 0.5 * col[:, 0]
+        maps[:, :, k + 1] = 2.0 * mid[:, None] * col + (2.0 / subs) * u_col - maps[:, :, k - 1]
+    return maps
+
+
+def _horner_coeffs(cheb: np.ndarray, subs: int, budget: float) -> np.ndarray:
+    """Monomial coefficients on ``subs`` sub-panels per column of ``cheb``.
+
+    Sub-panel s of panel i becomes column i * subs + s.  Only the leading
+    Chebyshev coefficients are kept: the fewest for which the dropped ones
+    sum in absolute value to at most ``_TRUNCATION_SHARE * budget`` on every
+    sub-panel.  The kept ones go to monomials by the map of
+    ``numpy.polynomial.chebyshev.cheb2poly``.
+    """
+    nodes, panels = cheb.shape
+    sub = np.matmul(_sub_panel_maps(nodes, subs), cheb)  # (subs, nodes, panels)
+    sub = sub.transpose(1, 2, 0).reshape(nodes, panels * subs)
+    dropped = np.max(np.cumsum(np.abs(sub[::-1]), axis=0)[::-1], axis=1)
+    keep = max(1, int(np.count_nonzero(dropped > _TRUNCATION_SHARE * budget)))
+    to_mono = np.zeros((keep, keep))
+    for k in range(keep):
+        col = cheb2poly(np.eye(keep)[k])
+        to_mono[: col.size, k] = col
+    return to_mono @ sub[:keep]
 
 
 def _build_form(table: KernelTable) -> KernelForm:
@@ -316,17 +370,23 @@ def _build_form(table: KernelTable) -> KernelForm:
     while tail > 0.01 * _CERT_BUDGET:  # only very short tables (L = 0) get here
         panels += 1
         tail = _tail_bound(a, panels * _PANEL_WIDTH)
+    rcut = panels * _PANEL_WIDTH
+    subs = 1
+    while math.sqrt(2.0) * table.n * _PANEL_WIDTH / subs / 2.0 > _SUB_FREQUENCY:
+        subs *= 2
     degree = max(16, int(1.3 * math.sqrt(2.0) * table.n * _PANEL_WIDTH + 12.0))
     for _ in range(_DEGREE_RAISES + 1):
-        coeffs, deviation, peak = _fit_panels(a, panels, degree)
-        certificate = _GRID_SAFETY * deviation + tail
-        if certificate <= _CERT_BUDGET * max(1.0, peak):
-            coeffs.flags.writeable = False
-            return KernelForm(coeffs, panels * _PANEL_WIDTH, certificate)
-        degree = int(1.5 * degree)
+        cheb, grid, exact, peak = _fit_panels(a, panels, degree)
+        budget = _CERT_BUDGET * max(1.0, peak)
+        form = KernelForm(_horner_coeffs(cheb, subs, budget), rcut, _PANEL_WIDTH / subs, 0.0)
+        certificate = _GRID_SAFETY * float(np.max(np.abs(form(grid) - exact))) + tail
+        if certificate <= budget:
+            form.coeffs.flags.writeable = False
+            return replace(form, certificate=certificate)
+        fitted, degree = degree, int(1.5 * degree)
     raise RuntimeError(
         f"kernel form for n={table.n}, q={table.q} misses its certificate budget: "
-        f"{certificate:.3e} > {_CERT_BUDGET:.0e} * max(1, {peak:.3e}) at degree {degree}"
+        f"{certificate:.3e} > {_CERT_BUDGET:.0e} * max(1, {peak:.3e}) at fit degree {fitted}"
     )
 
 
@@ -337,7 +397,7 @@ _FORMS_LOCK = threading.Lock()
 
 
 def kernel_form(table: KernelTable) -> KernelForm:
-    """The certified piecewise-Chebyshev form of a table, built on first use.
+    """The certified piecewise-polynomial form of a table, built on first use.
 
     A form is built once per process and per table content and is shared
     by every later call.  Building one raises ``RuntimeError`` if its

@@ -1,8 +1,13 @@
-"""The command-line front end, driven in process through ``cli.main``."""
+"""The command-line front end, driven through ``cli.main``: in process, and once
+in a fresh process to see what it imports."""
 
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +70,7 @@ class TestEstimate:
         assert len(lines) == 1
         line = lines[0]
         assert "table length 33" in line and "cutoff 17.5" in line
-        assert "70 panels of degree 16" in line and "certificate " in line
+        assert "70 panels of degree 13" in line and "certificate " in line
         with open(out_dir / "estimates.csv", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
         assert header == ["t", "y_1", "y_2", "y_3", "raw", "ratio"]
@@ -125,6 +130,17 @@ class TestSubcommandsWriteOutput:
         assert rc == 0
         for name in ("summary.json", "trial_000.csv", "trial_001.csv", "average.csv"):
             assert (tmp_path / name).stat().st_size > 0
+
+    def test_helix_leaves_scipy_linalg_unimported(self, tmp_path):
+        # only a Gauss-Hermite rule needs scipy.linalg, and helix builds none
+        code = ("import sys; from hermloc import cli; "
+                "rc = cli.main(['helix', '--m', '16', '--n', '4', '--test-points', '8', "
+                f"'--out', {str(tmp_path)!r}]); "
+                "print(rc, 'scipy.linalg' in sys.modules)")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_baseline_heat(self, tmp_path):
         rc = cli.main(["baseline-heat", "--m", "16", "--times", "0.1", "--n-list", "4",
@@ -217,6 +233,15 @@ class TestExitCodes:
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
         assert "node 'top': pooling must be an object, got 'clip'" in capsys.readouterr().err
+
+    def test_deep_eval_constituent_not_a_string_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRAPH))
+        doc["nodes"][2]["constituent"] = ["sum"]
+        graph = _write_json(tmp_path / "graph.json", doc)
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": [0.0], "s2": [0.0, 1.0]})
+        rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
+        assert rc == 2
+        assert "node 'top': constituent must be a string, got ['sum']" in capsys.readouterr().err
 
 
 class TestFlags:

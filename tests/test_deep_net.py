@@ -408,3 +408,14 @@ class TestDagJson:
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match=f"node 't': {key} must be"):
                 read_dag_json(str(path))
+        path.write_text('{"nodes": [1], "sink": "s"}')
+        with pytest.raises(ValueError, match="node 0: row must be an object"):
+            read_dag_json(str(path))
+        path.write_text('{"nodes": 1, "sink": "s"}')
+        with pytest.raises(ValueError, match="'nodes' must be a list"):
+            read_dag_json(str(path))
+        doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1},
+                         {**top, "pooling": {"name": "identity", "c": [1]}}], "sink": "t"}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="node 't': pooling c must be a number"):
+            read_dag_json(str(path))

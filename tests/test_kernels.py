@@ -221,6 +221,31 @@ class TestKernelForm:
         with pytest.raises(ValueError):
             form.coeffs[0, 0] = 1.0
 
+    def test_short_horner_on_dyadic_sub_panels(self):
+        for n, q in self.CASES:
+            form = kernel_form(compile_kernel(float(n), q))
+            assert form.degree <= 16, (n, q, form.degree)
+            j = round(math.log2(0.25 / form.width))
+            assert j >= 0 and form.width == 2.0**-j / 4, (n, q, form.width)
+            assert form.panels * form.width == form.rcut, (n, q)
+        assert kernel_form(compile_kernel(64.0, 1)).width == 1 / 32
+
+    def test_missed_budget_names_last_fitted_degree(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CERT_BUDGET", 1e-30)
+        monkeypatch.setattr(kernels, "_FORMS", {})
+        # fitted at degree 16, then raised twice by half
+        with pytest.raises(RuntimeError, match="at fit degree 36$"):
+            kernel_form(compile_kernel(8.0, 1))
+
+    def test_single_equals_batch_on_sub_panel_edges(self):
+        table = compile_kernel(64.0, 1)
+        form = kernel_form(table)
+        edges = form.width * np.arange(form.panels + 1)
+        rs = np.concatenate([edges, np.nextafter(edges, -np.inf)[1:]])
+        batch = eval_kernel(table, rs)
+        for r, v in zip(rs, batch):
+            assert eval_kernel(table, float(r)) == v, r
+
     def test_single_equals_batch_across_blocks(self):
         table = compile_kernel(64.0, 1)
         rs = np.random.default_rng(21).uniform(0.0, 20.0, 2 * _BLOCK + 5000)
