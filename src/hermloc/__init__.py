@@ -13,8 +13,6 @@ from .hermite import (
     QuadratureRule,
     gauss_hermite_rule,
     hermite_matrix,
-    hermite_row,
-    psi_at_zero,
     quad_integrate,
 )
 from .kernels import (
@@ -29,11 +27,11 @@ from .estimator import (
     Curve,
     Dataset,
     EstimatorConfig,
-    LabeledSample,
+    ZERO_MASS,
     QuadratureConvergenceError,
     continuous_operator_on_curve,
-    estimate_at,
     estimate_batch,
+    guarded_ratio,
     ratio_reconstruction,
     read_dataset_csv,
     value_and_unit_passes,
@@ -41,8 +39,6 @@ from .estimator import (
 )
 from .gaussian_net import (
     GaussianNetwork,
-    WeightedPolyCoeffs,
-    gaussian_basis_network,
     poly_to_gaussian,
     prefab_kernel_network,
     read_network_json,
@@ -71,10 +67,7 @@ from .experiments import (
     TrialReport,
     bernstein_demo,
     gen_training,
-    heat_kernel_baseline,
     heat_value_and_unit_passes,
-    helix_curve,
-    helix_target,
     run_experiment,
     write_report,
 )
@@ -85,8 +78,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
     "hermite_matrix",
-    "hermite_row",
-    "psi_at_zero",
     "quad_integrate",
     "KernelForm",
     "KernelTable",
@@ -97,18 +88,16 @@ __all__ = [
     "Curve",
     "Dataset",
     "EstimatorConfig",
-    "LabeledSample",
+    "ZERO_MASS",
     "QuadratureConvergenceError",
     "continuous_operator_on_curve",
-    "estimate_at",
     "estimate_batch",
+    "guarded_ratio",
     "ratio_reconstruction",
     "read_dataset_csv",
     "value_and_unit_passes",
     "write_dataset_csv",
     "GaussianNetwork",
-    "WeightedPolyCoeffs",
-    "gaussian_basis_network",
     "poly_to_gaussian",
     "prefab_kernel_network",
     "read_network_json",
@@ -133,10 +122,7 @@ __all__ = [
     "TrialReport",
     "bernstein_demo",
     "gen_training",
-    "heat_kernel_baseline",
     "heat_value_and_unit_passes",
-    "helix_curve",
-    "helix_target",
     "run_experiment",
     "write_report",
     "__version__",

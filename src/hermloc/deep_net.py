@@ -30,6 +30,7 @@ module's zero-mass policy applies.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -70,8 +71,8 @@ def make_pooling(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarra
         return lambda v: np.clip(v, lo, hi)
     if name == "radial":
         radius = float(params.get("radius", 1.0))
-        if radius <= 0:
-            raise ValueError("radial pooling requires a positive radius")
+        if not 0 < radius < math.inf:
+            raise ValueError(f"radial pooling requires a finite positive radius, got {radius!r}")
 
         def _radial(v: np.ndarray) -> np.ndarray:
             nrm = float(np.linalg.norm(v))
@@ -118,8 +119,11 @@ class DagNode:
                 raise ValueError(
                     f"node {self.id}: in_dim {self.in_dim} != fan-in {len(self.children)}"
                 )
-        if self.pooling_c <= 0:
-            raise ValueError(f"node {self.id}: pooling_c must be positive")
+        # the propagation bound multiplies by both (NaN fails each comparison)
+        if not 0 < self.pooling_c < math.inf:
+            raise ValueError(f"node {self.id}: pooling_c must be finite and positive")
+        if self.lipschitz is not None and not 0 <= self.lipschitz < math.inf:
+            raise ValueError(f"node {self.id}: lipschitz must be finite and >= 0")
         try:
             pooling = make_pooling(self.pooling_name, self.pooling_params)
         except (TypeError, ValueError) as exc:

@@ -37,17 +37,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .kernels import KernelTable, compile_kernel, kernel_form
 
 __all__ = [
-    "LabeledSample",
     "Dataset",
     "EstimatorConfig",
-    "estimate_at",
     "estimate_batch",
     "value_and_unit_passes",
     "ZERO_MASS",
@@ -59,14 +57,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "continuous_operator_on_curve",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """A single observation: a point of R^Q and its (possibly noisy) value."""
-
-    point: np.ndarray
-    value: float
 
 
 @dataclass(frozen=True)
@@ -105,12 +95,6 @@ class Dataset:
     @property
     def ambient_dim(self) -> int:
         return self.points.shape[1]
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[LabeledSample], q: int) -> "Dataset":
-        pts = np.array([s.point for s in samples], dtype=float)
-        vals = np.array([s.value for s in samples], dtype=float)
-        return cls(pts, vals, q)
 
     def with_unit_values(self) -> "Dataset":
         """Same points, all values 1 (the density pass of two-pass use)."""
@@ -325,12 +309,6 @@ def ratio_reconstruction(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     reaches x at this scale, and the estimate is 0 there, not a blow-up.
     """
     return guarded_ratio(*value_and_unit_passes(ds, cfg, xs))
-
-
-def estimate_at(ds: Dataset, cfg: EstimatorConfig, x) -> float:
-    """Estimator value at a single point (same code path as the batch)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(estimate_batch(ds, cfg, x)[0])
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,6 @@ from .estimator import Curve, Dataset, EstimatorConfig, ratio_reconstruction
 
 __all__ = [
     "HelixSpec",
-    "helix_target",
-    "helix_curve",
     "ratio_reconstruction",
     "gen_training",
     "UNBIAS_FACTOR",
@@ -71,7 +69,6 @@ __all__ = [
     "ExperimentReport",
     "run_experiment",
     "write_report",
-    "heat_kernel_baseline",
     "heat_value_and_unit_passes",
     "bernstein_demo",
 ]
@@ -142,15 +139,6 @@ class HelixSpec:
         lo = self.t_min + INTERIOR_LO * span
         hi = self.t_min + INTERIOR_HI * span
         return (t >= lo) & (t <= hi)
-
-
-def helix_target(t):
-    """Module-level convenience for the default helix target."""
-    return HelixSpec().target(t)
-
-
-def helix_curve() -> Curve:
-    return HelixSpec().curve()
 
 
 def gen_training(
@@ -365,34 +353,22 @@ def write_report(report: ExperimentReport, out_dir: str) -> None:
 
 def _heat_weights(ds: Dataset, t: float, xs: np.ndarray):
     """Prefactor 1/(M (4 pi t)^{q/2}) and the matrix exp(-|x_i - y_j|^2/t)."""
-    if t <= 0:
-        raise ValueError("diffusion time t must be positive")
-    if xs.shape[1] != ds.ambient_dim:
-        raise ValueError(f"points must have {ds.ambient_dim} coordinates")
+    if not 0 < t < math.inf:  # the one check on diffusion times; NaN fails it too
+        raise ValueError(f"diffusion time t must be finite and positive, got {t!r}")
+    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim:
+        raise ValueError(f"points must be a batch (N, {ds.ambient_dim})")
     d2 = np.sum((xs[:, None, :] - ds.points[None, :, :]) ** 2, axis=2)
     scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
     return scale, np.exp(-d2 / t)
 
 
-def heat_kernel_baseline(ds: Dataset, t: float, x) -> float | np.ndarray:
-    """Monte-Carlo heat-kernel smoother (1/(M (4 pi t)^{q/2})) sum exp(-|x-y_j|^2/t) F_j.
-
-    Reported raw; ``heat_value_and_unit_passes`` gives the unit pass of
-    the normalized form from the same matrix.  Accepts one point (Q,) or a
-    batch (N, Q).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    scale, weights = _heat_weights(ds, t, x.reshape(1, -1) if single else x)
-    out = scale * (weights @ ds.values)
-    return float(out[0]) if single else out
-
-
 def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """Heat smoother on the values and on a unit column, from one exp(-d^2/t) matrix.
 
-    Each pass equals ``heat_kernel_baseline`` on the values and on
-    ``ds.with_unit_values()`` bitwise; ``xs`` is a batch (N, Q).
+    The value pass is the Monte-Carlo heat-kernel smoother
+    (1/(M (4 pi t)^{q/2})) sum_j exp(-|x - y_j|^2/t) F_j, reported raw; the
+    unit pass is the same sum with every F_j = 1, the denominator of the
+    normalized form.  ``xs`` is a batch (N, Q).
     """
     scale, weights = _heat_weights(ds, t, np.asarray(xs, dtype=float))
     return scale * (weights @ ds.values), scale * (weights @ np.ones(ds.size))

@@ -1,6 +1,7 @@
 """Synthesis of Gaussian networks that emulate weighted Hermite polynomials.
 
-A weighted polynomial P = sum_k b_k psi_k (multi-indexed, |k|_1 < m**2) is
+A weighted polynomial P = sum_k b_k psi_k (multi-indexed, |k|_1 < m**2),
+given as the dense coefficient tensor B[k] = b_k of shape (m**2,)*d, is
 converted into a single hidden layer of isotropic Gaussians
 
     G(P)(x) = sum_j c_j exp(-|x - z_j|**2)
@@ -49,13 +50,11 @@ import numpy as np
 from scipy.special import binom as _binom
 
 from .estimator import Dataset
-from .hermite import gauss_hermite_rule, hermite_matrix, psi_at_zero
+from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from .kernels import filter_h
 
 __all__ = [
     "GaussianNetwork",
-    "WeightedPolyCoeffs",
-    "gaussian_basis_network",
     "poly_to_gaussian",
     "prefab_kernel_network",
     "shallow_net_estimate",
@@ -217,53 +216,40 @@ def read_network_json(path: str) -> GaussianNetwork:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class WeightedPolyCoeffs:
-    """Coefficients of sum_k entries[k] psi_k over multi-indices of Z_+^d."""
+def poly_to_gaussian(B, m: int) -> GaussianNetwork:
+    """Convert a weighted polynomial sum_k B[k] psi_k to a Gaussian network.
 
-    d: int
-    entries: dict
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError("d must be a positive integer")
-        for k, v in self.entries.items():
-            if len(k) != self.d or any(ki < 0 for ki in k):
-                raise ValueError(f"bad multi-index {k}")
-            if not np.isfinite(v):
-                raise ValueError(f"coefficient at {k} must be finite")
-
-
-def poly_to_gaussian(P: WeightedPolyCoeffs, m: int) -> GaussianNetwork:
-    """Convert a weighted polynomial (all |k|_1 < m**2) to a Gaussian network.
+    ``B`` is the dense coefficient tensor of shape (m**2,)*d, indexed by the
+    multi-index k.  Raises ValueError for d outside 1..MAX_DIM, a wrong
+    shape, a non-finite entry or a nonzero entry at |k|_1 >= m**2.
 
     The network's axis centers are (sqrt(3)/2) x_i over the nodes x_i of
-    the size-2m**2 Gauss-Hermite rule.  Coefficients are linear in P:
+    the size-2m**2 Gauss-Hermite rule.  Coefficients are linear in B:
     center z_j = (sqrt(3)/2) x_j, j = (j_1, .., j_d), receives
 
         c_j = (3/(2 pi))**(d/2) * prod_axis [lambda exp(3 x**2/4)](x_j,axis)
-              * sum_k b_k 3**(|k|/2) psi_k(x_j).
+              * sum_k B[k] 3**(|k|/2) psi_k(x_j).
 
-    The inner polynomial evaluation runs as per-axis mode products against a
-    dense coefficient tensor, so the cost is O(d * (2m^2)^d * m^2).
+    The inner polynomial evaluation runs as per-axis mode products against
+    B, so the cost is O(d * (2m^2)^d * m^2).
     """
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_M:
         raise ValueError(f"m must be an integer in 1..{MAX_M}")
-    d = P.d
-    if d > MAX_DIM:
-        raise ValueError(f"d must be <= {MAX_DIM}")
+    B = np.asarray(B, dtype=float)
+    d = B.ndim
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"B must have 1..{MAX_DIM} axes, got {d}")
     kcap = m * m
-    for k in P.entries:
-        if sum(k) >= kcap:
-            raise ValueError(f"multi-index {k} has |k|_1 >= m**2 = {kcap}")
+    if B.shape != (kcap,) * d:
+        raise ValueError(f"B must have shape {(kcap,) * d} for m = {m}, got {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B must be finite")
+    if np.any(B[_total_degree(kcap, d) >= kcap]):
+        raise ValueError(f"B has a nonzero entry at |k|_1 >= m**2 = {kcap}")
 
     rule = gauss_hermite_rule(2 * kcap)
     # lambda_i * exp(3 x_i^2/4), formed per axis in log space
     axis_w = np.exp(np.log(rule.weights) + 0.75 * rule.nodes * rule.nodes)
-
-    B = np.zeros((kcap,) * d)
-    for k, b in P.entries.items():
-        B[tuple(k)] += b
 
     psi = hermite_matrix(kcap - 1, rule.nodes)  # (2m^2, m^2)
     psi_scaled = psi * np.power(3.0, 0.5 * np.arange(kcap))[None, :]
@@ -285,31 +271,9 @@ def poly_to_gaussian(P: WeightedPolyCoeffs, m: int) -> GaussianNetwork:
     return GaussianNetwork(dim=d, scale=1.0, axis_centers=axis_centers, coeffs=coeffs)
 
 
-def gaussian_basis_network(k, m: int, d: int) -> GaussianNetwork:
-    """Network emulating a single Hermite function psi_k on R^d.
-
-    Requires |k|_1 < m**2; the sup error over compacts decays like
-    m**(d-2) 3**(-m**2/2) as m grows.
-    """
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    if len(k) != d:
-        raise ValueError("k must have exactly d components")
-    if any(v < 0 for v in k):
-        raise ValueError("k components must be nonnegative")
-    if sum(k) >= m * m:
-        raise ValueError("need |k|_1 < m**2")
-    return poly_to_gaussian(WeightedPolyCoeffs(d=int(d), entries={k: 1.0}), m)
-
-
-def _even_multi_indices(d: int, total_below: int):
-    """All multi-indices of Z_+^d with even coordinates and |k|_1 < total_below."""
-    if d == 1:
-        for a in range(0, total_below, 2):
-            yield (a,)
-        return
-    for a in range(0, total_below, 2):
-        for rest in _even_multi_indices(d - 1, total_below - a):
-            yield (a,) + rest
+def _total_degree(size: int, d: int) -> np.ndarray:
+    """|k|_1 for every multi-index k of the tensor (size,)*d."""
+    return sum(np.ix_(*(np.arange(size),) * d))
 
 
 def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwork:
@@ -322,7 +286,10 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
         b_k = psi_k(0) * pi**((Q-q)/2) * sum_{m >= |k|, m = |k| mod 2}
               H(sqrt(m)/n) (-1)**((m-|k|)/2) binom((Q-q)/2, (m-|k|)/2),
 
-    nonzero only for all-even k (psi_k(0) vanishes otherwise).
+    nonzero only for all-even k (psi_k(0) vanishes otherwise) with
+    |k|_1 < n**2.  The dense tensor of the b_k is the Q-fold outer product
+    of the psi_k(0) vector, times the prefactor, times the filter sum
+    looked up by |k|_1.
     """
     if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_M:
         # the synthesis parameter m is n, capped by poly_to_gaussian
@@ -338,10 +305,11 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     half = (Q - q) / 2.0
     pref = math.pi ** half
     # the filter sum depends on k only through |k|_1; terms are added in the
-    # order of increasing degree, skipping zero filter values
+    # order of increasing degree, skipping zero filter values.  It stays 0
+    # at odd totals and at every total >= n**2.
     h = filter_h(np.sqrt(np.arange(n2)) / n).tolist()
     binoms = [float(_binom(half, ell)) for ell in range(n2 // 2 + 1)]
-    acc_by_total = {}
+    acc_by_total = np.zeros(Q * (n2 - 1) + 1)
     for kk in range(0, n2, 2):
         acc = 0.0
         for mdeg in range(kk, n2, 2):
@@ -350,17 +318,15 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
             ell = (mdeg - kk) // 2
             acc += h[mdeg] * (-1.0) ** ell * binoms[ell]
         acc_by_total[kk] = acc
-    psi_tab = [psi_at_zero(ell) for ell in range(n2)]
-    entries: dict[tuple, float] = {}
-    for k in _even_multi_indices(int(Q), n2):
-        psi0 = 1.0
-        for ki in k:
-            psi0 *= psi_tab[ki]
-        b = psi0 * pref * acc_by_total[sum(k)]
-        if b != 0.0:
-            entries[k] = b
+    psi0 = np.zeros(n2)
+    psi0[0::2] = psi_zero_even((n2 + 1) // 2)
+    B = psi0
+    for _ in range(Q - 1):
+        B = np.multiply.outer(B, psi0)
+    B *= pref  # in place: no further tensor-sized temporaries
+    B *= acc_by_total[_total_degree(n2, Q)]
 
-    net = poly_to_gaussian(WeightedPolyCoeffs(d=int(Q), entries=entries), int(n))
+    net = poly_to_gaussian(B, int(n))
     scale = float(n) ** (1.0 - alpha)
     factor = float(n) ** (q * (1.0 - alpha))
     return replace(net, scale=scale, coeffs=factor * net.coeffs)

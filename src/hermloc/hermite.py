@@ -42,9 +42,7 @@ from scipy.special import gammaln
 
 __all__ = [
     "QuadratureRule",
-    "hermite_row",
     "hermite_matrix",
-    "psi_at_zero",
     "gauss_hermite_rule",
     "quad_integrate",
 ]
@@ -92,8 +90,8 @@ class QuadratureRule:
 def hermite_matrix(kmax: int, x: np.ndarray) -> np.ndarray:
     """Hermite-function values on a grid, shape ``(len(x), kmax + 1)``.
 
-    Column k holds ``psi_k`` evaluated at every point of ``x``.  This is
-    the vectorized workhorse behind :func:`hermite_row`.
+    Column k holds ``psi_k`` evaluated at every point of ``x``; a row
+    costs O(kmax).
     """
     if not isinstance(kmax, (int, np.integer)) or kmax < 0:
         raise ValueError("kmax must be a nonnegative integer")
@@ -116,38 +114,11 @@ def hermite_matrix(kmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_row(kmax: int, x: float) -> np.ndarray:
-    """All Hermite-function values ``psi_0(x) .. psi_kmax(x)`` in O(kmax)."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    return hermite_matrix(kmax, np.array([float(x)]))[0]
-
-
-def psi_at_zero(ell: int) -> float:
-    """Closed-form ``psi_ell(0)``.
-
-    Zero for odd ``ell``; for even ``ell``,
-
-        psi_ell(0) = pi**(-1/4) * (-1)**(ell/2) * sqrt(ell!) / (2**(ell/2) * (ell/2)!)
-
-    evaluated through log-gamma so that factorial ratios never overflow.
-    """
-    if not isinstance(ell, (int, np.integer)) or ell < 0:
-        raise ValueError("ell must be a nonnegative integer")
-    if ell % 2 == 1:
-        return 0.0
-    half = ell // 2
-    lg = (
-        -0.25 * math.log(math.pi)
-        + 0.5 * gammaln(ell + 1.0)
-        - half * math.log(2.0)
-        - gammaln(half + 1.0)
-    )
-    return (-1.0) ** half * math.exp(lg)
-
-
 def psi_zero_even(count: int) -> np.ndarray:
-    """Vector of ``psi_{2l}(0)`` for ``l = 0 .. count - 1``."""
+    """Vector of ``psi_{2l}(0)`` for ``l = 0 .. count - 1`` (odd ``psi_k(0)`` are 0).
+
+    psi_{2l}(0) = pi**(-1/4) (-1)**l sqrt((2l)!) / (2**l l!), through log-gamma.
+    """
     if count <= 0:
         raise ValueError("count must be positive")
     ell = 2.0 * np.arange(count)

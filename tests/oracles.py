@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import binom as _binom
 from scipy.special import gammaln, gammasgn
 
-from hermloc.hermite import hermite_matrix, hermite_row, psi_at_zero
+from hermloc.hermite import hermite_matrix, psi_zero_even
 from hermloc.kernels import filter_h
 
 MAX_COMPOSITIONS = 2_000_000
@@ -61,7 +61,7 @@ def p_coeffs(m: int, q: int) -> PCoeffs:
         raise ValueError("q must be a positive integer")
     if q == 1:
         coeffs = np.zeros(m + 1)
-        coeffs[m] = psi_at_zero(2 * m)
+        coeffs[m] = psi_zero_even(m + 1)[m]
         return PCoeffs(int(m), 1, coeffs)
 
     a = (q - 1.0) / 2.0
@@ -218,8 +218,7 @@ def proj_reduced(m: int, q: int, Q: int, x, y) -> float:
     if q == 1:
         if nx > 0.0 and ny > 0.0 and abs(abs(cos_t) - 1.0) > 1e-10:
             raise ValueError("q = 1 requires collinear points")
-        u = hermite_row(m, nx)[m]
-        v = hermite_row(m, ny * cos_t)[m]
+        u, v = hermite_matrix(m, np.array([nx, ny * cos_t]))[:, m]
         return float(u * v)
 
     rows = hermite_matrix(m, np.array([nx, ny * cos_t, 0.0, ny * sin_t]))

@@ -4,6 +4,7 @@ in a fresh process to see what it imports."""
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -233,6 +234,27 @@ class TestExitCodes:
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
         assert "node 'top': pooling must be an object, got 'clip'" in capsys.readouterr().err
+
+    def test_deep_eval_bound_breaking_numbers_exit_2(self, tmp_path, capsys):
+        # json reads NaN and Infinity; each would poison the propagation bound
+        for key, bad in (("pooling", {"name": "radial", "radius": math.nan}),
+                         ("pooling", {"name": "identity", "c": math.inf}),
+                         ("lipschitz", -2.0)):
+            doc = json.loads(json.dumps(GRAPH))
+            doc["nodes"][2][key] = bad
+            graph = _write_json(tmp_path / "graph.json", doc)
+            inputs = _write_json(tmp_path / "inputs.json", {"s1": [0.0], "s2": [0.0, 1.0]})
+            rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
+            assert rc == 2
+            assert "node top: " in capsys.readouterr().err
+
+    def test_baseline_heat_non_finite_time_exits_2(self, tmp_path, capsys):
+        for times in ("nan,0.1", "0.1,inf", "0"):
+            rc = cli.main(["baseline-heat", "--m", "16", "--times", times, "--n-list", "4",
+                           "--test-points", "16", "--out", str(tmp_path)])
+            assert rc == 2
+            assert "diffusion time t must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "baseline_heat.csv").exists()
 
     def test_deep_eval_constituent_not_a_string_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(GRAPH))

@@ -76,8 +76,9 @@ class TestPooling:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_pooling("clip", {"lo": 1.0, "hi": 1.0})
-        with pytest.raises(ValueError):
-            make_pooling("radial", {"radius": 0.0})
+        for radius in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                make_pooling("radial", {"radius": radius})
         with pytest.raises(ValueError):
             make_pooling("softmax", {})
 
@@ -103,8 +104,12 @@ class TestDagStructure:
             DagNode(id="a", kind="internal", in_dim=1)
         with pytest.raises(ValueError):
             DagNode(id="a", kind="internal", in_dim=3, children=("b", "c"))
-        with pytest.raises(ValueError):
-            DagNode(id="a", kind="source", in_dim=1, pooling_c=0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="node a: pooling_c must be finite and positive"):
+                DagNode(id="a", kind="source", in_dim=1, pooling_c=c)
+        for lip in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="node a: lipschitz must be finite and >= 0"):
+                DagNode(id="a", kind="internal", in_dim=1, children=("b",), lipschitz=lip)
         with pytest.raises(ValueError, match="node a: unknown pooling 'softmax'"):
             DagNode(id="a", kind="source", in_dim=1, pooling_name="softmax")
         with pytest.raises(ValueError, match="node a: "):
@@ -407,6 +412,17 @@ class TestDagJson:
                    "sink": "t"}
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match=f"node 't': {key} must be"):
+                read_dag_json(str(path))
+        # numbers that would break the propagation bound; json reads NaN and Infinity
+        for key, bad in (("lipschitz", -1.0), ("lipschitz", math.nan), ("lipschitz", math.inf),
+                         ("pooling", {"name": "identity", "c": math.nan}),
+                         ("pooling", {"name": "identity", "c": math.inf}),
+                         ("pooling", {"name": "radial", "radius": math.nan}),
+                         ("pooling", {"name": "radial", "radius": math.inf})):
+            doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1}, {**top, key: bad}],
+                   "sink": "t"}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="node t: .*finite"):
                 read_dag_json(str(path))
         path.write_text('{"nodes": [1], "sink": "s"}')
         with pytest.raises(ValueError, match="node 0: row must be an object"):

@@ -19,10 +19,8 @@ from hermloc.estimator import (
     Curve,
     Dataset,
     EstimatorConfig,
-    LabeledSample,
     QuadratureConvergenceError,
     continuous_operator_on_curve,
-    estimate_at,
     estimate_batch,
     guarded_ratio,
     ratio_reconstruction,
@@ -55,15 +53,6 @@ class TestDataset:
         assert ds.size == 3
         assert ds.ambient_dim == 2
         assert ds.q == 1
-
-    def test_from_samples(self):
-        samples = [
-            LabeledSample(np.array([0.0, 1.0]), 5.0),
-            LabeledSample(np.array([2.0, -1.0]), -3.0),
-        ]
-        ds = Dataset.from_samples(samples, 2)
-        np.testing.assert_array_equal(ds.points, [[0.0, 1.0], [2.0, -1.0]])
-        np.testing.assert_array_equal(ds.values, [5.0, -3.0])
 
     def test_with_unit_values(self):
         ds = Dataset(np.zeros((4, 3)), np.arange(4.0), 2)
@@ -135,7 +124,7 @@ class TestEstimate:
         xs = np.random.default_rng(5).normal(size=(7, 3))
         batch = estimate_batch(ds, cfg, xs)
         for i in range(7):
-            assert estimate_at(ds, cfg, xs[i]) == batch[i]
+            assert estimate_batch(ds, cfg, xs[i : i + 1])[0] == batch[i]
 
     def test_single_equals_batch_across_chunks(self):
         # 300 points against 512 samples span three chunks of test points
@@ -146,7 +135,7 @@ class TestEstimate:
         assert 2 * rows < xs.shape[0]
         batch = estimate_batch(ds, cfg, xs)
         for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, 299):
-            assert estimate_at(ds, cfg, xs[i]) == batch[i]
+            assert estimate_batch(ds, cfg, xs[i : i + 1])[0] == batch[i]
 
     def test_no_test_points(self):
         ds = self._dataset()
@@ -195,7 +184,7 @@ class TestEstimate:
             * math.fsum((eval_kernel(cfg.table, r) * ds.values).tolist())
             / ds.size
         )
-        assert estimate_at(ds, cfg, x) == pytest.approx(manual, rel=1e-13)
+        assert estimate_batch(ds, cfg, x[None, :])[0] == pytest.approx(manual, rel=1e-13)
 
     def test_validation(self):
         ds = self._dataset()
@@ -279,7 +268,7 @@ class TestTreeSums:
         np.testing.assert_array_equal(den, estimate_batch(ds.with_unit_values(), cfg, xs))
         np.testing.assert_array_equal(ratio_reconstruction(ds, cfg, xs), guarded_ratio(num, den))
         for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, 3 * rows, 199):
-            assert estimate_at(ds, cfg, xs[i]) == num[i]
+            assert estimate_batch(ds, cfg, xs[i : i + 1])[0] == num[i]
             one_num, one_den = value_and_unit_passes(ds, cfg, xs[i : i + 1])
             assert (one_num[0], one_den[0]) == (num[i], den[i])
 

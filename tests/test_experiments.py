@@ -22,10 +22,7 @@ from hermloc.experiments import (
     HelixSpec,
     bernstein_demo,
     gen_training,
-    heat_kernel_baseline,
     heat_value_and_unit_passes,
-    helix_curve,
-    helix_target,
     ratio_reconstruction,
     run_experiment,
     write_report,
@@ -74,11 +71,6 @@ class TestHelixSpec:
         lo, hi = (spec.t_max - spec.t_min) * np.array([INTERIOR_LO, INTERIOR_HI])
         assert spec.interior([lo, hi]).all()
         assert not spec.interior(np.nextafter([lo, hi], [0.0, 10.0])).any()
-
-    def test_module_level_conveniences(self):
-        assert helix_target(1.3) == HelixSpec().target(1.3)
-        curve = helix_curve()
-        assert curve.t0 == 0.0 and curve.t1 == pytest.approx(2.0 * math.pi)
 
 
 class TestGenTraining:
@@ -292,30 +284,30 @@ class TestHeatKernelBaseline:
         want = 3.0 * math.exp(-float(np.sum((x - y0) ** 2)) / t) / math.sqrt(
             4.0 * math.pi * t
         )
-        assert heat_kernel_baseline(ds, t, x) == pytest.approx(want, rel=1e-14)
+        num, den = heat_value_and_unit_passes(ds, t, x[None, :])
+        assert num[0] == pytest.approx(want, rel=1e-14)
+        assert den[0] == pytest.approx(want / 3.0, rel=1e-14)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30), 2)
         xs = rng.normal(size=(6, 2))
-        batch = heat_kernel_baseline(ds, 0.2, xs)
+        batch = heat_value_and_unit_passes(ds, 0.2, xs)[0]
         for i in range(6):
             # no bitwise contract here (BLAS paths differ by shape)
-            assert heat_kernel_baseline(ds, 0.2, xs[i]) == pytest.approx(
-                batch[i], rel=1e-12
-            )
+            one = heat_value_and_unit_passes(ds, 0.2, xs[i : i + 1])[0]
+            assert one[0] == pytest.approx(batch[i], rel=1e-12)
 
     def test_saturation_rate_is_linear_in_t(self):
         # normalized heat smoothing of y**2 at 0 has error ~ t/2 regardless
         # of the target's smoothness: halving t halves the error
         grid = np.linspace(-3.0, 3.0, 2001).reshape(-1, 1)
         ds = Dataset(grid, grid[:, 0] ** 2, 1)
-        ones = ds.with_unit_values()
         x = np.zeros(1)
         errs = []
         for t in (0.1, 0.05, 0.025):
-            val = heat_kernel_baseline(ds, t, x) / heat_kernel_baseline(ones, t, x)
-            errs.append(abs(val - 0.0))
+            num, den = heat_value_and_unit_passes(ds, t, x[None, :])
+            errs.append(abs(num[0] / den[0] - 0.0))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.05)
 
@@ -323,8 +315,9 @@ class TestHeatKernelBaseline:
         rng = np.random.default_rng(5)
         ds = Dataset(rng.normal(size=(40, 3)), rng.normal(size=40), 1)
         xs = rng.normal(size=(9, 3))
-        want = (heat_kernel_baseline(ds, 0.3, xs),
-                heat_kernel_baseline(ds.with_unit_values(), 0.3, xs))
+        # the unit pass equals a value pass over unit values, bitwise
+        want = (heat_value_and_unit_passes(ds, 0.3, xs)[0],
+                heat_value_and_unit_passes(ds.with_unit_values(), 0.3, xs)[0])
         calls = []
         real_exp = np.exp
         monkeypatch.setattr(experiments.np, "exp", lambda a: calls.append(a) or real_exp(a))
@@ -335,12 +328,13 @@ class TestHeatKernelBaseline:
 
     def test_validation(self):
         ds = Dataset(np.zeros((2, 2)), np.ones(2), 1)
-        with pytest.raises(ValueError):
-            heat_kernel_baseline(ds, 0.0, np.zeros(2))
-        with pytest.raises(ValueError):
-            heat_kernel_baseline(ds, 0.1, np.zeros(3))
-        with pytest.raises(ValueError):
-            heat_value_and_unit_passes(ds, 0.0, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="points must be a batch"):
+            heat_value_and_unit_passes(ds, 0.1, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="points must be a batch"):
+            heat_value_and_unit_passes(ds, 0.1, np.zeros(2))
+        for t in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                heat_value_and_unit_passes(ds, t, np.zeros((1, 2)))
 
 
 class TestBernsteinDemo:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from hermloc import gaussian_net
-from hermloc.estimator import Dataset, EstimatorConfig, estimate_at
+from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch
 from hermloc.gaussian_net import (
+    MAX_DIM,
+    MAX_M,
     GaussianNetwork,
-    WeightedPolyCoeffs,
-    gaussian_basis_network,
     poly_to_gaussian,
     prefab_kernel_network,
     read_network_json,
@@ -31,7 +31,9 @@ XS = np.linspace(-4.0, 4.0, 801)
 
 
 def basis_error(k, m, d):
-    net = gaussian_basis_network(k, m, d)
+    B = np.zeros((m * m,) * d)
+    B[k] = 1.0
+    net = poly_to_gaussian(B, m)
     if d == 1:
         got = net(XS[:, None])
         want = hermite_matrix(k[0], XS)[:, k[0]]
@@ -114,7 +116,7 @@ class TestGaussianNetwork:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: gaussian_basis_network((3,), 3, 1),
+            lambda: poly_to_gaussian(np.eye(9)[3], 3),
             lambda: prefab_kernel_network(4, 1, 2, 0.5),
             lambda: prefab_kernel_network(4, 2, 3, 1.0),
         ],
@@ -181,34 +183,60 @@ class TestBasisSynthesis:
         assert basis_error((2, 0), 3, 2) < 1e-9
 
     def test_synthesis_is_linear(self):
-        pa = WeightedPolyCoeffs(d=1, entries={(0,): 1.0})
-        pb = WeightedPolyCoeffs(d=1, entries={(2,): 1.0})
-        pm = WeightedPolyCoeffs(d=1, entries={(0,): 2.0, (2,): -0.5})
         m = 3
-        ga, gb, gm = (poly_to_gaussian(p, m) for p in (pa, pb, pm))
+        ba, bb = np.eye(m * m)[[0, 2]]
+        ga, gb, gm = (poly_to_gaussian(b, m) for b in (ba, bb, 2.0 * ba - 0.5 * bb))
         np.testing.assert_allclose(
             gm.coeffs, 2.0 * ga.coeffs - 0.5 * gb.coeffs, rtol=1e-12, atol=1e-300
         )
         np.testing.assert_array_equal(gm.axis_centers, ga.axis_centers)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_basis_network((4,), 2, 1)  # |k| >= m**2
-        with pytest.raises(ValueError):
-            gaussian_basis_network((0,), 7, 1)  # m above synthesis cap
-        with pytest.raises(ValueError):
-            gaussian_basis_network((0, 0), 2, 1)
-        with pytest.raises(ValueError):
-            gaussian_basis_network((-1,), 2, 1)
-        with pytest.raises(ValueError):
-            poly_to_gaussian(WeightedPolyCoeffs(d=4, entries={}), 2)
-        with pytest.raises(ValueError):
-            WeightedPolyCoeffs(d=1, entries={(0,): math.nan})
-        with pytest.raises(ValueError):
-            WeightedPolyCoeffs(d=2, entries={(0,): 1.0})
+        B = np.zeros((4, 4))
+        B[3, 0] = 1.0
+        poly_to_gaussian(B, 2)  # |k|_1 = 3 < m**2
+        with pytest.raises(ValueError, match="m must be"):
+            poly_to_gaussian(np.zeros(49), MAX_M + 1)
+        for bad in (np.float64(1.0), np.zeros((4,) * (MAX_DIM + 1))):
+            with pytest.raises(ValueError, match="axes"):
+                poly_to_gaussian(bad, 2)
+        for bad in (np.zeros(3), np.zeros((4, 5))):
+            with pytest.raises(ValueError, match="shape"):
+                poly_to_gaussian(bad, 2)
+        B[0, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            poly_to_gaussian(B, 2)
+        B[0, 0] = 0.0
+        B[2, 2] = 1e-300  # |k|_1 = 4 = m**2
+        with pytest.raises(ValueError, match=r"\|k\|_1 >= m\*\*2"):
+            poly_to_gaussian(B, 2)
+
+
+# coefficients of prefab_kernel_network(n, q, Q, alpha) at the indices
+# (K//2,)*Q (the peak), (K//4,)*Q and (K//2, K//4, ..), or (K//2 + 2,) at
+# Q = 1, as built from the sparse multi-index form the dense tensor replaced
+PREFAB_REFERENCE = {
+    (4, 1, 2, 1.0): (5.001290016700444, -0.0015601963870406845, 0.08391101313177043),
+    (6, 2, 2, 1.0): (5248.020804140972, 0.0008577802933832384, 0.7982915330999923),
+    (4, 2, 3, 1.0): (1.9674576570916358, 3.132405040703613e-05, -0.0003235193785980402),
+    (6, 2, 3, 1.0): (3236.0030092822303, -3.086019105581379e-07, 9.572962338171953e-05),
+    (3, 1, 1, 0.5): (1.8598263442661065, 0.21425586053891982, -0.8547758908463988),
+    (5, 1, 3, 0.5): (146.96536001485325, 2.1988666233782057e-06, -0.0003033408004575293),
+    (2, 1, 2, 1.0): (0.26470565297032417, -0.06150535789128299, -0.016530498585212515),
+}
 
 
 class TestPrefabKernel:
+    @pytest.mark.parametrize("args", sorted(PREFAB_REFERENCE), ids=str)
+    def test_coefficients_match_reference(self, args):
+        coeffs = prefab_kernel_network(*args).coeffs
+        k, d = coeffs.shape[0], coeffs.ndim
+        mixed = (k // 2,) + (k // 4,) * (d - 1) if d > 1 else (k // 2 + 2,)
+        got = [coeffs[(k // 2,) * d], coeffs[(k // 4,) * d], coeffs[mixed]]
+        want = PREFAB_REFERENCE[args]
+        assert float(np.max(np.abs(coeffs))) == pytest.approx(want[0], rel=1e-15)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * want[0])
+
     def test_matches_compiled_kernel(self):
         budgets = {(4, 1, 2): 1e-11, (6, 2, 2): 1e-9, (4, 2, 3): 1e-11}
         rng = np.random.default_rng(0)
@@ -253,7 +281,7 @@ class TestShallowEstimate:
         cfg = EstimatorConfig.build(4.0, 1.0, 1)
         for x in rng.normal(size=(10, 2)) * 0.5:
             a = shallow_net_estimate(ds, net, x)
-            b = estimate_at(ds, cfg, x)
+            b = estimate_batch(ds, cfg, x[None, :])[0]
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_validation(self):

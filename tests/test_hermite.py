@@ -18,8 +18,6 @@ from hermloc.hermite import (
     QuadratureRule,
     gauss_hermite_rule,
     hermite_matrix,
-    hermite_row,
-    psi_at_zero,
     psi_zero_even,
     quad_integrate,
 )
@@ -42,14 +40,14 @@ def psi2_direct(x: float) -> float:
 
 class TestRecurrence:
     def test_low_degrees_match_closed_forms(self):
-        for x in [-2.5, -1.0, 0.0, 0.3, 1.5, 4.0]:
-            row = hermite_row(2, x)
+        xs = [-2.5, -1.0, 0.0, 0.3, 1.5, 4.0]
+        for x, row in zip(xs, hermite_matrix(2, np.array(xs))):
             assert row[0] == pytest.approx(psi0_direct(x), abs=1e-15)
             assert row[1] == pytest.approx(psi1_direct(x), abs=1e-15)
             assert row[2] == pytest.approx(psi2_direct(x), abs=1e-15)
 
     def test_frozen_row_at_1p5(self):
-        row = hermite_row(4, 1.5)
+        row = hermite_matrix(4, np.array([1.5]))[0]
         want = [
             0.24385476130642741,
             0.5172940660332053,
@@ -60,10 +58,11 @@ class TestRecurrence:
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
 
     def test_matrix_agrees_with_rows(self):
+        # a row depends on its own point only, whatever else is in the grid
         xs = np.array([-1.7, 0.0, 0.4, 2.2])
         mat = hermite_matrix(12, xs)
-        for i, x in enumerate(xs):
-            np.testing.assert_array_equal(mat[i], hermite_row(12, float(x)))
+        for i in range(xs.size):
+            np.testing.assert_array_equal(mat[i], hermite_matrix(12, xs[i : i + 1])[0])
 
     def test_uniform_bound_holds(self):
         # sup_x |psi_k(x)| is maximized at k=0; 1.1 is a safe envelope
@@ -72,9 +71,7 @@ class TestRecurrence:
         assert np.max(np.abs(mat)) <= 1.1
 
     def test_high_degree_stays_finite(self):
-        vals = hermite_row(5000, 30.0)
-        assert np.all(np.isfinite(vals))
-        vals = hermite_row(5000, 0.0)
+        vals = hermite_matrix(5000, np.array([30.0, 0.0]))
         assert np.all(np.isfinite(vals))
 
     def test_validation(self):
@@ -85,36 +82,30 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             hermite_matrix(3, np.array([[0.0, 1.0]]))
         with pytest.raises(ValueError):
-            hermite_row(3, math.inf)
+            hermite_matrix(3, np.array([math.inf]))
 
 
 class TestPsiAtZero:
     def test_frozen_values(self):
-        assert psi_at_zero(0) == pytest.approx(0.7511255444649425, abs=1e-16)
-        assert psi_at_zero(2) == pytest.approx(-0.5311259660135985, abs=1e-15)
-        assert psi_at_zero(4) == pytest.approx(0.45996857917732675, abs=1e-15)
+        vec = psi_zero_even(3)
+        assert vec[0] == pytest.approx(0.7511255444649425, abs=1e-16)
+        assert vec[1] == pytest.approx(-0.5311259660135985, abs=1e-15)
+        assert vec[2] == pytest.approx(0.45996857917732675, abs=1e-15)
 
     def test_odd_degrees_vanish(self):
-        for ell in [1, 3, 5, 99]:
-            assert psi_at_zero(ell) == 0.0
+        # the even-only closed form relies on this
+        row = hermite_matrix(99, np.zeros(1))[0]
+        assert np.all(row[1::2] == 0.0)
 
     def test_matches_recurrence(self):
-        row = hermite_row(60, 0.0)
-        for ell in range(61):
-            assert psi_at_zero(ell) == pytest.approx(row[ell], abs=1e-13)
-
-    def test_vector_form(self):
-        vec = psi_zero_even(12)
-        for l in range(12):
-            assert vec[l] == pytest.approx(psi_at_zero(2 * l), abs=1e-14)
+        row = hermite_matrix(60, np.zeros(1))[0]
+        np.testing.assert_allclose(psi_zero_even(31), row[0::2], rtol=0, atol=1e-13)
 
     def test_sign_alternates(self):
         vec = psi_zero_even(10)
         assert np.all(np.sign(vec) == [(-1.0) ** l for l in range(10)])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            psi_at_zero(-2)
         with pytest.raises(ValueError):
             psi_zero_even(0)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hermloc import kernels
-from hermloc.hermite import gauss_hermite_rule, hermite_matrix, hermite_row, psi_at_zero
+from hermloc.hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from hermloc.kernels import (
     _BLOCK,
     _eval_even_series,
@@ -73,7 +73,7 @@ class TestPCoeffs:
         for m in [0, 1, 5]:
             pc = p_coeffs(m, 1)
             want = np.zeros(m + 1)
-            want[m] = psi_at_zero(2 * m)
+            want[m] = psi_zero_even(m + 1)[m]
             np.testing.assert_array_equal(pc.coeffs, want)
 
     def test_frozen_values(self):
@@ -101,7 +101,7 @@ class TestPCoeffs:
             for m in [0, 1, 2, 4]:
                 c = p_coeffs(m, q).coeffs
                 for r in [0.0, 0.3, 1.1]:
-                    row = hermite_row(2 * m, r)
+                    row = hermite_matrix(2 * m, np.array([r]))[0]
                     series = float(np.dot(c, row[::2]))
                     zero = np.zeros(q)
                     e1 = np.zeros(q)
@@ -125,12 +125,13 @@ class TestCompileKernel:
     def test_cutoff_and_passband(self):
         n = 8.0
         table = compile_kernel(n, 1)
+        psi0 = psi_zero_even(table.a.size)
         for l in range(table.a.size):
             if 2 * l >= n * n:
                 assert table.a[l] == 0.0
             elif math.sqrt(2 * l) / n <= 0.5:
                 # filter is identically 1 below half the bandwidth
-                assert table.a[l] == pytest.approx(psi_at_zero(2 * l), rel=1e-13)
+                assert table.a[l] == pytest.approx(psi0[l], rel=1e-13)
 
     def test_matches_tensor_kernel(self):
         # Phi~_{n,q}(|x|) = Phi_{n,q}(0, x); the right side enumerates
@@ -365,7 +366,8 @@ class TestProjTensor:
         for m in [0, 3, 10]:
             for xv, yv in [(0.2, -1.3), (1.0, 1.0)]:
                 got = proj_tensor(m, 1, [xv], [yv])
-                want = hermite_row(m, xv)[m] * hermite_row(m, yv)[m]
+                u, v = hermite_matrix(m, np.array([xv, yv]))[:, m]
+                want = u * v
                 assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
     def test_symmetry(self):
@@ -416,10 +418,8 @@ class TestProjReduced:
             for m in [0, 2, 5]:
                 got = proj_reduced(m, 1, 3, x, c * x)
                 nx = float(np.linalg.norm(x))
-                want = (
-                    hermite_row(m, nx)[m]
-                    * hermite_row(m, c * nx)[m]
-                )
+                u, v = hermite_matrix(m, np.array([nx, c * nx]))[:, m]
+                want = u * v
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
         with pytest.raises(ValueError):
             proj_reduced(2, 1, 3, x, np.array([1.0, 1.0, 0.0]))
