@@ -149,7 +149,8 @@ def _cmd_estimate(args) -> int:
     form = kernel_form(ecfg.table)
     print(
         f"kernel: table length {ecfg.table.a.size}, cutoff {form.rcut:g}, "
-        f"{form.panels} panels of degree {form.degree}, certificate {form.certificate:.3e}"
+        f"{form.panels} panels of width 1/{1.0 / form.width:g} and degree {form.degree}, "
+        f"certificate {form.certificate:.3e}"
     )
     if args.ratio:
         num, den = value_and_unit_passes(ds, ecfg, xs)

@@ -35,6 +35,7 @@ doublings agree.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -169,8 +170,27 @@ def _check_points(ds: Dataset, cfg: EstimatorConfig, xs: np.ndarray) -> np.ndarr
 
 
 # test points are processed in chunks of about this many (point, sample)
-# pairs, so the difference array and the kernel matrix stay small
+# pairs, so the squared distances, the kernel matrix and the summands of a
+# chunk stay small
 _PAIRS_PER_CHUNK = 1 << 16
+
+
+def _squared_distances(xs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
+    """|x_i - y_j|^2 in a (len(xs), M) array, from points transposed to (Q, M).
+
+    The coordinates are added one at a time in their order,
+    ((x_1 - y_1)^2 + (x_2 - y_2)^2) + ..., each a pass over the whole array,
+    so no (T, M, Q) difference array is formed and every entry depends only
+    on its own pair, bitwise.
+    """
+    d2 = np.subtract(xs[:, :1], points_t[0])
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for k in range(1, points_t.shape[0]):
+        np.subtract(xs[:, k : k + 1], points_t[k], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def _two_sum_error(a, b, s, out) -> None:
@@ -238,11 +258,12 @@ def _kernel_passes(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Value pass and, if asked, unit pass of the estimator at many points.
 
-    The radii and the kernel matrix are computed once per chunk of test
-    points.  Each kernel row is multiplied by the sample values (value
-    pass) and, if asked, also kept as it is (unit pass: bitwise the value
-    pass over all-ones values, since k * 1.0 == k); all these rows go into
-    one buffer and are summed together by ``_tree_sums``, a compensated
+    The radii (from ``_squared_distances``) and the kernel matrix are
+    computed once per chunk of test points, so memory stays flat in the
+    number of points.  Each kernel row is multiplied by the sample values
+    (value pass) and, if asked, also kept as it is (unit pass: bitwise the
+    value pass over all-ones values, since k * 1.0 == k); all these rows go
+    into one buffer and are summed together by ``_tree_sums``, a compensated
     pairwise tree whose error bound is stated there.  A row's sum depends
     only on that row, so results per point are bitwise the same whatever
     the batch it sits in, and with or without the unit pass.
@@ -253,15 +274,19 @@ def _kernel_passes(
     factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
     rows = max(1, _PAIRS_PER_CHUNK // ds.size)
     passes = 2 if unit_pass else 1
+    points_t = np.ascontiguousarray(ds.points.T)
     sums = [np.empty((passes, 0))]
     for start in range(0, xs.shape[0], rows):
-        diff = xs[start : start + rows, None, :] - ds.points[None, :, :]
-        kern = form(lam * np.sqrt(np.einsum("tmq,tmq->tm", diff, diff))).T
+        radii = _squared_distances(xs[start : start + rows], points_t)
+        np.sqrt(radii, out=radii)
+        radii *= lam
+        kern = form(radii).T
         t = kern.shape[1]
         terms = np.empty((ds.size, passes * t))
         np.multiply(kern, ds.values[:, None], out=terms[:, :t])
         if unit_pass:
             terms[:, t:] = kern
+        del radii, kern  # free before the tree and the next chunk
         sums.append(factor * _tree_sums(terms).reshape(passes, t))
     sums = np.concatenate(sums, axis=1)
     return sums[0], (sums[1] if unit_pass else None)
@@ -331,6 +356,19 @@ class Curve:
         return np.full(np.shape(t), float(self.speed))
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 10-point Gauss-Legendre rule on [-1, 1] of every quadrature panel.
+
+    Built once, on first use rather than at import: its eigensolve loads
+    LAPACK, about 0.6 MB of resident memory that no other estimator path
+    needs.  Every caller shares the two arrays, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 class QuadratureConvergenceError(RuntimeError):
     """Raised when panel refinement does not reach the requested tolerance."""
 
@@ -367,7 +405,7 @@ def continuous_operator_on_curve(
     if span <= 0:
         raise ValueError("curve must have t1 > t0")
 
-    glx, glw = np.polynomial.legendre.leggauss(10)
+    glx, glw = _gauss_legendre()
 
     # speed scale for the initial panel count (resolve kernel oscillation)
     tprobe = np.linspace(curve.t0, curve.t1, 257)
@@ -384,7 +422,7 @@ def continuous_operator_on_curve(
         wnodes = (0.5 * h * glw[None, :]).ravel()
         pts = curve.chart(tnodes)
         sp = curve.speed_at(tnodes)
-        r = lam * np.sqrt(np.sum((pts - x[None, :]) ** 2, axis=1))
+        r = lam * np.sqrt(_squared_distances(x[None, :], np.ascontiguousarray(pts.T))[0])
         kern = form(r)
         mass = float(np.dot(wnodes, sp))
         integ = float(np.dot(wnodes, kern * np.asarray(f(pts), dtype=float) * sp))

@@ -56,7 +56,14 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .estimator import Curve, Dataset, EstimatorConfig, ratio_reconstruction
+from .estimator import (
+    _PAIRS_PER_CHUNK,
+    Curve,
+    Dataset,
+    EstimatorConfig,
+    _squared_distances,
+    ratio_reconstruction,
+)
 
 __all__ = [
     "HelixSpec",
@@ -351,27 +358,33 @@ def write_report(report: ExperimentReport, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _heat_weights(ds: Dataset, t: float, xs: np.ndarray):
-    """Prefactor 1/(M (4 pi t)^{q/2}) and the matrix exp(-|x_i - y_j|^2/t)."""
-    if not 0 < t < math.inf:  # the one check on diffusion times; NaN fails it too
-        raise ValueError(f"diffusion time t must be finite and positive, got {t!r}")
-    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim:
-        raise ValueError(f"points must be a batch (N, {ds.ambient_dim})")
-    d2 = np.sum((xs[:, None, :] - ds.points[None, :, :]) ** 2, axis=2)
-    scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
-    return scale, np.exp(-d2 / t)
-
-
 def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Heat smoother on the values and on a unit column, from one exp(-d^2/t) matrix.
+    """Heat smoother on the values and on a unit column, from one exp(-d^2/t) matrix per chunk.
 
     The value pass is the Monte-Carlo heat-kernel smoother
     (1/(M (4 pi t)^{q/2})) sum_j exp(-|x - y_j|^2/t) F_j, reported raw; the
     unit pass is the same sum with every F_j = 1, the denominator of the
-    normalized form.  ``xs`` is a batch (N, Q).
+    normalized form.  ``xs`` is a batch (N, Q).  The matrix is formed a
+    chunk of points at a time, with the estimator's chunk size and squared
+    distances, so memory stays flat in N and M.
     """
-    scale, weights = _heat_weights(ds, t, np.asarray(xs, dtype=float))
-    return scale * (weights @ ds.values), scale * (weights @ np.ones(ds.size))
+    if not 0 < t < math.inf:  # the one check on diffusion times; NaN fails it too
+        raise ValueError(f"diffusion time t must be finite and positive, got {t!r}")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim:
+        raise ValueError(f"points must be a batch (N, {ds.ambient_dim})")
+    scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
+    points_t = np.ascontiguousarray(ds.points.T)
+    ones = np.ones(ds.size)
+    rows = max(1, _PAIRS_PER_CHUNK // ds.size)
+    num, den = np.empty(xs.shape[0]), np.empty(xs.shape[0])
+    for start in range(0, xs.shape[0], rows):
+        d2 = _squared_distances(xs[start : start + rows], points_t)
+        d2 /= -t
+        weights = np.exp(d2)
+        num[start : start + rows] = weights @ ds.values
+        den[start : start + rows] = weights @ ones
+    return scale * num, scale * den
 
 
 def bernstein_demo(f: Callable[[float], float], n: int, x) -> float | np.ndarray:

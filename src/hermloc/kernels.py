@@ -12,11 +12,11 @@ costs O(n^2) per radius along the Hermite recurrence, so it is used only to
 build and certify a piecewise-polynomial form of the kernel (see
 :func:`kernel_form`).  Chebyshev interpolants are fitted on panels of width
 1/4 over [0, rcut], rcut = sqrt(4L+1) + 6 past the last turning point, then
-re-expanded on sub-panels of width 1/4, 1/8, ... (narrower as n grows),
-cut to the leading coefficients the certificate needs and turned into
-monomials.  The form is built once per process on first use -- a few
+re-expanded on dyadic sub-panels (width 1/64 at n = 6 and 8, 1/256 at
+n = 64), cut to the leading coefficients the certificate needs and turned
+into monomials.  The form is built once per process on first use -- a few
 milliseconds at n = 8 and about half a second at n = 64 -- and then costs
-one Horner sum of degree 9 to 13 per radius at every n from 2 to 96.
+one Horner sum of degree 6 to 8 per radius at every n from 2 to 96.
 
 The projection polynomials ``P_{m,q}`` and the degree-slice projections
 they come from are test-only oracles, kept in ``tests/oracles.py`` with the
@@ -57,24 +57,29 @@ _CUTOFF_MARGIN = 6.0
 # kept below 1% of the absolute part of it
 _CERT_BUDGET = 1e-13
 # Evaluated form.  Panels are halved until the highest local frequency over
-# half a sub-panel, sqrt(2) n w / 2, is at most this.  The Chebyshev
-# coefficients of a sub-panel then decay fast enough that a dozen or so meet
-# the certificate, and their monomial form, whose rounding grows like
-# (1 + sqrt(2))^k times the coefficient of T_k, stays near the noise level.
-_SUB_FREQUENCY = 1.5
+# half a sub-panel, sqrt(2) n w / 2, is at most this, or until the next
+# halving would leave a sub-panel without a point of the check grid.  The
+# Chebyshev coefficients of a sub-panel then fall below the certificate's
+# share after about seven terms (degree 6 to 8 from n = 2 to 96; 7 at
+# n = 32 and 64, where the grid stops the halving), and their monomial
+# form, whose rounding grows like (1 + sqrt(2))^k times the coefficient of
+# T_k, stays at the noise level.
+_SUB_FREQUENCY = 0.1
 # The coefficients cut from each sub-panel sum to at most this share of the
 # budget in absolute value, leaving the rest to rounding noise.
 _TRUNCATION_SHARE = 1.0 / 16.0
 # The check grid sees the rounding noise of the series and of the Horner
-# sum only at its own points.  On 4e6 random radii per table (nine tables,
-# n <= 16) the deviation reached 2.0 times the grid maximum, and at most 1.3
-# times it at n = 32 and n = 64 on 1e6 radii, so the certificate takes four
-# times it.
+# sum only at its own points.  On 4e6 random radii per table (the ten
+# tables of the tests, n = 2 to 64, 30% of the radii in [0, 1]) the
+# deviation reached at most 2.5 times the grid maximum (n = 10, q = 2), so
+# the certificate takes four times it.
 _GRID_SAFETY = 4.0
 _DEGREE_RAISES = 2
 # radii per evaluation block: keeps the Horner temporaries in cache and
 # the memory of one call flat in the number of radii
 _BLOCK = 32768
+# sub-panel coefficients re-expanded at a time while a form is built
+_EXPAND_BLOCK = 1 << 16
 
 
 def filter_h(t):
@@ -209,16 +214,17 @@ def _eval_even_series(a: np.ndarray, r: np.ndarray) -> np.ndarray:
 class KernelForm:
     """Piecewise-polynomial form of a compiled kernel on [0, rcut].
 
-    Sub-panel i covers [i w, (i+1) w) with w = ``width``; column i of
-    ``coeffs`` holds the monomial coefficients of its polynomial in
-    t^0 .. t^degree of the sub-panel variable t in [-1, 1].  The polynomials
-    are the fitted Chebyshev interpolants re-expanded on the sub-panels and
-    cut to the terms the certificate needs.  ``certificate`` bounds the
-    deviation from the series sum_l a[l] psi_{2l}(r) at every r >= 0:
-    ``_GRID_SAFETY`` times the largest deviation of this form on the check
-    grid of the fit (a margin for rounding noise between grid points), plus
-    the bound sum_l |a[l]| |psi_{2l}(rcut)| on the kernel beyond rcut, where
-    the form returns exactly 0.
+    Sub-panel i covers [i w, (i+1) w) with w = ``width``, a power of two;
+    column i of ``coeffs`` holds the monomial coefficients of its
+    polynomial in t^0 .. t^degree of the sub-panel variable t in [-1, 1].
+    One more column, all zeros, guards [rcut, inf): every radius there
+    evaluates to exactly 0.  The polynomials are the fitted Chebyshev
+    interpolants re-expanded on the sub-panels and cut to the terms the
+    certificate needs.  ``certificate`` bounds the deviation from the series
+    sum_l a[l] psi_{2l}(r) at every r >= 0: ``_GRID_SAFETY`` times the
+    largest deviation of this form on the check grid of the fit (a margin
+    for rounding noise between grid points), plus the bound
+    sum_l |a[l]| |psi_{2l}(rcut)| on the kernel beyond rcut.
     """
 
     coeffs: np.ndarray
@@ -228,7 +234,8 @@ class KernelForm:
 
     @property
     def panels(self) -> int:
-        return self.coeffs.shape[1]
+        """Sub-panels on [0, rcut], not counting the zero guard column."""
+        return self.coeffs.shape[1] - 1
 
     @property
     def degree(self) -> int:
@@ -244,27 +251,30 @@ class KernelForm:
         flat = r.ravel()
         out = np.empty_like(flat)
         for start in range(0, flat.size, _BLOCK):
-            x = flat[start : start + _BLOCK]
-            out[start : start + _BLOCK] = self._horner(x)
+            self._horner(flat[start : start + _BLOCK], out[start : start + _BLOCK])
         return out.reshape(r.shape)
 
-    def _horner(self, x: np.ndarray) -> np.ndarray:
-        """p = p t + c_k from k = degree down to 0 on one block.
+    def _horner(self, x: np.ndarray, p: np.ndarray) -> None:
+        """p = p t + c_k from k = degree down to 0 on one block, into ``p``.
 
-        Each c_k is gathered from the sub-panel of its radius.
+        Each c_k is gathered from the sub-panel of its radius; radii at or
+        past rcut fall on the all-zero guard column and give exactly 0.
+        The width is a power of two, so x / w is exact, and
+        t = 2 (x / w - i) - 1 maps sub-panel i onto [-1, 1] with one rounding.
         """
         coeffs = self.coeffs
-        far = x >= self.rcut
-        # radii past rcut are evaluated at rcut (t = 1), then zeroed
-        x = np.minimum(x, self.rcut)
-        idx = np.minimum((x * (1.0 / self.width)).astype(np.intp), self.panels - 1)
-        t = x * (2.0 / self.width) - (2 * idx + 1)
-        p = coeffs[-1].take(idx)
+        t = np.minimum(x, self.rcut)
+        t *= 1.0 / self.width
+        idx = t.astype(np.intp)
+        t -= idx
+        t *= 2.0
+        t -= 1.0
+        # every index is in range; "clip" skips the buffered bounds check
+        coeffs[-1].take(idx, out=p, mode="clip")
+        c_at = np.empty_like(p)
         for c in coeffs[-2::-1]:
             p *= t
-            p += c.take(idx)
-        p[far] = 0.0
-        return p
+            p += c.take(idx, out=c_at, mode="clip")
 
 
 def _tail_bound(a: np.ndarray, rcut: float) -> float:
@@ -343,22 +353,35 @@ def _sub_panel_maps(nodes: int, subs: int) -> np.ndarray:
 def _horner_coeffs(cheb: np.ndarray, subs: int, budget: float) -> np.ndarray:
     """Monomial coefficients on ``subs`` sub-panels per column of ``cheb``.
 
-    Sub-panel s of panel i becomes column i * subs + s.  Only the leading
-    Chebyshev coefficients are kept: the fewest for which the dropped ones
-    sum in absolute value to at most ``_TRUNCATION_SHARE * budget`` on every
-    sub-panel.  The kept ones go to monomials by the map of
-    ``numpy.polynomial.chebyshev.cheb2poly``.
+    Sub-panel s of panel i becomes column i * subs + s; one more column, of
+    zeros, follows the last.  Only the leading Chebyshev coefficients are
+    kept: the fewest for which the dropped ones sum in absolute value to at
+    most ``_TRUNCATION_SHARE * budget`` on every sub-panel.  The kept ones
+    go to monomials by the map of ``numpy.polynomial.chebyshev.cheb2poly``.
+    The panels are re-expanded in chunks of about ``_EXPAND_BLOCK``
+    coefficients, once to find the cut and once to keep what it leaves, so
+    the memory of a build does not grow with the number of sub-panels.
     """
     nodes, panels = cheb.shape
-    sub = np.matmul(_sub_panel_maps(nodes, subs), cheb)  # (subs, nodes, panels)
-    sub = sub.transpose(1, 2, 0).reshape(nodes, panels * subs)
-    dropped = np.max(np.cumsum(np.abs(sub[::-1]), axis=0)[::-1], axis=1)
+    maps = _sub_panel_maps(nodes, subs)
+    step = max(1, _EXPAND_BLOCK // (subs * nodes))
+    dropped = np.zeros(nodes)
+    for start in range(0, panels, step):
+        sub = np.matmul(maps, cheb[:, start : start + step])  # (subs, nodes, panels)
+        tails = np.cumsum(np.abs(sub[:, ::-1]), axis=1)[:, ::-1]
+        np.maximum(dropped, tails.max(axis=(0, 2)), out=dropped)
     keep = max(1, int(np.count_nonzero(dropped > _TRUNCATION_SHARE * budget)))
     to_mono = np.zeros((keep, keep))
     for k in range(keep):
         col = cheb2poly(np.eye(keep)[k])
         to_mono[: col.size, k] = col
-    return to_mono @ sub[:keep]
+    to_sub_mono = np.matmul(to_mono, maps[:, :keep])
+    coeffs = np.zeros((keep, panels * subs + 1))
+    for start in range(0, panels, step):
+        stop = min(start + step, panels)
+        mono = np.matmul(to_sub_mono, cheb[:, start:stop])  # (subs, keep, panels)
+        coeffs[:, start * subs : stop * subs] = mono.transpose(1, 2, 0).reshape(keep, -1)
+    return coeffs
 
 
 def _build_form(table: KernelTable) -> KernelForm:
@@ -371,10 +394,13 @@ def _build_form(table: KernelTable) -> KernelForm:
         panels += 1
         tail = _tail_bound(a, panels * _PANEL_WIDTH)
     rcut = panels * _PANEL_WIDTH
-    subs = 1
-    while math.sqrt(2.0) * table.n * _PANEL_WIDTH / subs / 2.0 > _SUB_FREQUENCY:
-        subs *= 2
     degree = max(16, int(1.3 * math.sqrt(2.0) * table.n * _PANEL_WIDTH + 12.0))
+    # the check grid has 2 (degree + 1) points per panel, at least one in
+    # every sub-panel
+    subs = 1
+    while (math.sqrt(2.0) * table.n * _PANEL_WIDTH / subs / 2.0 > _SUB_FREQUENCY
+           and subs <= degree + 1):
+        subs *= 2
     for _ in range(_DEGREE_RAISES + 1):
         cheb, grid, exact, peak = _fit_panels(a, panels, degree)
         budget = _CERT_BUDGET * max(1.0, peak)

@@ -71,7 +71,7 @@ class TestEstimate:
         assert len(lines) == 1
         line = lines[0]
         assert "table length 33" in line and "cutoff 17.5" in line
-        assert "70 panels of degree 13" in line and "certificate " in line
+        assert "1120 panels of width 1/64 and degree 6" in line and "certificate " in line
         with open(out_dir / "estimates.csv", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
         assert header == ["t", "y_1", "y_2", "y_3", "raw", "ratio"]

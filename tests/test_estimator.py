@@ -8,6 +8,7 @@ the kernel's unit mass.
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,56 @@ def _ill_conditioned_columns(m: int, seed: int) -> np.ndarray:
     return np.stack([alternating, cancelling, wide], axis=1)
 
 
+class TestSquaredDistances:
+    """The passes' radii, added up one coordinate at a time, at several Q."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_passes_match_norm_kernel_fsum_reference(self, dim):
+        # M is a power of two, so at alpha = 1 the factor 1/M is exact
+        rng = np.random.default_rng(40 + dim)
+        m = 512
+        pts = rng.normal(size=(m, dim))
+        ds = Dataset(pts, np.cos(pts.sum(axis=1)), 1)
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        xs = rng.normal(size=(30, dim))
+        num, den = value_and_unit_passes(ds, cfg, xs)
+        for i, x in enumerate(xs):
+            kern = eval_kernel(cfg.table, np.linalg.norm(pts - x[None, :], axis=1))
+            terms = np.stack([kern * ds.values, kern], axis=1)
+            want = np.array([math.fsum(col) for col in terms.T])
+            got = m * np.array([num[i], den[i]])
+            assert np.all(np.abs(got - want) <= _tree_sum_bound(terms, want)), (i, got, want)
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_single_equals_batch_bitwise(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        pts = rng.normal(size=(700, dim))
+        ds = Dataset(pts, np.sin(pts[:, 0]), 1)
+        cfg = EstimatorConfig.build(6.0, 0.5, 1)
+        xs = rng.normal(size=(250, dim))  # chunks of 93 points
+        num, den = value_and_unit_passes(ds, cfg, xs)
+        for i in (0, 92, 93, 186, 249):
+            one_num, one_den = value_and_unit_passes(ds, cfg, xs[i : i + 1])
+            assert (one_num[0], one_den[0]) == (num[i], den[i])
+
+    @pytest.mark.parametrize("count,m", [(64, 1024), (512, 1024), (512, 16384)])
+    def test_memory_is_flat_in_points_and_samples(self, count, m):
+        # a (T, M, Q) difference array alone would take 8 * 3 * T * M bytes,
+        # 201 MB at T = 512, M = 16384
+        rng = np.random.default_rng(60)
+        ds = Dataset(rng.normal(size=(m, 3)), np.ones(m), 1)
+        cfg = EstimatorConfig.build(6.0, 1.0, 1)
+        xs = rng.normal(size=(count, 3))
+        value_and_unit_passes(ds, cfg, xs[:1])  # build the kernel form first
+        tracemalloc.start()
+        try:
+            value_and_unit_passes(ds, cfg, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestTreeSums:
     @pytest.mark.parametrize("m", [1, 2, 3, 1000, 16384])
     def test_agrees_with_fsum_within_its_bound(self, m):
@@ -360,6 +411,17 @@ class TestContinuousOperator:
         a = continuous_operator_on_curve(const, ones, 16.0, 1.0, x)
         b = continuous_operator_on_curve(varying, ones, 16.0, 1.0, x)
         assert a == b
+
+    def test_quadrature_rule_is_built_once(self, monkeypatch):
+        spec = HelixSpec()
+        args = (spec.curve(), spec.target_ambient, 6.0, 1.0, spec.point(1.0))
+        first = continuous_operator_on_curve(*args)
+
+        def no_rebuild(_):
+            raise AssertionError("Gauss-Legendre rule rebuilt")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rebuild)
+        assert continuous_operator_on_curve(*args) == first
 
     def test_validation_and_convergence_guard(self):
         spec = HelixSpec()

@@ -7,6 +7,7 @@ frozen streams.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,22 @@ class TestHeatKernelBaseline:
         assert len(calls) == 1
         np.testing.assert_array_equal(num, want[0])
         np.testing.assert_array_equal(den, want[1])
+
+    def test_memory_is_flat_in_samples(self):
+        # an unchunked (N, M, Q) difference array would take 16 MB at
+        # M = 1024 and 64 MB at M = 4096
+        rng = np.random.default_rng(8)
+        xs = rng.normal(size=(512, 3))
+        peaks = []
+        for m in (1024, 4096):
+            ds = Dataset(rng.normal(size=(m, 3)), rng.normal(size=m), 1)
+            tracemalloc.start()
+            try:
+                heat_value_and_unit_passes(ds, 0.5, xs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0] and max(peaks) < 4 * 2**20, peaks
 
     def test_validation(self):
         ds = Dataset(np.zeros((2, 2)), np.ones(2), 1)

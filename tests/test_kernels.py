@@ -9,6 +9,7 @@ piecewise-Chebyshev form is checked against.
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,14 +210,17 @@ class TestKernelForm:
             form = kernel_form(table)
             assert form.rcut >= math.sqrt(4 * (table.a.size - 1) + 1) + 6.0
             far = np.array([form.rcut, np.nextafter(form.rcut, np.inf),
-                            form.rcut + 0.3, 2.0 * form.rcut, 1e6, 1e300])
+                            form.rcut + 0.3, 2.0 * form.rcut, 1e6, 1e300,
+                            np.finfo(float).max])
             assert np.all(eval_kernel(table, far) == 0.0)
             assert eval_kernel(table, form.rcut) == 0.0
 
     def test_attributes_read_only(self):
         form = kernel_form(compile_kernel(8.0, 1))
-        assert form.panels == 70 and form.rcut == 17.5
-        assert form.coeffs.shape == (form.degree + 1, form.panels)
+        assert form.panels == 1120 and form.width == 1 / 64 and form.rcut == 17.5
+        # one more column, all zeros, guards the radii past rcut
+        assert form.coeffs.shape == (form.degree + 1, form.panels + 1)
+        assert np.all(form.coeffs[:, -1] == 0.0)
         with pytest.raises(AttributeError):
             form.certificate = 0.0
         with pytest.raises(ValueError):
@@ -225,11 +229,40 @@ class TestKernelForm:
     def test_short_horner_on_dyadic_sub_panels(self):
         for n, q in self.CASES:
             form = kernel_form(compile_kernel(float(n), q))
-            assert form.degree <= 16, (n, q, form.degree)
+            assert form.degree <= 8, (n, q, form.degree)
             j = round(math.log2(0.25 / form.width))
             assert j >= 0 and form.width == 2.0**-j / 4, (n, q, form.width)
             assert form.panels * form.width == form.rcut, (n, q)
-        assert kernel_form(compile_kernel(64.0, 1)).width == 1 / 32
+        assert kernel_form(compile_kernel(6.0, 1)).width == 1 / 64
+        assert kernel_form(compile_kernel(64.0, 1)).width == 1 / 256
+
+    def test_check_grid_lands_in_every_sub_panel(self, monkeypatch):
+        fit = kernels._fit_panels
+        grids = []
+
+        def recording_fit(a, panels, degree):
+            out = fit(a, panels, degree)
+            grids.append(out[1])
+            return out
+
+        monkeypatch.setattr(kernels, "_FORMS", {})
+        monkeypatch.setattr(kernels, "_fit_panels", recording_fit)
+        for n, q in self.CASES:
+            form = kernel_form(compile_kernel(float(n), q))
+            hit = np.unique((grids[-1] / form.width).astype(np.intp))
+            np.testing.assert_array_equal(hit, np.arange(form.panels), err_msg=str((n, q)))
+
+    def test_cold_build_memory_at_n64(self, monkeypatch):
+        # re-expanding all 24,768 sub-panels at once would hold tens of MB
+        monkeypatch.setattr(kernels, "_FORMS", {})
+        table = compile_kernel(64.0, 1)
+        tracemalloc.start()
+        try:
+            kernel_form(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_missed_budget_names_last_fitted_degree(self, monkeypatch):
         monkeypatch.setattr(kernels, "_CERT_BUDGET", 1e-30)
