@@ -13,7 +13,6 @@ from .hermite import (
     QuadratureRule,
     gauss_hermite_rule,
     hermite_matrix,
-    quad_integrate,
 )
 from .kernels import (
     KernelForm,
@@ -51,7 +50,6 @@ from .deep_net import (
     PropagationReport,
     build_deep_approx,
     dag_from_doc,
-    estimate_lipschitz,
     eval_gfunction,
     make_pooling,
     propagation_gap,
@@ -78,7 +76,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
     "hermite_matrix",
-    "quad_integrate",
     "KernelForm",
     "KernelTable",
     "compile_kernel",
@@ -108,7 +105,6 @@ __all__ = [
     "PropagationReport",
     "build_deep_approx",
     "dag_from_doc",
-    "estimate_lipschitz",
     "eval_gfunction",
     "make_pooling",
     "propagation_gap",

@@ -46,7 +46,6 @@ __all__ = [
     "dag_from_doc",
     "write_dag_json",
     "eval_gfunction",
-    "estimate_lipschitz",
     "PropagationReport",
     "propagation_gap",
     "build_deep_approx",
@@ -290,20 +289,6 @@ def eval_gfunction(dag: Dag, inputs: Mapping, constituents: Mapping | None = Non
             raise ValueError(f"node {nid}: no constituent attached")
         funcs[nid] = fn
     return _walk(dag, inputs, funcs)[1][dag.sink]
-
-
-def estimate_lipschitz(fn: Callable, dim: int, rng: np.random.Generator,
-                       box: float = 1.0, trials: int = 200) -> float:
-    """Sampled difference-quotient bound; an estimate, not a certificate."""
-    best = 0.0
-    for _ in range(trials):
-        a = rng.uniform(-box, box, dim)
-        b = a + rng.normal(0.0, 0.1 * box, dim)
-        denom = float(np.linalg.norm(a - b))
-        if denom == 0.0:
-            continue
-        best = max(best, abs(float(fn(a)) - float(fn(b))) / denom)
-    return best
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,14 @@ values 1).  Both passes share one computation of the radii and the kernel
 matrix.  Its zero-mass policy, applied by ``guarded_ratio`` alone, covers
 every ratio of passes in the package.
 
-Each sum over the samples is a compensated pairwise tree of TwoSum steps,
-with the exact rounding errors added in a second tree (the error-free
-transformations of Ogita, Rump and Oishi, "Accurate sum and dot product",
-SIAM J. Sci. Comput. 2005); its error bound is stated in ``_tree_sums``.
-It runs as numpy element-wise operations, which release the GIL, so
-threads estimating separate batches run in parallel.
+Each sum over the samples is accurate by error-free extraction, on the
+(points, M) kernel rows as the form returns them; ``_row_sums`` states its
+error bound, no weaker than a compensated pairwise tree's up to M = 2**20 - 3.
+It is a fixed number of numpy operations per chunk, each releasing the GIL,
+so threads estimating separate batches run in parallel.  NaN and overflow
+policy: datasets and test points must be finite, and sample values that
+would overflow the sums (near 1e308 / M) raise ``ValueError`` naming max |F|
+and M, so no NaN comes out of finite input.
 
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
@@ -193,64 +195,51 @@ def _squared_distances(xs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _two_sum_error(a, b, s, out) -> None:
-    """``out`` = a + b - s exactly, for s = fl(a + b) (TwoSum); ``b`` is spoiled."""
-    np.subtract(s, a, out)  # z
-    np.subtract(b, out, b)  # b - z
-    np.subtract(s, out, out)  # s - z
-    np.subtract(a, out, out)  # a - (s - z)
-    np.add(out, b, out)  # e
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Accurate sum of each row of a C-contiguous (R, M) array; spoils ``rows``.
 
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008): with
+    P = 2**ceil(log2(M + 2)) and sigma a power of two above P * max|x| of
+    the row, hi = (x + sigma) - sigma and the remainder x - hi (at most
+    u*sigma in size) are exact, and the hi add up exactly in any order.
+    Each level repeats this on the remainders with sigma scaled by P*u: two
+    levels while P <= 2**15 (M <= 32766), three above.  The last remainders
+    are added by ``np.add.reduce`` and the partial sums joined by one TwoSum.
+    All steps are element-wise or along the row, so a row's sum depends only
+    on that row and on M.  With u = 2**-53 and exact sum S, the result s^ has
 
-def _tree_sums(terms: np.ndarray) -> np.ndarray:
-    """Compensated sum of each column of ``terms`` (M, K); overwrites ``terms``.
+        |s^ - S| <= u*|S| + (u**2 + c) * sum|x|,
+        c = 3*M**2*P**2*u**3 (two levels), 5*M*P**2*u**3 (three),
 
-    The M terms of a column are added in a fixed pairwise tree: at each
-    level, term i is paired with term i + w//2 of the current width w, and
-    an odd last term is carried up unchanged.  Every addition is a TwoSum,
-    so its rounding error is known exactly; those errors are added in a
-    second pairwise tree of the same shape and folded into the sum once, at
-    the end.  All steps are element-wise across columns, so each column's
-    result depends only on that column and on M.
-
-    With u = 2**-53, k = ceil(log2 M) and gamma_j = j*u / (1 - j*u), the
-    result s^ of a column with exact sum S satisfies
-
-        |s^ - S| <= u*|S| + gamma_k * gamma_{2k} * sum |terms|,
-
-    because the errors of the k levels add up to at most
-    (1 + u)*gamma_k*sum|terms| in magnitude, each passes through at most
-    2k - 2 additions of the error tree, and the final addition rounds once.
-    That is about eps/2*|S| + (k*eps)**2/2 * sum|terms| with eps = 2**-52:
-    the second term is the square of plain pairwise summation's bound.
+    within the tree bound u*|S| + gamma_k*gamma_{2k}*sum|x|, k = ceil(log2 M),
+    for every M <= 2**20 - 3; a single term comes back exactly.  A non-finite
+    term, or a sigma past the float range, raises ``ValueError``.
     """
-    width, cols = terms.shape
-    if width == 1:
-        return terms[0] + 0.0
-    # levels write (sum, error) pairs into two flat buffers in turn; the
-    # terms' own buffer is spent after the first level and large enough for
-    # every later one
-    bufs = (terms.reshape(-1), np.empty(2 * ((width + 1) // 2) * cols))
-    cur, flip = None, 1
-    while width > 1:
-        h, odd = width // 2, width % 2
-        nxt = bufs[flip][: 2 * (h + odd) * cols].reshape(2, h + odd, cols)
-        s = nxt[:, :h]
-        if cur is None:  # first level: the terms carry no errors yet
-            a, b = terms[:h], terms[h : 2 * h]
-            np.add(a, b, s[0])
-            _two_sum_error(a, b, s[0], s[1])
-            if odd:
-                nxt[0, h], nxt[1, h] = terms[2 * h], 0.0
-        else:
-            a, b = cur[:, :h], cur[:, h : 2 * h]
-            np.add(a, b, s)  # the sums and their error sums at once
-            _two_sum_error(a[0], b[0], s[0], a[1])  # a[1] is spent
-            np.add(s[1], a[1], s[1])
-            if odd:
-                nxt[:, h] = cur[:, 2 * h]
-        cur, width, flip = nxt, h + odd, 1 - flip
-    return cur[0, 0] + cur[1, 0]
+    bits = (rows.shape[1] + 1).bit_length()
+    top = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    # sigma = 2**(e + bits) with max|x| < 2**e is finite; false on inf or NaN
+    if not top.max() < 2.0 ** (1023 - bits):
+        raise ValueError(
+            f"a sum of {rows.shape[1]} terms up to {top.max():.3g} in size "
+            "overflows its extraction scale"
+        )
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + bits)[:, None]
+    hi = np.empty_like(rows)
+    exact = []
+    for _ in range(2 if bits <= 15 else 3):
+        np.add(rows, sigma, out=hi)
+        hi -= sigma
+        rows -= hi
+        exact.append(np.add.reduce(hi, axis=1))
+        sigma *= 2.0 ** (bits - 53)
+    a, b, *low = exact
+    rest = np.add.reduce(rows, axis=1)
+    for part in low:
+        rest += part
+    s = a + b
+    z = s - a
+    return s + (((a - (s - z)) + (b - z)) + rest)
 
 
 def _kernel_passes(
@@ -260,11 +249,10 @@ def _kernel_passes(
 
     The radii (from ``_squared_distances``) and the kernel matrix are
     computed once per chunk of test points, so memory stays flat in the
-    number of points.  Each kernel row is multiplied by the sample values
-    (value pass) and, if asked, also kept as it is (unit pass: bitwise the
-    value pass over all-ones values, since k * 1.0 == k); all these rows go
-    into one buffer and are summed together by ``_tree_sums``, a compensated
-    pairwise tree whose error bound is stated there.  A row's sum depends
+    number of points.  The kernel rows times the sample values (value
+    pass) and, if asked, a copy of the kernel rows (unit pass: bitwise the
+    value pass over all-ones values, since k * 1.0 == k) fill one C-contiguous
+    (passes * points, M) buffer, summed along its rows by ``_row_sums``.  A row's sum depends
     only on that row, so results per point are bitwise the same whatever
     the batch it sits in, and with or without the unit pass.
     """
@@ -280,14 +268,18 @@ def _kernel_passes(
         radii = _squared_distances(xs[start : start + rows], points_t)
         np.sqrt(radii, out=radii)
         radii *= lam
-        kern = form(radii).T
-        t = kern.shape[1]
-        terms = np.empty((ds.size, passes * t))
-        np.multiply(kern, ds.values[:, None], out=terms[:, :t])
+        kern = form(radii)
+        t = kern.shape[0]
+        terms = np.empty((passes * t, ds.size))
+        np.multiply(kern, ds.values, out=terms[:t])
         if unit_pass:
-            terms[:, t:] = kern
-        del radii, kern  # free before the tree and the next chunk
-        sums.append(factor * _tree_sums(terms).reshape(passes, t))
+            terms[t:] = kern
+        del radii, kern  # free before the sums and the next chunk
+        try:
+            sums.append(factor * _row_sums(terms).reshape(passes, t))
+        except ValueError as err:
+            big = np.max(np.abs(ds.values))
+            raise ValueError(f"sample values up to |F| = {big:.3g}, M = {ds.size}: {err}") from None
     sums = np.concatenate(sums, axis=1)
     return sums[0], (sums[1] if unit_pass else None)
 
@@ -296,10 +288,11 @@ def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     """Evaluate the estimator at many points; one kernel pass per batch.
 
     Each output entry is the estimator sum for its point: the kernel value
-    per sample, multiplied by the sample value, summed by a compensated
-    pairwise tree (error within u*|sum| + gamma_k*gamma_{2k}*sum|terms|,
-    k = ceil(log2 M); see ``_tree_sums``).  Results per point are
-    identical whether the point is evaluated alone or inside any batch.
+    per sample times the sample value, summed by error-free extraction to
+    within u*|S| + (u**2 + c)*sum|terms| of the exact sum S, with u = 2**-53
+    and c <= 3*M**2*P**2*u**3, P = 2**ceil(log2(M + 2)) (see ``_row_sums``).
+    Results per point are identical whether the point is evaluated alone
+    or inside any batch.  Values that overflow the sums raise ``ValueError``.
     """
     return _kernel_passes(ds, cfg, xs, unit_pass=False)[0]
 

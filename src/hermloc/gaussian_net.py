@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import binom as _binom
 
-from .estimator import Dataset
+from .estimator import Dataset, _row_sums
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from .kernels import filter_h
 
@@ -340,4 +340,4 @@ def shallow_net_estimate(ds: Dataset, net: GaussianNetwork, x) -> float:
     if ds.ambient_dim != net.dim:
         raise ValueError("dataset dimension does not match the network")
     vals = net(x[None, :] - ds.points)
-    return math.fsum((vals * ds.values).tolist()) / ds.size
+    return float(_row_sums((vals * ds.values)[None, :])[0]) / ds.size

@@ -26,16 +26,13 @@ which the quadrature code uses to Newton-polish its nodes as zeros of
 ``psi_m``.
 
 Quadrature rules integrate against ``exp(-x**2)``: a rule of size m is
-exact on polynomials of degree < 2m.  "Weightless" integration multiplies
-each weight by ``exp(node**2)`` so that plain integrals of functions that
-already carry their own decay can be formed with the same nodes.
+exact on polynomials of degree < 2m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -44,7 +41,6 @@ __all__ = [
     "QuadratureRule",
     "hermite_matrix",
     "gauss_hermite_rule",
-    "quad_integrate",
 ]
 
 _PI_M14 = math.pi ** -0.25
@@ -207,30 +203,3 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
     if np.any(weights <= 0):
         raise RuntimeError("quadrature weights failed to be positive")
     return QuadratureRule(int(m), nodes, weights)
-
-
-def quad_integrate(
-    rule: QuadratureRule,
-    f: Callable[[np.ndarray], np.ndarray],
-    weightless: bool = False,
-) -> float:
-    """Apply a quadrature rule to ``f``.
-
-    With ``weightless=False`` this approximates ``integral f(x) exp(-x**2) dx``
-    and is exact to rounding for polynomials of degree < 2m.  With
-    ``weightless=True`` each weight is multiplied by ``exp(node**2)`` so the
-    sum approximates the plain integral of ``f``; within the size cap the
-    inflated weights stay inside double range.
-
-    ``f`` is called once with the full node vector and must return a
-    same-length array of finite values.
-    """
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        raise ValueError("f must return one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("f returned non-finite values at quadrature nodes")
-    w = rule.weights
-    if weightless:
-        w = w * np.exp(rule.nodes**2)
-    return math.fsum((w * vals).tolist())

@@ -11,17 +11,21 @@ Hermite-function frame appear here in three interchangeable forms:
 which ties the compiled kernel of :mod:`hermloc.kernels` to the projection
 machinery; ``phi_localized`` is the d-dimensional filtered kernel built on
 ``proj_tensor``.
+
+Two helpers the tests share sit here too: ``quad_integrate`` applies a
+Gauss-Hermite rule, and ``estimate_lipschitz`` samples difference quotients.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import binom as _binom
 from scipy.special import gammaln, gammasgn
 
-from hermloc.hermite import hermite_matrix, psi_zero_even
+from hermloc.hermite import QuadratureRule, hermite_matrix, psi_zero_even
 from hermloc.kernels import filter_h
 
 MAX_COMPOSITIONS = 2_000_000
@@ -267,3 +271,44 @@ def phi_localized(n: float, d: int, x, y) -> float:
             continue
         total += h * proj_tensor(m, d, x, y)
     return float(total)
+
+
+def quad_integrate(
+    rule: QuadratureRule,
+    f: Callable[[np.ndarray], np.ndarray],
+    weightless: bool = False,
+) -> float:
+    """Apply a quadrature rule to ``f``.
+
+    With ``weightless=False`` this approximates ``integral f(x) exp(-x**2) dx``
+    and is exact to rounding for polynomials of degree < 2m.  With
+    ``weightless=True`` each weight is multiplied by ``exp(node**2)`` so the
+    sum approximates the plain integral of ``f``; within the size cap the
+    inflated weights stay inside double range.
+
+    ``f`` is called once with the full node vector and must return a
+    same-length array of finite values.
+    """
+    vals = np.asarray(f(rule.nodes), dtype=float)
+    if vals.shape != rule.nodes.shape:
+        raise ValueError("f must return one value per node")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("f returned non-finite values at quadrature nodes")
+    w = rule.weights
+    if weightless:
+        w = w * np.exp(rule.nodes**2)
+    return math.fsum((w * vals).tolist())
+
+
+def estimate_lipschitz(fn: Callable, dim: int, rng: np.random.Generator,
+                       box: float = 1.0, trials: int = 200) -> float:
+    """Sampled difference-quotient bound; an estimate, not a certificate."""
+    best = 0.0
+    for _ in range(trials):
+        a = rng.uniform(-box, box, dim)
+        b = a + rng.normal(0.0, 0.1 * box, dim)
+        denom = float(np.linalg.norm(a - b))
+        if denom == 0.0:
+            continue
+        best = max(best, abs(float(fn(a)) - float(fn(b))) / denom)
+    return best

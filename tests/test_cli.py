@@ -15,10 +15,12 @@ import pytest
 
 from hermloc import cli
 from hermloc.estimator import (
+    Dataset,
     EstimatorConfig,
     estimate_batch,
     ratio_reconstruction,
     read_dataset_csv,
+    write_dataset_csv,
 )
 from hermloc.experiments import HelixSpec
 from hermloc.gaussian_net import MAX_M, prefab_kernel_network
@@ -99,6 +101,17 @@ class TestEstimate:
             rows = list(csv.DictReader(fh))
         assert [float(r["raw"]) for r in rows] == want_raw.tolist()
         assert [float(r["ratio"]) for r in rows] == want_ratio.tolist()
+
+    def test_values_that_overflow_the_sums_exit_2(self, tmp_path, capsys):
+        _, pts = HelixSpec().grid(64)
+        data = tmp_path / "data.csv"
+        write_dataset_csv(Dataset(pts, np.full(64, 1e307), 1), str(data))
+        out_dir = tmp_path / "est"
+        rc = cli.main(["estimate", "--data", str(data), "--n", "8",
+                       "--helix-grid", "16", "--out", str(out_dir)])
+        assert rc == 2
+        assert "|F| = 1e+307" in capsys.readouterr().err
+        assert not (out_dir / "estimates.csv").exists()
 
 
 GRAPH = {

@@ -15,7 +15,6 @@ from hermloc.deep_net import (
     Dag,
     DagNode,
     build_deep_approx,
-    estimate_lipschitz,
     eval_gfunction,
     make_pooling,
     propagation_gap,
@@ -23,6 +22,7 @@ from hermloc.deep_net import (
     write_dag_json,
 )
 from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch, ratio_reconstruction
+from oracles import estimate_lipschitz
 
 
 def two_level_tree():

@@ -12,11 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermloc import estimator
 from hermloc.estimator import (
     _PAIRS_PER_CHUNK,
-    _tree_sums,
+    _row_sums,
     Curve,
     Dataset,
     EstimatorConfig,
@@ -206,10 +208,11 @@ class TestEstimate:
 
 
 def _tree_sum_bound(terms: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Largest |tree sum - fsum| that ``_tree_sums`` promises, per column.
+    """Largest |sum - fsum| of a compensated pairwise tree, per column.
 
     The tree is within u*|S| + gamma_k*gamma_{2k}*sum|terms| of the exact
     sum S, and fsum, the correctly rounded S, is within u*|S| of it.
+    ``_row_sums`` promises no more than the tree.
     """
     u = 2.0**-53
     k = math.ceil(math.log2(terms.shape[0]))
@@ -290,20 +293,84 @@ class TestSquaredDistances:
 
 
 class TestTreeSums:
-    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 16384])
+    """``_row_sums``, the estimator's one summation, against ``math.fsum``."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 16384, 100000])
     def test_agrees_with_fsum_within_its_bound(self, m):
         terms = _ill_conditioned_columns(m, seed=m)
         want = np.array([math.fsum(col) for col in terms.T])
         bound = _tree_sum_bound(terms, want)
-        got = _tree_sums(terms.copy())
+        got = _row_sums(np.ascontiguousarray(terms.T))
         assert np.all(np.abs(got - want) <= bound), (got, want, bound)
 
     def test_columns_are_independent(self):
-        # a column's sum does not depend on its neighbours or their count
-        terms = _ill_conditioned_columns(1000, seed=11)
-        alone = [_tree_sums(terms[:, [j]].copy())[0] for j in range(3)]
-        together = _tree_sums(np.tile(terms, (1, 3)).copy())
+        # a row's sum does not depend on its neighbours or their count
+        rows = np.ascontiguousarray(_ill_conditioned_columns(1000, seed=11).T)
+        alone = [_row_sums(rows[[j]].copy())[0] for j in range(3)]
+        together = _row_sums(np.tile(rows, (3, 1)))
         np.testing.assert_array_equal(together, np.tile(alone, 3))
+
+    @pytest.mark.parametrize("m", [2, 7, 9, 130, 1000, 40000])
+    def test_row_alone_equals_row_in_batch(self, m):
+        # the remainders are summed in numpy's order, which must not depend
+        # on how many rows share the call; three levels past M = 32766
+        rng = np.random.default_rng(m)
+        rows = rng.normal(size=(300, m)) * 10.0 ** rng.integers(-8, 8, (300, m))
+        together = _row_sums(rows.copy())
+        for count in (1, 2, 5, 64):
+            np.testing.assert_array_equal(_row_sums(rows[:count].copy()), together[:count])
+        for i in (0, 17, 299):
+            assert _row_sums(rows[i : i + 1].copy())[0] == together[i]
+
+    def test_zero_and_subnormal_rows(self):
+        tiny = np.random.default_rng(3).integers(-(2**20), 2**20, 5000) * 5e-324
+        rows = np.stack([np.zeros(5000), tiny, np.full(5000, 5e-324)])
+        got = _row_sums(rows.copy())
+        # sums of multiples of 2**-1074 this small are exact
+        assert got.tolist() == [0.0, math.fsum(tiny), 5000 * 5e-324]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        decades=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+        cancel=st.booleans(),
+        extra=st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), max_size=8
+        ),
+    )
+    def test_random_rows_within_the_tree_bound(self, m, seed, decades, cancel, extra):
+        rng = np.random.default_rng(seed)
+        low, high = sorted(decades)
+        row = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(low, high, m)
+        row[: len(extra)] = extra[:m]
+        if cancel and m > 1:
+            row[-1] = -math.fsum(row[:-1])
+        want = np.array([math.fsum(row)])
+        got = _row_sums(row[None, :].copy())
+        assert np.abs(got - want) <= _tree_sum_bound(row[:, None], want), (got, want)
+
+    def test_overflowing_scale_raises(self):
+        with pytest.raises(ValueError, match="1000 terms up to 1e\\+306"):
+            _row_sums(np.full((2, 1000), 1e306))
+        with pytest.raises(ValueError):
+            _row_sums(np.array([[1.0, math.inf]]))
+        # P = 2**10 at M = 1000: the scale stays finite up to max|x| < 2**1013
+        assert _row_sums(np.full((1, 1000), 2.0**1012)) == [1000 * 2.0**1012]
+        with pytest.raises(ValueError):
+            _row_sums(np.full((1, 1000), 2.0**1013))
+
+    def test_estimator_rejects_values_that_overflow_its_sums(self):
+        # all samples near one point put every kernel row near its peak, so
+        # sums of values 1e306 overflow, while 1e300 still works
+        pts = np.random.default_rng(24).normal(scale=1e-3, size=(1024, 3))
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        ds = Dataset(pts, np.full(1024, 1e306), 1)
+        for fn in (estimate_batch, ratio_reconstruction):
+            with pytest.raises(ValueError, match="1e\\+306, M = 1024"):
+                fn(ds, cfg, pts[:3])
+        ok = ratio_reconstruction(Dataset(pts, np.full(1024, 1e300), 1), cfg, pts[:3])
+        np.testing.assert_allclose(ok, 1e300, rtol=1e-13)
 
     def test_single_equals_batch_at_odd_width(self):
         # M = 1000 is not a power of two; 200 points span four chunks

@@ -19,8 +19,8 @@ from hermloc.hermite import (
     gauss_hermite_rule,
     hermite_matrix,
     psi_zero_even,
-    quad_integrate,
 )
+from oracles import quad_integrate
 
 PI_M14 = math.pi ** -0.25
 
