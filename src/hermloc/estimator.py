@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelTable, compile_kernel, kernel_form
+from .kernels import KernelForm, KernelTable, compile_kernel, kernel_form
 
 __all__ = [
     "Dataset",
@@ -362,6 +362,16 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.cache
+def _curve_form(n: float) -> KernelForm:
+    """The certified form of ``compile_kernel(n, 1)``, looked up once per n.
+
+    The continuous operator is called many times at one n; this skips
+    rebuilding the table and hashing its bytes on every call.
+    """
+    return kernel_form(compile_kernel(n, 1))
+
+
 class QuadratureConvergenceError(RuntimeError):
     """Raised when panel refinement does not reach the requested tolerance."""
 
@@ -393,7 +403,7 @@ def continuous_operator_on_curve(
     if not np.isfinite(lam) or lam < 1.0:
         raise ValueError("lam must be a finite real >= 1")
     x = np.asarray(x, dtype=float).reshape(-1)
-    form = kernel_form(compile_kernel(n, 1))
+    form = _curve_form(float(n))
     span = curve.t1 - curve.t0
     if span <= 0:
         raise ValueError("curve must have t1 > t0")

@@ -54,7 +54,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .estimator import (
     _PAIRS_PER_CHUNK,
@@ -403,7 +402,8 @@ def bernstein_demo(f: Callable[[float], float], n: int, x) -> float | np.ndarray
         raise ValueError("x must lie in [0, 1]")
     k = np.arange(n + 1)
     fvals = np.array([float(f(ki / n)) for ki in k])
-    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_binom = np.array([math.lgamma(n + 1) - math.lgamma(ki + 1) - math.lgamma(n - ki + 1)
+                          for ki in range(n + 1)])
     out = np.empty(pts.shape)
     for i, xi in enumerate(pts):
         if xi == 0.0:

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import binom as _binom
 
 from .estimator import Dataset, _row_sums
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
@@ -289,7 +288,10 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     nonzero only for all-even k (psi_k(0) vanishes otherwise) with
     |k|_1 < n**2.  The dense tensor of the b_k is the Q-fold outer product
     of the psi_k(0) vector, times the prefactor, times the filter sum
-    looked up by |k|_1.
+    looked up by |k|_1.  The binomials are running products
+    binom(h, j) = prod_{i < j} (h - i) / (i + 1), and the center grid comes
+    from :func:`hermloc.hermite.gauss_hermite_rule`, so a build needs numpy
+    alone.
     """
     if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_M:
         # the synthesis parameter m is n, capped by poly_to_gaussian
@@ -308,7 +310,8 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     # order of increasing degree, skipping zero filter values.  It stays 0
     # at odd totals and at every total >= n**2.
     h = filter_h(np.sqrt(np.arange(n2)) / n).tolist()
-    binoms = [float(_binom(half, ell)) for ell in range(n2 // 2 + 1)]
+    i = np.arange(n2 // 2, dtype=float)
+    binoms = np.concatenate([[1.0], np.multiply.accumulate((half - i) / (i + 1.0))]).tolist()
     acc_by_total = np.zeros(Q * (n2 - 1) + 1)
     for kk in range(0, n2, 2):
         acc = 0.0

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "QuadratureRule",
@@ -58,16 +57,17 @@ _NEWTON_STEPS = 2
 _NEWTON_STEP_CAP = 1e-10
 
 
-def eigh_tridiagonal(diag, off, eigvals_only):
-    """``scipy.linalg.eigh_tridiagonal``, imported on first use.
+def _jacobi_eigenvalues(m: int) -> np.ndarray:
+    """Eigenvalues, ascending, of the m x m Gauss-Hermite Jacobi matrix.
 
-    Only :func:`gauss_hermite_rule` needs it.  Importing ``scipy.linalg``
-    adds about 60 ms and several MB to a cold start, which paths that never
-    build a rule (the helix run, for one) do not pay.
+    The matrix has zero diagonal and off-diagonal entries sqrt(k/2); numpy's
+    dense symmetric solver takes it whole.  At m <= MAX_RULE_SIZE that is
+    a few milliseconds, and after the Newton polish of
+    :func:`gauss_hermite_rule` the nodes are the same as from a tridiagonal
+    solver.
     """
-    from scipy.linalg import eigh_tridiagonal as solve
-
-    return solve(diag, off, eigvals_only=eigvals_only)
+    off = np.sqrt(np.arange(1, m) / 2.0)
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
 
 @dataclass(frozen=True)
@@ -110,23 +110,32 @@ def hermite_matrix(kmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _central_binomial_ratios(count: int) -> np.ndarray:
+    """Vector of (2l)! / (4**l (l!)**2) = prod_{i <= l} (2i - 1) / (2i), l = 0 .. count - 1.
+
+    One running product of the rounded ratios, with no cancellation:
+    within 4e-15 relative for l <= 2048 (3.3e-15 at most, against exact
+    rationals).
+    """
+    i = np.arange(1, count, dtype=float)
+    ratios = np.ones(count)
+    ratios[1:] = (2.0 * i - 1.0) / (2.0 * i)
+    return np.multiply.accumulate(ratios)
+
+
 def psi_zero_even(count: int) -> np.ndarray:
     """Vector of ``psi_{2l}(0)`` for ``l = 0 .. count - 1`` (odd ``psi_k(0)`` are 0).
 
-    psi_{2l}(0) = pi**(-1/4) (-1)**l sqrt((2l)!) / (2**l l!), through log-gamma.
+    psi_{2l}(0) = pi**(-1/4) (-1)**l sqrt((2l)! / (4**l (l!)**2)), the
+    square root of :func:`_central_binomial_ratios`: within 2e-15 relative
+    for l <= 2048 (1.8e-15 at most, at l = 1289, against 50-digit values).
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    ell = 2.0 * np.arange(count)
-    half = np.arange(count)
-    lg = (
-        -0.25 * math.log(math.pi)
-        + 0.5 * gammaln(ell + 1.0)
-        - half * math.log(2.0)
-        - gammaln(half + 1.0)
-    )
-    signs = np.where(half % 2 == 0, 1.0, -1.0)
-    return signs * np.exp(lg)
+    out = np.sqrt(_central_binomial_ratios(count))
+    out *= _PI_M14
+    out[1::2] *= -1.0
+    return out
 
 
 def _symmetrize_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -172,12 +181,10 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
     if m == 1:
         return QuadratureRule(1, np.zeros(1), np.array([_SQRT_PI]))
 
-    diag = np.zeros(m)
-    off = np.sqrt(np.arange(1, m) / 2.0)
     try:
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+        nodes = _jacobi_eigenvalues(m)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise RuntimeError(f"tridiagonal eigensolver failed for m={m}") from exc
+        raise RuntimeError(f"Jacobi eigensolver failed for m={m}") from exc
 
     nodes = _symmetrize_nodes(nodes)
     for _ in range(_NEWTON_STEPS):

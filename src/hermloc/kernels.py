@@ -15,12 +15,12 @@ build and certify a piecewise-polynomial form of the kernel (see
 re-expanded on dyadic sub-panels (width 1/64 at n = 6 and 8, 1/256 at
 n = 64), cut to the leading coefficients the certificate needs and turned
 into monomials.  The form is built once per process on first use -- a few
-milliseconds at n = 8 and about half a second at n = 64 -- and then costs
+milliseconds at n = 8 and about 0.2 s at n = 64 -- and then costs
 one Horner sum of degree 6 to 8 per radius at every n from 2 to 96.
 
-The projection polynomials ``P_{m,q}`` and the degree-slice projections
-they come from are test-only oracles, kept in ``tests/oracles.py`` with the
-checks that tie them to the compiled table.
+The module needs numpy alone.  The projection polynomials ``P_{m,q}`` and
+the degree-slice projections they come from are test-only oracles, kept in
+``tests/oracles.py`` with the checks that tie them to the compiled table.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
-from scipy.special import gammaln, logsumexp
 
-from .hermite import psi_zero_even
+from .hermite import _central_binomial_ratios, psi_zero_even
 
 __all__ = [
     "filter_h",
@@ -125,6 +124,12 @@ def compile_kernel(n: float, q: int) -> KernelTable:
     The table entry l collects a_l = sum_{m >= l} H(sqrt(2m)/n) c_{m,l}
     where c_{m,l} is the psi_{2l} coefficient of P_{m,q}; entries with
     2l >= n**2 are exactly zero because the filter vanishes there.
+
+    The factorial factors of c_{m,l} are running products of ratios --
+    (2l)! / (4**l (l!)**2) = prod_{i <= l} (2i - 1) / (2i), and
+    Gamma(alpha + l) / (Gamma(alpha) l!) with alpha = (q - 1) / 2 as a
+    product of about alpha factors -- never differences of log-gamma
+    values, which cancel logs of size 1e4 at n = 64.
     """
     if not np.isfinite(n) or n < 1:
         raise ValueError("n must be a finite real >= 1")
@@ -141,16 +146,17 @@ def compile_kernel(n: float, q: int) -> KernelTable:
     if q == 1:
         a = hvals * psi_zero_even(L + 1)
     else:
-        alpha = (q - 1.0) / 2.0
-        ell = np.arange(L + 1)
-        log_a_mag = (
-            -(2.0 * q - 1.0) / 4.0 * math.log(math.pi)
-            - gammaln(alpha)
-            + 0.5 * gammaln(2.0 * ell + 1.0)
-            - ell * math.log(2.0)
-            - gammaln(ell + 1.0)
-        )
-        log_b = gammaln(alpha + ell) - gammaln(ell + 1.0)
+        ratios = _central_binomial_ratios(L + 1)  # (2l)! / (4**l (l!)**2)
+        ell = np.arange(L + 1, dtype=float)
+        # log b_l, b_l = Gamma(alpha + l) / (Gamma(alpha) l!) = prod_c (1 + l / c)
+        # over c = alpha - 1, alpha - 2, ... > 0, times the ratio above when
+        # alpha is a half-integer (q even); Gamma(alpha) cancels from a_l
+        log_b = np.zeros(L + 1)
+        if q % 2 == 0:
+            log_b += np.log(ratios)
+        for c in np.arange((q - 3) / 2.0, 0.0, -1.0):
+            log_b += np.log1p(ell / c)
+        log_a_mag = -(2.0 * q - 1.0) / 4.0 * math.log(math.pi) + 0.5 * np.log(ratios)
         with np.errstate(divide="ignore"):
             log_h = np.log(hvals)
         # inner_l = log sum_j exp(log_h[l + j] + log_b[j]); all terms >= 0
@@ -164,7 +170,7 @@ def compile_kernel(n: float, q: int) -> KernelTable:
             idx = lblock[:, None] + np.arange(width)[None, :]
             mat = np.where(idx <= L, log_h[np.minimum(idx, L)], -np.inf)
             mat = mat + log_b[None, : width]
-            inner[start:stop] = logsumexp(mat, axis=1)
+            inner[start:stop] = _logsumexp(mat)
         signs = np.where(np.arange(L + 1) % 2 == 0, 1.0, -1.0)
         with np.errstate(under="ignore"):
             a = signs * np.exp(log_a_mag + inner)
@@ -183,12 +189,17 @@ def _eval_even_series(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     of the result is bitwise reproducible regardless of batch shape.
     """
     r = np.asarray(r, dtype=float)
-    shape = r.shape
-    x = np.ascontiguousarray(r.ravel())
-    psi_prev = (math.pi ** -0.25) * np.exp(-0.5 * x * x)  # psi_0
-    acc = a[0] * psi_prev
-    if a.size == 1:
-        return acc.reshape(shape)
+    x = r.ravel()
+    psi_0 = (math.pi ** -0.25) * np.exp(-0.5 * x * x)
+    out = a[0] * psi_0
+    # past r ~ 38.6 psi_0 underflows to 0, and with it every psi_k: those
+    # entries are final, and only the others run the recurrence
+    live = np.flatnonzero(psi_0)
+    if a.size == 1 or live.size == 0:
+        return out.reshape(r.shape)
+    x = x[live]
+    psi_prev = psi_0[live]
+    acc = out[live]
     psi_cur = x * psi_prev
     psi_cur *= math.sqrt(2.0)  # psi_1
     kmax = 2 * (a.size - 1)
@@ -207,7 +218,8 @@ def _eval_even_series(a: np.ndarray, r: np.ndarray) -> np.ndarray:
             if coef != 0.0:
                 np.multiply(psi_cur, coef, out=tmp)
                 acc += tmp
-    return acc.reshape(shape)
+    out[live] = acc
+    return out.reshape(r.shape)
 
 
 @dataclass(frozen=True)
@@ -295,7 +307,15 @@ def _tail_bound(a: np.ndarray, rcut: float) -> float:
         if k % 2 == 0:
             log_psi[k // 2] = log_psi[0] + shift + math.log(abs(cur))
     with np.errstate(divide="ignore"):
-        return float(np.exp(logsumexp(np.log(np.abs(a)) + log_psi)))
+        return float(np.exp(_logsumexp(np.log(np.abs(a)) + log_psi)))
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log sum exp(x) along the last axis, shifted by each row's max; -inf rows give -inf."""
+    top = np.max(x, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(x - top), axis=-1)) + top[..., 0]
 
 
 def _fit_panels(

@@ -146,15 +146,28 @@ class TestSubcommandsWriteOutput:
             assert (tmp_path / name).stat().st_size > 0
 
     def test_helix_leaves_scipy_linalg_unimported(self, tmp_path):
-        # only a Gauss-Hermite rule needs scipy.linalg, and helix builds none
-        code = ("import sys; from hermloc import cli; "
-                "rc = cli.main(['helix', '--m', '16', '--n', '4', '--test-points', '8', "
-                f"'--out', {str(tmp_path)!r}]); "
+        # the package needs numpy alone: no scipy module is loaded by the
+        # import, the default-size helix run or a Gaussian-network build
+        code = ("import sys\n"
+                "def scipy_modules():\n"
+                "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "import hermloc\n"
+                "seen = [scipy_modules()]\n"
+                "from hermloc import cli\n"
+                "rc = cli.main(['helix', '--test-points', '64', "
+                f"'--out', {str(tmp_path)!r}])\n"
+                "seen.append(scipy_modules())\n"
+                "from hermloc.gaussian_net import prefab_kernel_network\n"
+                "prefab_kernel_network(4, 1, 2, 1.0)\n"
+                "seen.append(scipy_modules())\n"
+                "print(seen)\n"
                 "print(rc, 'scipy.linalg' in sys.modules)")
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        lines = proc.stdout.splitlines()
+        assert lines[-2] == "[[], [], []]"
+        assert lines[-1] == "0 False"
 
     def test_baseline_heat(self, tmp_path):
         rc = cli.main(["baseline-heat", "--m", "16", "--times", "0.1", "--n-list", "4",

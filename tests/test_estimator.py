@@ -490,6 +490,26 @@ class TestContinuousOperator:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rebuild)
         assert continuous_operator_on_curve(*args) == first
 
+    def test_kernel_form_is_looked_up_once_per_n(self, monkeypatch):
+        spec = HelixSpec()
+        points = [spec.point(t) for t in (1.0, 2.5, 4.0)]
+        estimator._curve_form.cache_clear()
+        cold = []
+        for x in points:
+            cold.append(continuous_operator_on_curve(spec.curve(), spec.target_ambient, 6.0, 1.0, x))
+            estimator._curve_form.cache_clear()
+        calls = []
+
+        def counted(n, q):
+            calls.append((n, q))
+            return compile_kernel(n, q)
+
+        monkeypatch.setattr(estimator, "compile_kernel", counted)
+        warm = [continuous_operator_on_curve(spec.curve(), spec.target_ambient, 6.0, 1.0, x)
+                for x in points * 2]
+        assert len(calls) <= 1
+        assert warm == cold * 2
+
     def test_validation_and_convergence_guard(self):
         spec = HelixSpec()
         curve = spec.curve()

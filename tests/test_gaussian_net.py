@@ -217,9 +217,9 @@ class TestBasisSynthesis:
 # Q = 1, as built from the sparse multi-index form the dense tensor replaced
 PREFAB_REFERENCE = {
     (4, 1, 2, 1.0): (5.001290016700444, -0.0015601963870406845, 0.08391101313177043),
-    (6, 2, 2, 1.0): (5248.020804140972, 0.0008577802933832384, 0.7982915330999923),
+    (6, 2, 2, 1.0): (5248.020804140962, 0.0008577802933832395, 0.7982915330999827),
     (4, 2, 3, 1.0): (1.9674576570916358, 3.132405040703613e-05, -0.0003235193785980402),
-    (6, 2, 3, 1.0): (3236.0030092822303, -3.086019105581379e-07, 9.572962338171953e-05),
+    (6, 2, 3, 1.0): (3236.0030092822235, -3.0860191055813785e-07, 9.57296233817192e-05),
     (3, 1, 1, 0.5): (1.8598263442661065, 0.21425586053891982, -0.8547758908463988),
     (5, 1, 3, 0.5): (146.96536001485325, 2.1988666233782057e-06, -0.0003033408004575293),
     (2, 1, 2, 1.0): (0.26470565297032417, -0.06150535789128299, -0.016530498585212515),

@@ -1,15 +1,18 @@
 """Hermite functions and Gauss-Hermite quadrature.
 
-Oracles: closed forms for psi_0, psi_1, psi_2; analytic Gaussian moments
-Gamma(j + 1/2); the classical 5-point Gauss-Hermite rule; numpy's
-independent hermgauss implementation; and 60-digit reference values for
-the extreme node and weight of the m=256 rule.
+Oracles: closed forms for psi_0, psi_1, psi_2; 50-digit mpmath values of
+psi_{2l}(0); analytic Gaussian moments Gamma(j + 1/2); the classical
+5-point Gauss-Hermite rule; numpy's independent hermgauss implementation;
+rules started from scipy's tridiagonal eigensolver; and 60-digit reference
+values for the extreme node and weight of the m=256 rule.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma
 
 from hermloc.gaussian_net import MAX_M
@@ -109,6 +112,23 @@ class TestPsiAtZero:
         with pytest.raises(ValueError):
             psi_zero_even(0)
 
+    def test_matches_mpmath(self):
+        # pi**(-1/4) (-1)**l sqrt((2l)! / (4**l (l!)**2)) at 50 digits, by
+        # the exact running product of (2i - 1) / (2i)
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        ratio, want = mp.mpf(1), []
+        for l in range(2049):
+            if l:
+                ratio = ratio * (2 * l - 1) / (2 * l)
+            want.append(float((-1) ** l * mp.pi ** mp.mpf(-0.25) * mp.sqrt(ratio)))
+        want = np.array(want)
+        got = psi_zero_even(2049)
+        picked = list(range(41)) + [500, 1000, 2048]
+        assert np.all(np.abs(got[picked] - want[picked]) <= 4 * np.spacing(np.abs(want[picked])))
+        # the documented bound over the whole range
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
 
 class TestGaussHermiteRule:
     def test_frozen_five_point_rule(self):
@@ -163,6 +183,25 @@ class TestGaussHermiteRule:
             5.235854530678407140045257e-211, rel=5e-13, abs=0
         )
 
+    def test_matches_tridiagonal_solver(self, monkeypatch):
+        # the dense eigensolver's first guesses give the same rule as
+        # scipy's tridiagonal one, within the documented accuracy
+        import hermloc.hermite as hermite_mod
+
+        dense = [gauss_hermite_rule(m) for m in range(1, MAX_RULE_SIZE + 1)]
+
+        def tridiagonal(m):
+            off = np.sqrt(np.arange(1, m) / 2.0)
+            return eigh_tridiagonal(np.zeros(m), off, eigvals_only=True)
+
+        monkeypatch.setattr(hermite_mod, "_jacobi_eigenvalues", tridiagonal)
+        for m, want in enumerate(dense, start=1):
+            rule = gauss_hermite_rule(m)
+            atol = 4 * np.spacing(np.maximum(1.0, np.abs(want.nodes)))
+            assert np.all(np.abs(rule.nodes - want.nodes) <= atol), f"m={m}"
+            np.testing.assert_allclose(rule.weights, want.weights, rtol=1e-13, atol=0,
+                                       err_msg=f"m={m}")
+
     def test_moments_match_gamma(self):
         # integral x^{2j} exp(-x^2) dx = Gamma(j + 1/2)
         rule = gauss_hermite_rule(20)
@@ -202,12 +241,12 @@ class TestGaussHermiteRule:
 
         true_nodes = np.polynomial.hermite.hermgauss(8)[0]
 
-        def bad_eigensolver(diag, off, eigvals_only):
+        def bad_eigensolver(m):
             nodes = true_nodes.copy()
             nodes[[0, -1]] += [0.1, -0.1]
             return nodes
 
-        monkeypatch.setattr(hermite_mod, "eigh_tridiagonal", bad_eigensolver)
+        monkeypatch.setattr(hermite_mod, "_jacobi_eigenvalues", bad_eigensolver)
         with pytest.raises(RuntimeError, match="wrong root"):
             gauss_hermite_rule(8)
 

@@ -1,9 +1,9 @@
 """Filter, projection polynomials, compiled kernels, reductions.
 
 Oracles: the tensor-product slice enumeration (proj_tensor), closed-form
-Mehler sums, frozen coefficient values cross-checked at build time, and the
-Hermite series over the compiled table, which the evaluated
-piecewise-Chebyshev form is checked against.
+Mehler sums, frozen coefficient values cross-checked at build time, 40-digit
+mpmath tables at q = 2 and 3, and the Hermite series over the compiled
+table, which the evaluated piecewise-Chebyshev form is checked against.
 """
 
 import math
@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,6 +147,37 @@ class TestCompileKernel:
                 oracle = phi_localized(n, q, zero, e1)
                 assert eval_kernel(table, r) == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_tables_match_mpmath(self, q):
+        # a_l = (-1)**l pi**(-(2q-1)/4) sqrt((2l)!) / (2**l l!)
+        #       * sum_j H(sqrt(2(l + j))/n) Gamma(alpha + j) / (Gamma(alpha) j!),
+        # alpha = (q - 1)/2, filter included, at 40 digits
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+
+        def filt(t):
+            if t <= 0.5:
+                return mp.mpf(1)
+            if t >= 1:
+                return mp.mpf(0)
+            up, down = mp.exp(-1 / (2 - 2 * t)), mp.exp(-1 / (2 * t - 1))
+            return up / (up + down)
+
+        alpha = mp.mpf(q - 1) / 2
+        for n in range(4, 9):
+            got = compile_kernel(float(n), q).a
+            L = got.size - 1
+            h = [filt(mp.sqrt(2 * m) / n) for m in range(L + 1)]
+            b = [mp.gamma(alpha + j) / (mp.gamma(alpha) * mp.factorial(j)) for j in range(L + 1)]
+            want = np.array([
+                float((-1) ** l * mp.pi ** (-mp.mpf(2 * q - 1) / 4)
+                      * mp.sqrt(mp.factorial(2 * l)) / (2 ** l * mp.factorial(l))
+                      * mp.fsum(h[l + j] * b[j] for j in range(L + 1 - l)))
+                for l in range(L + 1)
+            ])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)),
+                                       err_msg=f"n={n} q={q}")
+
     def test_localization(self):
         # bandwidth-n kernels concentrate near 0: the far tail is small
         rs = np.linspace(4.0, 16.0, 400)
@@ -203,6 +235,17 @@ class TestKernelForm:
             assert dev <= form.certificate, (n, q, dev, form.certificate)
             peak = float(np.max(np.abs(series)))
             assert form.certificate <= 1e-13 * max(1.0, peak), (n, q)
+
+    def test_series_single_equals_batch_across_underflow(self):
+        # psi_0 underflows to 0 between r = 38.5 and 38.7: such radii are
+        # exactly 0 and leave the others' values untouched
+        a = compile_kernel(16.0, 2).a
+        rs = np.array([38.7, 0.0, 5.0, 1e3, 38.5, 12.25, 40.0])
+        batch = _eval_even_series(a, rs)
+        single = [_eval_even_series(a, np.array([r]))[0] for r in rs]
+        np.testing.assert_array_equal(batch, single)
+        assert batch[0] == batch[3] == batch[6] == 0.0
+        np.testing.assert_array_equal(_eval_even_series(a, rs[[0, 3, 6]]), 0.0)
 
     def test_zero_beyond_cutoff(self):
         for n, q in [(1, 1), (8, 2), (64, 1)]:
