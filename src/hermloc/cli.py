@@ -271,6 +271,8 @@ def _cmd_baseline_heat(args) -> int:
 
 def _cmd_demo_bernstein(args) -> int:
     n_list = [int(s) for s in args.n_list.split(",")]
+    if args.grid < 1:
+        raise ValueError("--grid must be at least 1")
     xs = np.linspace(0.0, 1.0, args.grid)
     target = xs * (1.0 - xs)
     rows = []

@@ -50,7 +50,7 @@ import numpy as np
 
 from .estimator import Dataset, _row_sums
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
-from .kernels import filter_h
+from .kernels import _filter_sums
 
 __all__ = [
     "GaussianNetwork",
@@ -282,16 +282,15 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     stores the input scale n**(1-alpha), and folds the estimator prefactor
     n**(q(1-alpha)) into the coefficients.  The psi_k coefficient of P is
 
-        b_k = psi_k(0) * pi**((Q-q)/2) * sum_{m >= |k|, m = |k| mod 2}
-              H(sqrt(m)/n) (-1)**((m-|k|)/2) binom((Q-q)/2, (m-|k|)/2),
+        b_k = psi_k(0) * pi**s * F_s(|k|_1 / 2),   s = (Q-q)/2,
 
-    nonzero only for all-even k (psi_k(0) vanishes otherwise) with
-    |k|_1 < n**2.  The dense tensor of the b_k is the Q-fold outer product
-    of the psi_k(0) vector, times the prefactor, times the filter sum
-    looked up by |k|_1.  The binomials are running products
-    binom(h, j) = prod_{i < j} (h - i) / (i + 1), and the center grid comes
-    from :func:`hermloc.hermite.gauss_hermite_rule`, so a build needs numpy
-    alone.
+    with the filter sum F_s(l) = sum_j H(sqrt(2(l+j))/n) (-1)**j binom(s, j)
+    of :func:`hermloc.kernels._filter_sums`, the same sum the kernel table
+    takes at s = -(q-1)/2.  b_k is nonzero only for all-even k (psi_k(0)
+    vanishes otherwise) with |k|_1 < n**2.  The dense tensor of the b_k is
+    the Q-fold outer product of the psi_k(0) vector, times pi**s, times the
+    filter sum looked up by |k|_1.  The center grid comes from
+    :func:`hermloc.hermite.gauss_hermite_rule`, so a build needs numpy alone.
     """
     if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_M:
         # the synthesis parameter m is n, capped by poly_to_gaussian
@@ -306,21 +305,11 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     n2 = n * n
     half = (Q - q) / 2.0
     pref = math.pi ** half
-    # the filter sum depends on k only through |k|_1; terms are added in the
-    # order of increasing degree, skipping zero filter values.  It stays 0
-    # at odd totals and at every total >= n**2.
-    h = filter_h(np.sqrt(np.arange(n2)) / n).tolist()
-    i = np.arange(n2 // 2, dtype=float)
-    binoms = np.concatenate([[1.0], np.multiply.accumulate((half - i) / (i + 1.0))]).tolist()
+    # the filter sum depends on k only through |k|_1 = 2l; it stays 0 at odd
+    # totals and at every total >= n**2
+    sums, e = _filter_sums(n, half)
     acc_by_total = np.zeros(Q * (n2 - 1) + 1)
-    for kk in range(0, n2, 2):
-        acc = 0.0
-        for mdeg in range(kk, n2, 2):
-            if h[mdeg] == 0.0:
-                continue
-            ell = (mdeg - kk) // 2
-            acc += h[mdeg] * (-1.0) ** ell * binoms[ell]
-        acc_by_total[kk] = acc
+    acc_by_total[0:n2:2] = np.ldexp(sums[: (n2 + 1) // 2], e)
     psi0 = np.zeros(n2)
     psi0[0::2] = psi_zero_even((n2 + 1) // 2)
     B = psi0

@@ -7,7 +7,14 @@ This module builds the radial localized kernel
 where ``H`` is a smooth low-pass filter (1 on [0, 1/2], 0 on [1, inf)) and
 ``P_{m,q}`` is the radial projection polynomial of the degree-2m slice of the
 q-dimensional Hermite-function frame.  The kernel is compiled once into a
-coefficient table over even Hermite functions.  The series over that table
+coefficient table over even Hermite functions,
+
+    a_l = psi_{2l}(0) pi**s F_s(l),   s = -(q-1)/2,
+    F_s(l) = sum_{j >= 0} H(sqrt(2(l+j))/n) (-1)**j binom(s, j),
+
+one filter sum for every q; the Gaussian network that emulates the kernel
+(:func:`hermloc.gaussian_net.prefab_kernel_network`) takes the same sum at
+s = (Q-q)/2.  The series over that table
 costs O(n^2) per radius along the Hermite recurrence, so it is used only to
 build and certify a piecewise-polynomial form of the kernel (see
 :func:`kernel_form`).  Chebyshev interpolants are fitted on panels of width
@@ -32,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
 
-from .hermite import _central_binomial_ratios, psi_zero_even
+from .hermite import psi_zero_even
 
 __all__ = [
     "filter_h",
@@ -79,6 +86,10 @@ _DEGREE_RAISES = 2
 _BLOCK = 32768
 # sub-panel coefficients re-expanded at a time while a form is built
 _EXPAND_BLOCK = 1 << 16
+# the filter sums' binomials and partial sums are scaled down by this
+# power of two whenever a binomial passes it, so no step overflows
+_RESCALE_BITS = 512
+_RESCALE = 2.0**_RESCALE_BITS
 
 
 def filter_h(t):
@@ -86,7 +97,8 @@ def filter_h(t):
 
     On (1/2, 1) the value is s(2 - 2t) / (s(2 - 2t) + s(2t - 1)) with
     s(u) = exp(-1/u) for u > 0, which glues the two plateaus smoothly and
-    satisfies filter_h(3/4 - s) + filter_h(3/4 + s) = 1.
+    satisfies filter_h(3/4 - s) + filter_h(3/4 + s) = 1.  At t clipped to
+    [1/2, 1] the same formula gives the plateaus exactly: s(0) = 0.
 
     Accepts a scalar or an array; negative arguments are rejected.
     """
@@ -95,18 +107,12 @@ def filter_h(t):
         raise ValueError("filter argument must be finite")
     if np.any(arr < 0):
         raise ValueError("filter argument must be nonnegative")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    out[arr <= 0.5] = 1.0
-    mid = (arr > 0.5) & (arr < 1.0)
-    if np.any(mid):
-        tm = arr[mid]
-        with np.errstate(under="ignore"):
-            up = np.exp(-1.0 / (2.0 - 2.0 * tm))
-            down = np.exp(-1.0 / (2.0 * tm - 1.0))
-        out[mid] = up / (up + down)
-    return float(out[0]) if scalar else out
+    tm = np.clip(arr, 0.5, 1.0)
+    with np.errstate(divide="ignore", under="ignore"):
+        up = np.exp(-1.0 / (2.0 - 2.0 * tm))
+        down = np.exp(-1.0 / (2.0 * tm - 1.0))
+    out = up / (up + down)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -121,15 +127,11 @@ class KernelTable:
 def compile_kernel(n: float, q: int) -> KernelTable:
     """Fold the filter into the projection coefficients once.
 
-    The table entry l collects a_l = sum_{m >= l} H(sqrt(2m)/n) c_{m,l}
-    where c_{m,l} is the psi_{2l} coefficient of P_{m,q}; entries with
-    2l >= n**2 are exactly zero because the filter vanishes there.
-
-    The factorial factors of c_{m,l} are running products of ratios --
-    (2l)! / (4**l (l!)**2) = prod_{i <= l} (2i - 1) / (2i), and
-    Gamma(alpha + l) / (Gamma(alpha) l!) with alpha = (q - 1) / 2 as a
-    product of about alpha factors -- never differences of log-gamma
-    values, which cancel logs of size 1e4 at n = 64.
+    The table entry l is a_l = psi_{2l}(0) pi**s F_s(l) with s = -(q-1)/2
+    and the filter sum F_s of :func:`_filter_sums`; entries with
+    2l >= n**2 are exactly zero because the filter vanishes there.  At
+    q = 1 (s = 0) the sum is the filter itself, a_l = H(sqrt(2l)/n)
+    psi_{2l}(0).
     """
     if not np.isfinite(n) or n < 1:
         raise ValueError("n must be a finite real >= 1")
@@ -139,44 +141,45 @@ def compile_kernel(n: float, q: int) -> KernelTable:
     if L > MAX_TABLE_LEN:
         raise ValueError(f"table length {L} exceeds cap {MAX_TABLE_LEN}")
 
-    mm = np.arange(L + 1)
-    hvals = filter_h(np.sqrt(2.0 * mm) / n)
-    hvals = np.atleast_1d(hvals)
-
-    if q == 1:
-        a = hvals * psi_zero_even(L + 1)
-    else:
-        ratios = _central_binomial_ratios(L + 1)  # (2l)! / (4**l (l!)**2)
-        ell = np.arange(L + 1, dtype=float)
-        # log b_l, b_l = Gamma(alpha + l) / (Gamma(alpha) l!) = prod_c (1 + l / c)
-        # over c = alpha - 1, alpha - 2, ... > 0, times the ratio above when
-        # alpha is a half-integer (q even); Gamma(alpha) cancels from a_l
-        log_b = np.zeros(L + 1)
-        if q % 2 == 0:
-            log_b += np.log(ratios)
-        for c in np.arange((q - 3) / 2.0, 0.0, -1.0):
-            log_b += np.log1p(ell / c)
-        log_a_mag = -(2.0 * q - 1.0) / 4.0 * math.log(math.pi) + 0.5 * np.log(ratios)
-        with np.errstate(divide="ignore"):
-            log_h = np.log(hvals)
-        # inner_l = log sum_j exp(log_h[l + j] + log_b[j]); all terms >= 0
-        inner = np.full(L + 1, -np.inf)
-        chunk = max(1, min(L + 1, 30_000_000 // (L + 1)))
-        for start in range(0, L + 1, chunk):
-            stop = min(start + chunk, L + 1)
-            lblock = np.arange(start, stop)
-            jmax = L - lblock  # length of each row's valid j range
-            width = int(jmax.max()) + 1
-            idx = lblock[:, None] + np.arange(width)[None, :]
-            mat = np.where(idx <= L, log_h[np.minimum(idx, L)], -np.inf)
-            mat = mat + log_b[None, : width]
-            inner[start:stop] = _logsumexp(mat)
-        signs = np.where(np.arange(L + 1) % 2 == 0, 1.0, -1.0)
-        with np.errstate(under="ignore"):
-            a = signs * np.exp(log_a_mag + inner)
-
+    s = -(q - 1) / 2.0
+    sums, e = _filter_sums(n, s)
+    # pi**s = m 2**(k - 1) with 1 <= m < 2: only the last step scales
+    m, k = math.frexp(math.pi**s)
+    a = psi_zero_even(L + 1) * sums
+    a *= 2.0 * m
+    np.ldexp(a, e + k - 1, out=a)
     a[2 * np.arange(L + 1) >= n * n] = 0.0
     return KernelTable(float(n), int(q), a)
+
+
+def _filter_sums(n: float, s: float) -> tuple[np.ndarray, int]:
+    """Filter sums F_s(l) for l = 0 .. floor(n**2/2), as (F_s / 2**e, e).
+
+        F_s(l) = sum_{j >= 0} H(sqrt(2(l + j))/n) (-1)**j binom(s, j)
+
+    The kernel table takes s = -(q-1)/2, the prefab network s = (Q-q)/2.
+    b_j = (-1)**j binom(s, j) is a running product of (j - 1 - s)/j, and
+    the terms b_j H(...) are added in ascending j.  When |b_j| passes
+    2**_RESCALE_BITS, b_j and the partial sums are scaled down by that
+    power of two, exactly, and e counts it; partial sums that fall below
+    2**-1074 on the way flush to 0 (at n = 64 only past q = 200, more than
+    1e300 below the table's peak).  At a nonnegative integer s,
+    b_{s+1} = 0 ends the sum: at s = 0 it is the filter itself.
+    """
+    L = int(math.floor(n * n / 2.0))
+    h = filter_h(np.sqrt(2.0 * np.arange(L + 1)) / n)
+    sums = h.copy()  # the j = 0 term: b_0 = 1
+    b, e = -s, 0
+    for j in range(1, L + 1):
+        if b == 0.0:
+            break
+        sums[: L + 1 - j] += b * h[j:]
+        b *= (j - s) / (j + 1)
+        if abs(b) > _RESCALE:
+            b /= _RESCALE
+            sums /= _RESCALE
+            e += _RESCALE_BITS
+    return sums, e
 
 
 def _eval_even_series(a: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -307,15 +310,12 @@ def _tail_bound(a: np.ndarray, rcut: float) -> float:
         if k % 2 == 0:
             log_psi[k // 2] = log_psi[0] + shift + math.log(abs(cur))
     with np.errstate(divide="ignore"):
-        return float(np.exp(_logsumexp(np.log(np.abs(a)) + log_psi)))
-
-
-def _logsumexp(x: np.ndarray) -> np.ndarray:
-    """log sum exp(x) along the last axis, shifted by each row's max; -inf rows give -inf."""
-    top = np.max(x, axis=-1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(x - top), axis=-1)) + top[..., 0]
+        x = np.log(np.abs(a)) + log_psi
+    # log-sum-exp shifted by the largest term; an all-zero table gives 0
+    top = float(np.max(x))
+    if not math.isfinite(top):
+        return math.exp(top)
+    return float(np.exp(np.log(np.sum(np.exp(x - top))) + top))
 
 
 def _fit_panels(

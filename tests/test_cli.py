@@ -184,6 +184,12 @@ class TestSubcommandsWriteOutput:
         with open(tmp_path / "bernstein.csv", encoding="utf-8") as fh:
             assert len(list(csv.reader(fh))) == 3
 
+    def test_demo_bernstein_empty_grid_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["demo-bernstein", "--grid", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--grid must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "bernstein.csv").exists()
+
     def test_deep_eval(self, tmp_path):
         graph = _write_json(tmp_path / "graph.json", GRAPH)
         inputs = _write_json(tmp_path / "inputs.json",

@@ -2,7 +2,7 @@
 
 Oracles: the tensor-product slice enumeration (proj_tensor), closed-form
 Mehler sums, frozen coefficient values cross-checked at build time, 40-digit
-mpmath tables at q = 2 and 3, and the Hermite series over the compiled
+mpmath tables at q = 2, 3, 5 and 1000, and the Hermite series over the compiled
 table, which the evaluated piecewise-Chebyshev form is checked against.
 """
 
@@ -35,6 +35,22 @@ from oracles import (
     proj_tensor,
     proj_via_extension,
 )
+
+
+def _mp40():
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    return mp
+
+
+def _mp_filter(mp, t):
+    """filter_h at the context's precision."""
+    if t <= 0.5:
+        return mp.mpf(1)
+    if t >= 1:
+        return mp.mpf(0)
+    up, down = mp.exp(-1 / (2 - 2 * t)), mp.exp(-1 / (2 * t - 1))
+    return up / (up + down)
 
 
 class TestFilterH:
@@ -147,27 +163,52 @@ class TestCompileKernel:
                 oracle = phi_localized(n, q, zero, e1)
                 assert eval_kernel(table, r) == pytest.approx(oracle, abs=1e-10)
 
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [6, 8, 64])
+    def test_q1_table_is_filter_times_psi_zero(self, n):
+        # at q = 1 the filter sum is the filter itself: no rounding beyond
+        # the one product
+        L = n * n // 2
+        want = filter_h(np.sqrt(2.0 * np.arange(L + 1)) / n) * psi_zero_even(L + 1)
+        want[2 * np.arange(L + 1) >= n * n] = 0.0
+        assert compile_kernel(float(n), 1).a.tobytes() == want.tobytes()
+
+    def test_large_q_table_stays_finite(self):
+        # the binomials grow to 1e545 at n = 64, q = 1000; the filter sum
+        # rescales them by powers of two
+        n, q = 64, 1000
+        a = compile_kernel(float(n), q).a
+        assert np.all(np.isfinite(a)) and np.max(np.abs(a)) > 1e279
+        mp = _mp40()
+        alpha = mp.mpf(q - 1) / 2
+        total, b = mp.mpf(0), mp.mpf(1)
+        for j in range(a.size):
+            total += _mp_filter(mp, mp.sqrt(2 * j) / n) * b
+            b *= (alpha + j) / (j + 1)
+        want = mp.pi ** (-mp.mpf(2 * q - 1) / 4) * total
+        assert abs((mp.mpf(a[0]) - want) / want) < 1e-12
+
+    def test_build_memory_at_q2(self):
+        # the filter sum runs over the table once per binomial, with no
+        # (L + 1)**2 array
+        tracemalloc.start()
+        try:
+            compile_kernel(64.0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
     def test_tables_match_mpmath(self, q):
         # a_l = (-1)**l pi**(-(2q-1)/4) sqrt((2l)!) / (2**l l!)
         #       * sum_j H(sqrt(2(l + j))/n) Gamma(alpha + j) / (Gamma(alpha) j!),
         # alpha = (q - 1)/2, filter included, at 40 digits
-        mp = mpmath.mp.clone()
-        mp.dps = 40
-
-        def filt(t):
-            if t <= 0.5:
-                return mp.mpf(1)
-            if t >= 1:
-                return mp.mpf(0)
-            up, down = mp.exp(-1 / (2 - 2 * t)), mp.exp(-1 / (2 * t - 1))
-            return up / (up + down)
-
+        mp = _mp40()
         alpha = mp.mpf(q - 1) / 2
-        for n in range(4, 9):
+        for n in [4, 5, 6, 7, 8, 16]:
             got = compile_kernel(float(n), q).a
             L = got.size - 1
-            h = [filt(mp.sqrt(2 * m) / n) for m in range(L + 1)]
+            h = [_mp_filter(mp, mp.sqrt(2 * m) / n) for m in range(L + 1)]
             b = [mp.gamma(alpha + j) / (mp.gamma(alpha) * mp.factorial(j)) for j in range(L + 1)]
             want = np.array([
                 float((-1) ** l * mp.pi ** (-mp.mpf(2 * q - 1) / 4)
