@@ -28,7 +28,6 @@ malformed config or input file), 1 on a runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -39,6 +38,8 @@ import numpy as np
 from .deep_net import dag_from_doc, eval_gfunction
 from .estimator import (
     EstimatorConfig,
+    _read_csv,
+    _write_csv,
     estimate_batch,
     guarded_ratio,
     ratio_reconstruction,
@@ -128,6 +129,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.helix_grid < 1:
+        raise ValueError("--helix-grid must be at least 1")
     config = _load_config(args.config, ("n", "alpha", "q"))
     n = _pick(args.n, config, "n", 64, int)
     alpha = _pick(args.alpha, config, "alpha", 1.0, float)
@@ -135,16 +138,17 @@ def _cmd_estimate(args) -> int:
     ds = read_dataset_csv(args.data, q)
     ecfg = EstimatorConfig.build(n, alpha, ds.q)
 
-    t = None
     if args.points is not None:
-        if _csv_has_value(args.points):
-            xs = read_dataset_csv(args.points, ds.q).points
-        else:
-            xs = _read_points_csv(args.points, ds.ambient_dim)
+        xs, _ = _read_csv(args.points)
+        if xs.shape[1] != ds.ambient_dim:
+            raise ValueError(f"{args.points}: points must have {ds.ambient_dim} coordinates")
+        cols = {}
     else:
         t, xs = HelixSpec().grid(args.helix_grid)
         if ds.ambient_dim != 3:
             raise ValueError("--helix-grid needs a 3-coordinate dataset")
+        cols = {"t": t}
+    cols.update((f"y_{i + 1}", x) for i, x in enumerate(xs.T))
 
     form = kernel_form(ecfg.table)
     print(
@@ -154,44 +158,15 @@ def _cmd_estimate(args) -> int:
     )
     if args.ratio:
         num, den = value_and_unit_passes(ds, ecfg, xs)
-        cols = {"raw": num, "ratio": guarded_ratio(num, den)}
+        cols.update(raw=num, ratio=guarded_ratio(num, den))
     else:
-        cols = {"raw": estimate_batch(ds, ecfg, xs)}
+        cols["raw"] = estimate_batch(ds, ecfg, xs)
 
     out = _out_dir(args, "estimate_out")
     path = os.path.join(out, "estimates.csv")
-    header = ([] if t is None else ["t"]) + [
-        f"y_{i+1}" for i in range(xs.shape[1])
-    ] + list(cols)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(xs.shape[0]):
-            row = [] if t is None else [repr(float(t[i]))]
-            row += [repr(float(v)) for v in xs[i]]
-            row += [repr(float(cols[k][i])) for k in cols]
-            writer.writerow(row)
+    _write_csv(path, list(cols), list(cols.values()))
     print(f"wrote {path} ({xs.shape[0]} points, n={n}, alpha={alpha})")
     return 0
-
-
-def _csv_has_value(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    return header and header[-1] == "value"
-
-
-def _read_points_csv(path: str, expected_dim: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != [f"y_{i+1}" for i in range(len(header or []))]:
-            raise ValueError(f"{path}: header must be y_1,...,y_Q")
-        rows = [[float(v) for v in row] for row in reader if row]
-    xs = np.array(rows, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != expected_dim:
-        raise ValueError(f"{path}: points must have {expected_dim} coordinates")
-    return xs
 
 
 def _cmd_helix(args) -> int:
@@ -244,24 +219,15 @@ def _cmd_baseline_heat(args) -> int:
     f_true = spec.target(t_grid)
     interior = spec.interior(t_grid)
 
-    rows = []
-    for t in times:
-        est = guarded_ratio(*heat_value_and_unit_passes(ds, t, xs))
-        err = float(np.max(np.abs((est - f_true)[interior])))
-        rows.append(("heat", t, err))
-    for n in n_list:
-        ecfg = EstimatorConfig.build(n, 1.0, 1)
-        est = ratio_reconstruction(ds, ecfg, xs)
-        err = float(np.max(np.abs((est - f_true)[interior])))
-        rows.append(("kernel", n, err))
+    ests = [("heat", t, guarded_ratio(*heat_value_and_unit_passes(ds, t, xs))) for t in times]
+    ests += [("kernel", float(n), ratio_reconstruction(ds, EstimatorConfig.build(n, 1.0, 1), xs))
+             for n in n_list]
+    rows = [(kind, param, float(np.max(np.abs((est - f_true)[interior]))))
+            for kind, param, est in ests]
 
     out = _out_dir(args, "baseline_out")
     path = os.path.join(out, "baseline_heat.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "parameter", "interior_max_error"])
-        for kind, param, err in rows:
-            writer.writerow([kind, repr(float(param)), repr(err)])
+    _write_csv(path, ["method", "parameter", "interior_max_error"], list(zip(*rows)))
     print(f"{'method':8s} {'parameter':>10s} {'interior max error':>20s}")
     for kind, param, err in rows:
         print(f"{kind:8s} {param:10.4g} {err:20.6e}")
@@ -282,11 +248,7 @@ def _cmd_demo_bernstein(args) -> int:
         rows.append((n, float(np.max(np.abs(scaled))), float(np.max(np.abs(scaled - target)))))
     out = _out_dir(args, "bernstein_out")
     path = os.path.join(out, "bernstein.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "sup_scaled_error", "sup_dev_from_x_1mx"])
-        for n, sup_scaled, dev in rows:
-            writer.writerow([n, repr(sup_scaled), repr(dev)])
+    _write_csv(path, ["n", "sup_scaled_error", "sup_dev_from_x_1mx"], list(zip(*rows)))
     print(f"{'n':>6s} {'sup n|B_n(x^2)-x^2|':>22s} {'dev from x(1-x)':>18s}")
     for n, sup_scaled, dev in rows:
         print(f"{n:6d} {sup_scaled:22.12f} {dev:18.3e}")
@@ -327,8 +289,6 @@ def _cmd_deep_eval(args) -> int:
     names = {}
     for row in doc["nodes"]:
         name = row.get("constituent")
-        if name is None:
-            raise ValueError(f"node {row.get('id')!r}: missing constituent name")
         if not isinstance(name, str):
             raise ValueError(
                 f"node {row.get('id')!r}: constituent must be a string, got {name!r}"
@@ -338,6 +298,7 @@ def _cmd_deep_eval(args) -> int:
                 f"unknown constituent {name!r}; choose from {sorted(CONSTITUENTS)}"
             )
         names[str(row["id"])] = CONSTITUENTS[name]
+    dag = dag.with_constituents(names)
 
     with open(args.inputs, "r", encoding="utf-8") as fh:
         inputs_doc = json.load(fh)
@@ -350,7 +311,7 @@ def _cmd_deep_eval(args) -> int:
             coords = {sid: np.asarray(v, dtype=float) for sid, v in assignment.items()}
         except (TypeError, ValueError) as exc:
             raise ValueError(f"source coordinates must be numbers: {exc}") from exc
-        values.append(eval_gfunction(dag, coords, constituents=names))
+        values.append(eval_gfunction(dag, coords))
 
     for v in values:
         print(repr(v))
@@ -395,10 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="kernel degree (default 64)")
     p.add_argument("--alpha", type=float, help="localization exponent (default 1)")
     p.add_argument("--q", type=int, help="declared manifold dimension (default 1)")
-    p.add_argument("--points", help="CSV of evaluation points (header y_1..y_Q)")
+    p.add_argument("--points", help="CSV of evaluation points, header y_1..y_Q, then an "
+                                    "optional value column (ignored); blank lines are skipped")
     p.add_argument(
         "--helix-grid", type=int, default=512,
-        help="evaluate on this many equidistant helix points (default 512)",
+        help="evaluate on this many equidistant helix points (at least 1, default 512)",
     )
     p.add_argument("--ratio", action="store_true",
                    help="append the two-pass ratio reconstruction column")

@@ -276,18 +276,18 @@ def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:
     return node_inputs, node_values
 
 
-def eval_gfunction(dag: Dag, inputs: Mapping, constituents: Mapping | None = None) -> float:
+def eval_gfunction(dag: Dag, inputs: Mapping) -> float:
     """Evaluate the composite at one assignment of source inputs.
 
     ``inputs`` maps each source id to its point (array of length in_dim).
-    ``constituents`` optionally overrides the functions stored on the nodes.
+    Each node's function is its constituent; attach them with
+    :meth:`Dag.with_constituents`.
     """
     funcs = {}
     for nid, node in dag.nodes.items():
-        fn = (constituents or {}).get(nid, node.constituent)
-        if fn is None:
+        if node.constituent is None:
             raise ValueError(f"node {nid}: no constituent attached")
-        funcs[nid] = fn
+        funcs[nid] = node.constituent
     return _walk(dag, inputs, funcs)[1][dag.sink]
 
 

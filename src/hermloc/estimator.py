@@ -26,6 +26,10 @@ policy: datasets and test points must be finite, and sample values that
 would overflow the sums (near 1e308 / M) raise ``ValueError`` naming max |F|
 and M, so no NaN comes out of finite input.
 
+The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the
+package's one table writer, and read by ``_read_csv``, which also reads
+``estimate --points`` files.
+
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
 normalized arc-length measure.  It serves as the oracle against which the
@@ -104,39 +108,71 @@ class Dataset:
         return Dataset(self.points, np.ones(self.size), self.q)
 
 
-def write_dataset_csv(ds: Dataset, path: str) -> None:
-    """Serialize as CSV with header y_1..y_Q,value.
+# rows formatted per write in `_write_csv`: a block's floats and text take
+# about 0.5 MB, so the memory a table takes stays flat in its row count
+_CSV_BLOCK_ROWS = 2048
 
-    Floats are rendered with shortest round-trip decimals (repr), so a
-    write/read cycle reproduces every bit.
+
+def _write_csv(path: str, header, columns) -> None:
+    """Write equal-length ``columns`` (arrays or lists) under ``header``.
+
+    Each entry of a column's ``.tolist()`` is written with ``str``, which
+    for a float is the shortest round-trip decimal, so ``float`` reads back
+    every bit.  Nothing is quoted and lines end in "\\n".  Rows are
+    formatted a block of ``_CSV_BLOCK_ROWS`` at a time.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"y_{i + 1}" for i in range(ds.ambient_dim)] + ["value"])
-        for row, val in zip(ds.points, ds.values):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(val))])
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [map(str, col[start : start + _CSV_BLOCK_ROWS].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read a CSV whose header is y_1..y_Q, optionally followed by value.
+
+    Returns the (N, Q) points and the (N,) values, or None without a value
+    column.  Blank lines are skipped.  A missing header or data row, a row
+    with the wrong field count and a field that is not a number raise
+    ``ValueError`` naming the path (and the line).
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines = (row for row in reader if row)
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        dim, ncol = len(header) - (header[-1] == "value"), len(header)
+        if dim < 1 or header[:dim] != [f"y_{i + 1}" for i in range(dim)]:
+            raise ValueError(f"{path}: header must be y_1..y_Q or y_1..y_Q,value, got {header}")
+        rows = []
+        for row in lines:
+            try:
+                if len(row) != ncol:
+                    raise ValueError(f"{len(row)} fields, expected {ncol}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    table = np.array(rows)
+    values = table[:, dim].copy() if dim < ncol else None
+    return np.ascontiguousarray(table[:, :dim]), values
+
+
+def write_dataset_csv(ds: Dataset, path: str) -> None:
+    """Write the dataset CSV, header y_1..y_Q,value, with :func:`_write_csv`."""
+    header = [f"y_{i + 1}" for i in range(ds.ambient_dim)] + ["value"]
+    _write_csv(path, header, [*ds.points.T, ds.values])
 
 
 def read_dataset_csv(path: str, q: int) -> Dataset:
-    """Read a dataset CSV written by :func:`write_dataset_csv`."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        ncol = len(header)
-        expected = [f"y_{i + 1}" for i in range(ncol - 1)] + ["value"]
-        if header != expected:
-            raise ValueError(f"{path}: header must be y_1..y_Q,value, got {header}")
-        pts, vals = [], []
-        for line in reader:
-            if len(line) != ncol:
-                raise ValueError(f"{path}: row with {len(line)} fields, expected {ncol}")
-            nums = [float(v) for v in line]
-            pts.append(nums[:-1])
-            vals.append(nums[-1])
-    return Dataset(np.array(pts), np.array(vals), q)
+    """Read a dataset CSV, header y_1..y_Q,value, with :func:`_read_csv`."""
+    points, values = _read_csv(path)
+    if values is None:
+        raise ValueError(f"{path}: a dataset CSV needs a last column named value")
+    return Dataset(points, values, q)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ two dense trials on two cores take about as long as one.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -61,6 +60,7 @@ from .estimator import (
     Dataset,
     EstimatorConfig,
     _squared_distances,
+    _write_csv,
     ratio_reconstruction,
 )
 
@@ -323,23 +323,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _write_curve_csv(path: str, t: np.ndarray, f: np.ndarray, fhat: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "f", "fhat", "error"])
-        for ti, fi, hi in zip(t, f, fhat):
-            writer.writerow([repr(float(ti)), repr(float(fi)),
-                             repr(float(hi)), repr(float(hi - fi))])
-
-
 def write_report(report: ExperimentReport, out_dir: str) -> None:
     """Emit trial_XXX.csv files, average.csv, and summary.json."""
     os.makedirs(out_dir, exist_ok=True)
-    for tr in report.trials:
-        path = os.path.join(out_dir, f"trial_{tr.trial:03d}.csv")
-        _write_curve_csv(path, report.t_grid, report.f_true, tr.fhat)
-    _write_curve_csv(os.path.join(out_dir, "average.csv"),
-                     report.t_grid, report.f_true, report.average_fhat)
+    curves = [(f"trial_{tr.trial:03d}.csv", tr.fhat) for tr in report.trials]
+    curves.append(("average.csv", report.average_fhat))
+    for name, fhat in curves:
+        _write_csv(os.path.join(out_dir, name), ["t", "f", "fhat", "error"],
+                   [report.t_grid, report.f_true, fhat, fhat - report.f_true])
     cfg_doc = asdict(report.config)
     # the report's location is wherever these files sit; echoing the output
     # path would make otherwise-identical runs byte-differ

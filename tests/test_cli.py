@@ -114,6 +114,90 @@ class TestEstimate:
         assert not (out_dir / "estimates.csv").exists()
 
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_empty_helix_grid_exits_2(self, tmp_path, capsys, grid):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--m", "8", "--out", str(data_dir)]) == 0
+        out_dir = tmp_path / "est"
+        rc = cli.main(["estimate", "--data", str(data_dir / "data.csv"), "--n", "8",
+                       "--helix-grid", grid, "--out", str(out_dir)])
+        assert rc == 2
+        assert "--helix-grid must be at least 1" in capsys.readouterr().err
+        assert not (out_dir / "estimates.csv").exists()
+
+
+class TestEstimatePoints:
+    """``estimate --points``: a y_1..y_Q file or a dataset CSV, read one way."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--m", "64", "--noise", "additive", "--seed", "5",
+                         "--out", str(data_dir)]) == 0
+        return data_dir / "data.csv"
+
+    @staticmethod
+    def _estimate(data, points, out_dir, *extra):
+        return cli.main(["estimate", "--data", str(data), "--n", "8", "--points", str(points),
+                         "--out", str(out_dir), *extra])
+
+    @staticmethod
+    def _columns(path):
+        with open(path, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        return {k: np.array([float(r[k]) for r in rows]) for k in rows[0]}
+
+    def test_point_file_and_dataset_csv_match_estimate_batch(self, tmp_path, data):
+        ds = read_dataset_csv(str(data), 1)
+        ecfg = EstimatorConfig.build(8, 1.0, 1)
+        xs = np.array([[0.5, 0.1, 1.0], [-0.3, 0.2, 2.5], [0.1, -0.9, 4.2]])
+        pts = tmp_path / "pts.csv"
+        pts.write_text("y_1,y_2,y_3\n" + "".join(",".join(map(repr, x)) + "\n"
+                                                  for x in xs.tolist()))
+        for points, want_xs in ((pts, xs), (data, ds.points)):
+            out_dir = tmp_path / f"est_{points.stem}"
+            assert self._estimate(data, points, out_dir, "--ratio") == 0
+            cols = self._columns(out_dir / "estimates.csv")
+            assert list(cols) == ["y_1", "y_2", "y_3", "raw", "ratio"]
+            got_xs = np.stack([cols["y_1"], cols["y_2"], cols["y_3"]], axis=1)
+            assert got_xs.tobytes() == want_xs.tobytes()
+            assert cols["raw"].tobytes() == estimate_batch(ds, ecfg, want_xs).tobytes()
+            want_ratio = ratio_reconstruction(ds, ecfg, want_xs)
+            assert cols["ratio"].tobytes() == want_ratio.tobytes()
+
+    def test_trailing_blank_line_is_skipped(self, tmp_path, data):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("y_1,y_2,y_3\n0.5,0.1,1.0\n\n")
+        assert self._estimate(data, pts, tmp_path / "a") == 0
+        with_blank = tmp_path / "data_blank.csv"
+        with_blank.write_text(data.read_text() + "\n")
+        assert self._estimate(data, with_blank, tmp_path / "b") == 0
+        assert len(self._columns(tmp_path / "b" / "estimates.csv")["raw"]) == 64
+
+    @pytest.mark.parametrize("body, why", [
+        ("0.5,0.1,1.0\n\n0.2,0.3\n", "line 4: 2 fields, expected 3"),
+        ("0.5,0.1,1.0\n0.2,zero,0.3\n", "line 3: could not convert string to float: 'zero'"),
+    ])
+    def test_bad_row_exits_2_naming_file_and_line(self, tmp_path, capsys, data, body, why):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("y_1,y_2,y_3\n" + body)
+        assert self._estimate(data, pts, tmp_path / "est") == 2
+        assert f"{pts}: {why}" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimates.csv").exists()
+
+    def test_wrong_coordinate_count_exits_2(self, tmp_path, capsys, data):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("y_1,y_2\n0.5,0.1\n")
+        assert self._estimate(data, pts, tmp_path / "est") == 2
+        assert f"{pts}: points must have 3 coordinates" in capsys.readouterr().err
+
+    def test_header_must_be_y_columns(self, tmp_path, capsys, data):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y,z\n0.5,0.1,1.0\n")
+        assert self._estimate(data, pts, tmp_path / "est") == 2
+        assert "header must be y_1..y_Q or y_1..y_Q,value" in capsys.readouterr().err
+
+
 GRAPH = {
     "nodes": [
         {"id": "s1", "kind": "source", "in_dim": 1, "constituent": "sum"},
