@@ -129,8 +129,6 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.helix_grid < 1:
-        raise ValueError("--helix-grid must be at least 1")
     config = _load_config(args.config, ("n", "alpha", "q"))
     n = _pick(args.n, config, "n", 64, int)
     alpha = _pick(args.alpha, config, "alpha", 1.0, float)
@@ -144,6 +142,8 @@ def _cmd_estimate(args) -> int:
             raise ValueError(f"{args.points}: points must have {ds.ambient_dim} coordinates")
         cols = {}
     else:
+        if args.helix_grid < 1:
+            raise ValueError("--helix-grid must be at least 1")
         t, xs = HelixSpec().grid(args.helix_grid)
         if ds.ambient_dim != 3:
             raise ValueError("--helix-grid needs a 3-coordinate dataset")
@@ -219,11 +219,16 @@ def _cmd_baseline_heat(args) -> int:
     f_true = spec.target(t_grid)
     interior = spec.interior(t_grid)
 
-    ests = [("heat", t, guarded_ratio(*heat_value_and_unit_passes(ds, t, xs))) for t in times]
-    ests += [("kernel", float(n), ratio_reconstruction(ds, EstimatorConfig.build(n, 1.0, 1), xs))
-             for n in n_list]
-    rows = [(kind, param, float(np.max(np.abs((est - f_true)[interior]))))
-            for kind, param, est in ests]
+    rows = []
+    for t in times:
+        est = guarded_ratio(*heat_value_and_unit_passes(ds, t, xs))
+        err = float(np.max(np.abs((est - f_true)[interior])))
+        rows.append(("heat", t, err))
+    for n in n_list:
+        ecfg = EstimatorConfig.build(n, 1.0, 1)
+        est = ratio_reconstruction(ds, ecfg, xs)
+        err = float(np.max(np.abs((est - f_true)[interior])))
+        rows.append(("kernel", n, err))
 
     out = _out_dir(args, "baseline_out")
     path = os.path.join(out, "baseline_heat.csv")
@@ -289,6 +294,8 @@ def _cmd_deep_eval(args) -> int:
     names = {}
     for row in doc["nodes"]:
         name = row.get("constituent")
+        if name is None:
+            raise ValueError(f"node {row.get('id')!r}: missing constituent name")
         if not isinstance(name, str):
             raise ValueError(
                 f"node {row.get('id')!r}: constituent must be a string, got {name!r}"

@@ -26,9 +26,8 @@ policy: datasets and test points must be finite, and sample values that
 would overflow the sums (near 1e308 / M) raise ``ValueError`` naming max |F|
 and M, so no NaN comes out of finite input.
 
-The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the
-package's one table writer, and read by ``_read_csv``, which also reads
-``estimate --points`` files.
+The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the one
+table writer, and read by ``_read_csv``, which also reads ``--points`` files.
 
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
@@ -108,8 +107,7 @@ class Dataset:
         return Dataset(self.points, np.ones(self.size), self.q)
 
 
-# rows formatted per write in `_write_csv`: a block's floats and text take
-# about 0.5 MB, so the memory a table takes stays flat in its row count
+# rows per formatted block in `_write_csv` (about 0.5 MB): memory is flat in rows
 _CSV_BLOCK_ROWS = 2048
 
 

@@ -131,8 +131,8 @@ def compile_kernel(n: float, q: int) -> KernelTable:
     and the filter sum F_s of :func:`_filter_sums`; entries with
     2l >= n**2 are exactly zero because the filter vanishes there.  At
     q = 1 (s = 0) the sum is the filter itself, a_l = H(sqrt(2l)/n)
-    psi_{2l}(0).  A table whose peak a_0 is not a normal double (at n = 64
-    from q = 1425 on, where it passes 1e308) raises ``ValueError``.
+    psi_{2l}(0).  A table whose factor pi**s or peak a_0 is not a normal
+    double (pi**s from q = 1239 on, at any n) raises ``ValueError``.
     """
     if not np.isfinite(n) or n < 1:
         raise ValueError("n must be a finite real >= 1")
@@ -144,18 +144,13 @@ def compile_kernel(n: float, q: int) -> KernelTable:
 
     s = -(q - 1) / 2.0
     sums, e = _filter_sums(n, s)
-    # pi**s = 2m 2**(k - 1), from pi**(s/2) squared where pi**s is subnormal (q > 1240)
-    p = math.pi**s
-    m, k = math.frexp(p)
-    if p < 2.0**-1022:
-        m, k = math.frexp(math.pi ** (s / 2.0))
-        m, j = math.frexp(m * m)
-        k = 2 * k + j
+    # pi**s = m 2**(k - 1) with 1 <= m < 2: only the last step scales
+    m, k = math.frexp(math.pi**s)
     a = psi_zero_even(L + 1) * sums
     a *= 2.0 * m
-    # a_0 is the peak (|psi_{2l}(0)| and F_s(l) fall with l), and only the
-    # last step scales it: it must come out a normal double
-    if not (a[0] > 0.0 and -1022 < math.frexp(a[0])[1] + e + k - 1 <= 1024):
+    # pi**s (k > -1022) and a_0, the peak (|psi_{2l}(0)| and F_s(l) fall
+    # with l) that only the last step scales, must be normal doubles
+    if not (k > -1022 and a[0] > 0.0 and -1022 < math.frexp(a[0])[1] + e + k - 1 <= 1024):
         raise ValueError(f"the kernel table at n = {n:g}, q = {q} leaves the double range")
     np.ldexp(a, e + k - 1, out=a)
     a[2 * np.arange(L + 1) >= n * n] = 0.0

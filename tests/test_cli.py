@@ -165,6 +165,10 @@ class TestEstimatePoints:
             want_ratio = ratio_reconstruction(ds, ecfg, want_xs)
             assert cols["ratio"].tobytes() == want_ratio.tobytes()
 
+    def test_helix_grid_is_not_checked_with_points(self, tmp_path, data):
+        # the grid is never built when --points is given
+        assert self._estimate(data, data, tmp_path / "est", "--helix-grid", "0") == 0
+
     def test_trailing_blank_line_is_skipped(self, tmp_path, data):
         pts = tmp_path / "pts.csv"
         pts.write_text("y_1,y_2,y_3\n0.5,0.1,1.0\n\n")
