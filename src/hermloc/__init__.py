@@ -9,117 +9,23 @@ compose along DAGs with controlled error propagation.  An experiment
 harness reproduces a noisy helix reconstruction study end to end.
 """
 
-from .hermite import (
-    QuadratureRule,
-    gauss_hermite_rule,
-    hermite_matrix,
-)
-from .kernels import (
-    KernelForm,
-    KernelTable,
-    compile_kernel,
-    eval_kernel,
-    filter_h,
-    kernel_form,
-)
-from .estimator import (
-    Curve,
-    Dataset,
-    EstimatorConfig,
-    ZERO_MASS,
-    QuadratureConvergenceError,
-    continuous_operator_on_curve,
-    estimate_batch,
-    guarded_ratio,
-    ratio_reconstruction,
-    read_dataset_csv,
-    value_and_unit_passes,
-    write_dataset_csv,
-)
-from .gaussian_net import (
-    GaussianNetwork,
-    poly_to_gaussian,
-    prefab_kernel_network,
-    read_network_json,
-    shallow_net_estimate,
-    write_network_json,
-)
-from .deep_net import (
-    Dag,
-    DagNode,
-    PropagationReport,
-    build_deep_approx,
-    dag_from_doc,
-    eval_gfunction,
-    make_pooling,
-    propagation_gap,
-    read_dag_json,
-    write_dag_json,
-)
-from .experiments import (
-    NOISE_MODELS,
-    UNBIAS_FACTOR,
-    ExperimentConfig,
-    ExperimentReport,
-    HelixSpec,
-    TrialReport,
-    bernstein_demo,
-    gen_training,
-    heat_value_and_unit_passes,
-    run_experiment,
-    write_report,
-)
+from . import deep_net, estimator, experiments, gaussian_net, hermite, kernels
+from .hermite import *
+from .kernels import *
+from .estimator import *
+from .gaussian_net import *
+from .deep_net import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
+# each module's export list, as its star import above takes it
 __all__ = [
-    "QuadratureRule",
-    "gauss_hermite_rule",
-    "hermite_matrix",
-    "KernelForm",
-    "KernelTable",
-    "compile_kernel",
-    "eval_kernel",
-    "filter_h",
-    "kernel_form",
-    "Curve",
-    "Dataset",
-    "EstimatorConfig",
-    "ZERO_MASS",
-    "QuadratureConvergenceError",
-    "continuous_operator_on_curve",
-    "estimate_batch",
-    "guarded_ratio",
-    "ratio_reconstruction",
-    "read_dataset_csv",
-    "value_and_unit_passes",
-    "write_dataset_csv",
-    "GaussianNetwork",
-    "poly_to_gaussian",
-    "prefab_kernel_network",
-    "read_network_json",
-    "shallow_net_estimate",
-    "write_network_json",
-    "Dag",
-    "DagNode",
-    "PropagationReport",
-    "build_deep_approx",
-    "dag_from_doc",
-    "eval_gfunction",
-    "make_pooling",
-    "propagation_gap",
-    "read_dag_json",
-    "write_dag_json",
-    "NOISE_MODELS",
-    "UNBIAS_FACTOR",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "HelixSpec",
-    "TrialReport",
-    "bernstein_demo",
-    "gen_training",
-    "heat_value_and_unit_passes",
-    "run_experiment",
-    "write_report",
+    *hermite.__all__,
+    *kernels.__all__,
+    *estimator.__all__,
+    *gaussian_net.__all__,
+    *deep_net.__all__,
+    *experiments.__all__,
     "__version__",
 ]

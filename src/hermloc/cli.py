@@ -14,10 +14,12 @@ Shared flags, each only where its subcommand reads it:
 
   --out <dir>      every subcommand
   --config <json>  gen-data, estimate, helix, baseline-heat, synth-net:
-                   defaults for the subcommand's parameters (explicit flags
-                   win; for `helix` the schema mirrors ExperimentConfig
-                   field for field); a key the subcommand does not read
-                   is a validation error
+                   a JSON object keyed by the subcommand's parameter names;
+                   each parameter takes its flag, else its config value,
+                   else its default; for `helix` the keys mirror
+                   ExperimentConfig field for field, `output` included
+                   (--out wins over it); a key the subcommand does not read,
+                   or a value of the wrong JSON type, is a validation error
   --seed <u64>     gen-data, helix, baseline-heat
   --trials <k>     helix
 
@@ -32,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -74,38 +77,40 @@ CONSTITUENTS = {
 }
 
 
-def _load_config(path: str | None, keys) -> dict:
-    """The JSON object at ``path``; a key outside ``keys`` raises ``ValueError``."""
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown config fields: {unknown}")
-    return doc
-
-
 # JSON types a config value may have, per parameter type; a bool is neither
 _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
-def _pick(flag, config: dict, key: str, default, kind: type):
-    """Explicit flag > config value > built-in default, as ``kind``.
+def _settings(args, defaults: dict) -> dict:
+    """Each parameter of ``defaults``: its flag, else its ``--config`` value, else its default.
 
-    A config value of another JSON type (null, list, object, bool, or a
-    string for a number) raises ``ValueError``.
+    A parameter's flag is ``args.<key lowercased>``, and its type is its
+    default's.  A config that is not a JSON object, a key outside
+    ``defaults``, and a value of another JSON type (null, list, object,
+    bool, or a string for a number) raise ``ValueError``.
     """
-    if flag is not None:
-        return flag
-    if key not in config:
-        return default
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
-        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
+    config = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(config) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown config fields: {unknown}")
+    settings = {}
+    for key, default in defaults.items():
+        flag, kind = getattr(args, key.lower(), None), type(default)
+        if flag is not None:
+            settings[key] = flag
+        elif key in config:
+            value = config[key]
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+                raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+            settings[key] = kind(value)
+        else:
+            settings[key] = default
+    return settings
 
 
 def _out_dir(args, default: str) -> str:
@@ -115,12 +120,9 @@ def _out_dir(args, default: str) -> str:
 
 
 def _cmd_gen_data(args) -> int:
-    config = _load_config(args.config, ("M", "noise", "sigma", "seed"))
-    m = _pick(args.m, config, "M", 256, int)
-    noise = _pick(args.noise, config, "noise", "none", str)
-    sigma = _pick(args.sigma, config, "sigma", 0.3, float)
-    seed = _pick(args.seed, config, "seed", 0, int)
-    ds = gen_training(HelixSpec(), m, noise, sigma=sigma, seed=seed)
+    params = _settings(args, {"M": 256, "noise": "none", "sigma": 0.3, "seed": 0})
+    noise, seed = params["noise"], params["seed"]
+    ds = gen_training(HelixSpec(), params["M"], noise, sigma=params["sigma"], seed=seed)
     out = _out_dir(args, "data_out")
     path = os.path.join(out, "data.csv")
     write_dataset_csv(ds, path)
@@ -129,11 +131,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config = _load_config(args.config, ("n", "alpha", "q"))
-    n = _pick(args.n, config, "n", 64, int)
-    alpha = _pick(args.alpha, config, "alpha", 1.0, float)
-    q = _pick(args.q, config, "q", 1, int)
-    ds = read_dataset_csv(args.data, q)
+    params = _settings(args, {"n": 64, "alpha": 1.0, "q": 1})
+    n, alpha = params["n"], params["alpha"]
+    ds = read_dataset_csv(args.data, params["q"])
     ecfg = EstimatorConfig.build(n, alpha, ds.q)
 
     if args.points is not None:
@@ -170,21 +170,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_helix(args) -> int:
-    doc = _load_config(args.config, ExperimentConfig.__dataclass_fields__)
-    for key, flag in (
-        ("M", args.m),
-        ("n", args.n),
-        ("alpha", args.alpha),
-        ("noise", args.noise),
-        ("sigma", args.sigma),
-        ("trials", args.trials),
-        ("test_points", args.test_points),
-        ("seed", args.seed),
-    ):
-        if flag is not None:
-            doc[key] = flag
-    doc["output"] = args.out if args.out is not None else doc.get("output", "helix_out")
-    cfg = ExperimentConfig.from_dict(doc)
+    params = _settings(args, {**asdict(ExperimentConfig()), "output": "helix_out"})
+    if args.out is not None:
+        params["output"] = args.out
+    cfg = ExperimentConfig(**params)
     report = run_experiment(cfg)
     avg = report.average_summary
     print(
@@ -206,16 +195,13 @@ def _cmd_helix(args) -> int:
 
 
 def _cmd_baseline_heat(args) -> int:
-    config = _load_config(args.config, ("M", "seed", "test_points"))
-    m = _pick(args.m, config, "M", 1024, int)
-    seed = _pick(args.seed, config, "seed", 0, int)
-    test_points = _pick(args.test_points, config, "test_points", 512, int)
+    params = _settings(args, {"M": 1024, "seed": 0, "test_points": 512})
     times = [float(s) for s in args.times.split(",")]
     n_list = [int(s) for s in args.n_list.split(",")]
 
     spec = HelixSpec()
-    ds = gen_training(spec, m, "none", seed=seed)
-    t_grid, xs = spec.grid(test_points)
+    ds = gen_training(spec, params["M"], "none", seed=params["seed"])
+    t_grid, xs = spec.grid(params["test_points"])
     f_true = spec.target(t_grid)
     interior = spec.interior(t_grid)
 
@@ -262,11 +248,8 @@ def _cmd_demo_bernstein(args) -> int:
 
 
 def _cmd_synth_net(args) -> int:
-    config = _load_config(args.config, ("n", "q", "ambient_dim", "alpha"))
-    n = _pick(args.n, config, "n", 4, int)
-    q = _pick(args.q, config, "q", 1, int)
-    big_q = _pick(args.ambient_dim, config, "ambient_dim", 2, int)
-    alpha = _pick(args.alpha, config, "alpha", 1.0, float)
+    params = _settings(args, {"n": 4, "q": 1, "ambient_dim": 2, "alpha": 1.0})
+    n, q, big_q, alpha = params["n"], params["q"], params["ambient_dim"], params["alpha"]
     net = prefab_kernel_network(n, q, big_q, alpha)
     out = _out_dir(args, "synth_out")
     path = os.path.join(out, "network.json")

@@ -107,7 +107,8 @@ class Dataset:
         return Dataset(self.points, np.ones(self.size), self.q)
 
 
-# rows per formatted block in `_write_csv` (about 0.5 MB): memory is flat in rows
+# rows per block in `_write_csv` and `_read_csv` (about 0.5 MB of text): memory
+# is flat in rows
 _CSV_BLOCK_ROWS = 2048
 
 
@@ -133,7 +134,9 @@ def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     Returns the (N, Q) points and the (N,) values, or None without a value
     column.  Blank lines are skipped.  A missing header or data row, a row
     with the wrong field count and a field that is not a number raise
-    ``ValueError`` naming the path (and the line).
+    ``ValueError`` naming the path (and the line).  Rows become floats a
+    block of ``_CSV_BLOCK_ROWS`` at a time, so memory stays near the
+    result's size.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -144,7 +147,7 @@ def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
         dim, ncol = len(header) - (header[-1] == "value"), len(header)
         if dim < 1 or header[:dim] != [f"y_{i + 1}" for i in range(dim)]:
             raise ValueError(f"{path}: header must be y_1..y_Q or y_1..y_Q,value, got {header}")
-        rows = []
+        blocks, rows = [], []
         for row in lines:
             try:
                 if len(row) != ncol:
@@ -152,9 +155,15 @@ def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+            if len(rows) == _CSV_BLOCK_ROWS:
+                blocks.append(np.array(rows))
+                rows = []
+    if rows:
+        blocks.append(np.array(rows))
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
-    table = np.array(rows)
+    table = np.concatenate(blocks)
+    del blocks  # freed before the columns are copied out
     values = table[:, dim].copy() if dim < ncol else None
     return np.ascontiguousarray(table[:, :dim]), values
 

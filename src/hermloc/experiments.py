@@ -66,7 +66,6 @@ from .estimator import (
 
 __all__ = [
     "HelixSpec",
-    "ratio_reconstruction",
     "gen_training",
     "UNBIAS_FACTOR",
     "NOISE_MODELS",

@@ -80,7 +80,6 @@ _TRUNCATION_SHARE = 1.0 / 16.0
 # deviation reached at most 2.5 times the grid maximum (n = 10, q = 2), so
 # the certificate takes four times it.
 _GRID_SAFETY = 4.0
-_DEGREE_RAISES = 2
 # radii per evaluation block: keeps the Horner temporaries in cache and
 # the memory of one call flat in the number of radii
 _BLOCK = 32768
@@ -426,19 +425,17 @@ def _build_form(table: KernelTable) -> KernelForm:
     while (math.sqrt(2.0) * table.n * _PANEL_WIDTH / subs / 2.0 > _SUB_FREQUENCY
            and subs <= degree + 1):
         subs *= 2
-    for _ in range(_DEGREE_RAISES + 1):
-        cheb, grid, exact, peak = _fit_panels(a, panels, degree)
-        budget = _CERT_BUDGET * max(1.0, peak)
-        form = KernelForm(_horner_coeffs(cheb, subs, budget), rcut, _PANEL_WIDTH / subs, 0.0)
-        certificate = _GRID_SAFETY * float(np.max(np.abs(form(grid) - exact))) + tail
-        if certificate <= budget:
-            form.coeffs.flags.writeable = False
-            return replace(form, certificate=certificate)
-        fitted, degree = degree, int(1.5 * degree)
-    raise RuntimeError(
-        f"kernel form for n={table.n}, q={table.q} misses its certificate budget: "
-        f"{certificate:.3e} > {_CERT_BUDGET:.0e} * max(1, {peak:.3e}) at fit degree {fitted}"
-    )
+    cheb, grid, exact, peak = _fit_panels(a, panels, degree)
+    budget = _CERT_BUDGET * max(1.0, peak)
+    form = KernelForm(_horner_coeffs(cheb, subs, budget), rcut, _PANEL_WIDTH / subs, 0.0)
+    certificate = _GRID_SAFETY * float(np.max(np.abs(form(grid) - exact))) + tail
+    if certificate > budget:
+        raise RuntimeError(
+            f"kernel form for n={table.n}, q={table.q} misses its certificate budget: "
+            f"{certificate:.3e} > {_CERT_BUDGET:.0e} * max(1, {peak:.3e}) at fit degree {degree}"
+        )
+    form.coeffs.flags.writeable = False
+    return replace(form, certificate=certificate)
 
 
 # Forms by (n, q, table bytes).  Trials evaluate from several threads; the
@@ -452,8 +449,8 @@ def kernel_form(table: KernelTable) -> KernelForm:
 
     A form is built once per process and per table content and is shared
     by every later call.  Building one raises ``RuntimeError`` if its
-    certificate exceeds 1e-13 * max(1, peak |K|) even after raising the
-    degree; there is no fallback path.
+    certificate exceeds 1e-13 * max(1, peak |K|); the form is fitted once,
+    at one degree, and there is no fallback path.
     """
     key = (table.n, table.q, table.a.tobytes())
     form = _FORMS.get(key)

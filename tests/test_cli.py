@@ -289,6 +289,58 @@ class TestSubcommandsWriteOutput:
         assert doc == {"values": [10.0, 0.5]}
 
 
+class TestConfigPrecedence:
+    """A config value is used where its flag is absent; the flag wins where given."""
+
+    @pytest.mark.parametrize("command, doc, flags, override, name", [
+        ("gen-data", {"M": 6, "noise": "additive", "sigma": 0.5, "seed": 3},
+         ["--m", "6", "--noise", "additive", "--sigma", "0.5", "--seed", "3"],
+         ["--seed", "4"], "data.csv"),
+        ("estimate", {"n": 8, "alpha": 0.5, "q": 2},
+         ["--n", "8", "--alpha", "0.5", "--q", "2"], ["--n", "6"], "estimates.csv"),
+        # an integer sigma is read as the float it stands for, as --sigma 1 is
+        ("helix", {"M": 16, "n": 4, "alpha": 0.5, "noise": "additive", "sigma": 1,
+                   "trials": 2, "test_points": 8, "seed": 1},
+         ["--m", "16", "--n", "4", "--alpha", "0.5", "--noise", "additive", "--sigma", "1",
+          "--trials", "2", "--test-points", "8", "--seed", "1"],
+         ["--m", "12"], "summary.json"),
+        ("baseline-heat", {"M": 16, "seed": 1, "test_points": 16},
+         ["--m", "16", "--seed", "1", "--test-points", "16"], ["--seed", "2"],
+         "baseline_heat.csv"),
+        ("synth-net", {"n": 3, "q": 2, "ambient_dim": 3, "alpha": 0.5},
+         ["--n", "3", "--q", "2", "--ambient-dim", "3", "--alpha", "0.5"], ["--n", "2"],
+         "network.json"),
+    ])
+    def test_config_value_is_used_and_flag_wins(self, tmp_path, command, doc, flags,
+                                                override, name):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--m", "8", "--out", str(data)]) == 0
+        extra = {"estimate": ["--data", str(data / "data.csv"), "--helix-grid", "16"],
+                 "baseline-heat": ["--times", "0.1", "--n-list", "4"]}.get(command, [])
+        config = ["--config", _write_json(tmp_path / "c.json", doc)]
+
+        def run(label, args):
+            out = tmp_path / label
+            assert cli.main([command, *args, "--out", str(out), *extra]) == 0
+            return (out / name).read_bytes()
+
+        from_config = run("config", config)
+        assert from_config == run("flags", flags)
+        overridden = run("config_and_flag", config + override)
+        assert overridden == run("flags_and_flag", flags + override)
+        assert overridden != from_config
+
+    def test_helix_output_from_config_and_out_wins(self, tmp_path, capsys):
+        doc = {"M": 16, "n": 4, "test_points": 8, "output": str(tmp_path / "from_config")}
+        config = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["helix", "--config", config]) == 0
+        assert (tmp_path / "from_config" / "summary.json").exists()
+        assert capsys.readouterr().out.endswith(f"wrote report to {tmp_path / 'from_config'}\n")
+        assert cli.main(["helix", "--config", config, "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "summary.json").exists()
+        assert capsys.readouterr().out.endswith(f"wrote report to {tmp_path / 'flag'}\n")
+
+
 class TestExitCodes:
     def test_runtime_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -304,6 +356,15 @@ class TestExitCodes:
         rc = cli.main(["helix", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error: M must be of type int" in capsys.readouterr().err
+
+    def test_helix_config_output_null_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = _write_json(tmp_path / "c.json", {"M": 16, "n": 4, "test_points": 8,
+                                                   "output": None})
+        rc = cli.main(["helix", "--config", config])
+        assert rc == 2
+        assert "error: output must be of type str, got None" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"]
 
     @pytest.mark.parametrize("command, doc", [
         ("gen-data", {"M": None}),

@@ -146,6 +146,23 @@ class TestDatasetCsv:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("rows", [10_000, 40_000])
+    def test_read_memory_is_flat_in_rows(self, tmp_path, rows):
+        # rows become an array a block at a time: one list of every row
+        # peaks at about 250 bytes a row, 10 MB at 40,000 rows
+        ds = Dataset(np.random.default_rng(0).normal(size=(rows, 3)), np.ones(rows), 1)
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(ds, path)
+        tracemalloc.start()
+        try:
+            back = read_dataset_csv(path, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert back.points.tobytes() == ds.points.tobytes()
+        assert back.values.tobytes() == ds.values.tobytes()
+
 
 class TestEstimate:
     def _dataset(self, m=64, seed=4):

@@ -365,8 +365,8 @@ class TestKernelForm:
     def test_missed_budget_names_last_fitted_degree(self, monkeypatch):
         monkeypatch.setattr(kernels, "_CERT_BUDGET", 1e-30)
         monkeypatch.setattr(kernels, "_FORMS", {})
-        # fitted at degree 16, then raised twice by half
-        with pytest.raises(RuntimeError, match="at fit degree 36$"):
+        # fitted once, at degree 16
+        with pytest.raises(RuntimeError, match="at fit degree 16$"):
             kernel_form(compile_kernel(8.0, 1))
 
     def test_single_equals_batch_on_sub_panel_edges(self):
