@@ -54,6 +54,7 @@ from .experiments import (
     NOISE_MODELS,
     ExperimentConfig,
     HelixSpec,
+    _check_type,
     bernstein_demo,
     gen_training,
     heat_value_and_unit_passes,
@@ -75,10 +76,6 @@ CONSTITUENTS = {
     "cos_sum": lambda v: math.cos(float(np.sum(v))),
     "helix_f": lambda v: math.cos(float(v[0] - v[1] - v[2] / 2.0)),
 }
-
-
-# JSON types a config value may have, per parameter type; a bool is neither
-_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _settings(args, defaults: dict) -> dict:
@@ -104,10 +101,8 @@ def _settings(args, defaults: dict) -> dict:
         if flag is not None:
             settings[key] = flag
         elif key in config:
-            value = config[key]
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
-                raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-            settings[key] = kind(value)
+            _check_type(key, config[key], kind)
+            settings[key] = kind(config[key])
         else:
             settings[key] = default
     return settings

@@ -17,14 +17,16 @@ values 1).  Both passes share one computation of the radii and the kernel
 matrix.  Its zero-mass policy, applied by ``guarded_ratio`` alone, covers
 every ratio of passes in the package.
 
-Each sum over the samples is accurate by error-free extraction, on the
-(points, M) kernel rows as the form returns them; ``_row_sums`` states its
-error bound, no weaker than a compensated pairwise tree's up to M = 2**20 - 3.
-It is a fixed number of numpy operations per chunk, each releasing the GIL,
-so threads estimating separate batches run in parallel.  NaN and overflow
-policy: datasets and test points must be finite, and sample values that
-would overflow the sums (near 1e308 / M) raise ``ValueError`` naming max |F|
-and M, so no NaN comes out of finite input.
+Every weighted sum over the samples, factor * sum_j w(x, y_j) F_j, goes
+through ``_weighted_passes``: the kernel estimator, the heat baseline and
+the network estimate differ only in the weight rows w.  It sums by
+error-free extraction; ``_row_sums`` states its error bound, no weaker than
+a compensated pairwise tree's up to M = 2**20 - 3, and a point's sum is
+bitwise the same alone or in any batch.  Its numpy operations release the
+GIL, so threads estimating separate batches run in parallel.  NaN and
+overflow policy: datasets and test points must be finite, and sample values
+that would overflow the sums (near 1e308 / M) raise ``ValueError`` naming
+max |F| and M, so no NaN comes out of finite input.
 
 The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the one
 table writer, and read by ``_read_csv``, which also reads ``--points`` files.
@@ -203,20 +205,9 @@ class EstimatorConfig:
         return cls(float(n), float(alpha), compile_kernel(n, q))
 
 
-def _check_points(ds: Dataset, cfg: EstimatorConfig, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim:
-        raise ValueError("test points must have shape (T, Q) matching the data")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("test points must be finite")
-    if cfg.table.q != ds.q:
-        raise ValueError("kernel table q does not match dataset q")
-    return xs
-
-
 # test points are processed in chunks of about this many (point, sample)
-# pairs, so the squared distances, the kernel matrix and the summands of a
-# chunk stay small
+# pairs, so the distances, the weight rows and the summands of a chunk stay
+# small
 _PAIRS_PER_CHUNK = 1 << 16
 
 
@@ -285,39 +276,30 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return s + (((a - (s - z)) + (b - z)) + rest)
 
 
-def _kernel_passes(
-    ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Value pass and, if asked, unit pass of the estimator at many points.
+def _weighted_passes(ds: Dataset, xs, weights: Callable, factor: float, unit_pass: bool):
+    """factor * sum_j w(x, y_j) F_j at many points; with unit_pass, also with F_j = 1.
 
-    The radii (from ``_squared_distances``) and the kernel matrix are
-    computed once per chunk of test points, so memory stays flat in the
-    number of points.  The kernel rows times the sample values (value
-    pass) and, if asked, a copy of the kernel rows (unit pass: bitwise the
-    value pass over all-ones values, since k * 1.0 == k) fill one C-contiguous
-    (passes * points, M) buffer, summed along its rows by ``_row_sums``.  A row's sum depends
-    only on that row, so results per point are bitwise the same whatever
-    the batch it sits in, and with or without the unit pass.
+    ``weights(chunk)`` returns the (t, M) weight rows of a chunk of about
+    ``_PAIRS_PER_CHUNK`` pairs, so memory is flat in the number of points.
+    The rows times the values and, for the unit pass, a copy of the rows
+    (bitwise a pass over unit values, as w * 1.0 == w) fill one C-contiguous
+    buffer whose rows ``_row_sums`` sums, so a point's passes are bitwise
+    the same in any batch and with or without the unit pass.
     """
-    xs = _check_points(ds, cfg, xs)
-    form = kernel_form(cfg.table)
-    lam = cfg.n ** (1.0 - cfg.alpha)
-    factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim or not np.all(np.isfinite(xs)):
+        raise ValueError(f"test points must be a batch (T, {ds.ambient_dim}) of finite numbers")
     rows = max(1, _PAIRS_PER_CHUNK // ds.size)
     passes = 2 if unit_pass else 1
-    points_t = np.ascontiguousarray(ds.points.T)
     sums = [np.empty((passes, 0))]
     for start in range(0, xs.shape[0], rows):
-        radii = _squared_distances(xs[start : start + rows], points_t)
-        np.sqrt(radii, out=radii)
-        radii *= lam
-        kern = form(radii)
-        t = kern.shape[0]
+        w = weights(xs[start : start + rows])
+        t = w.shape[0]
         terms = np.empty((passes * t, ds.size))
-        np.multiply(kern, ds.values, out=terms[:t])
+        np.multiply(w, ds.values, out=terms[:t])
         if unit_pass:
-            terms[t:] = kern
-        del radii, kern  # free before the sums and the next chunk
+            terms[t:] = w
+        del w  # free before the sums and the next chunk
         try:
             sums.append(factor * _row_sums(terms).reshape(passes, t))
         except ValueError as err:
@@ -325,6 +307,24 @@ def _kernel_passes(
             raise ValueError(f"sample values up to |F| = {big:.3g}, M = {ds.size}: {err}") from None
     sums = np.concatenate(sums, axis=1)
     return sums[0], (sums[1] if unit_pass else None)
+
+
+def _kernel_passes(ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool):
+    """Value pass and, if asked, unit pass of the estimator: kernel weight rows."""
+    if cfg.table.q != ds.q:
+        raise ValueError("kernel table q does not match dataset q")
+    form = kernel_form(cfg.table)
+    lam = cfg.n ** (1.0 - cfg.alpha)
+    points_t = np.ascontiguousarray(ds.points.T)
+
+    def weights(chunk: np.ndarray) -> np.ndarray:
+        radii = _squared_distances(chunk, points_t)
+        np.sqrt(radii, out=radii)
+        radii *= lam
+        return form(radii)
+
+    factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
+    return _weighted_passes(ds, xs, weights, factor, unit_pass)
 
 
 def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:

@@ -49,17 +49,17 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .estimator import (
-    _PAIRS_PER_CHUNK,
     Curve,
     Dataset,
     EstimatorConfig,
     _squared_distances,
+    _weighted_passes,
     _write_csv,
     ratio_reconstruction,
 )
@@ -180,10 +180,14 @@ def gen_training(
     return Dataset(points=points, values=values, q=1)
 
 
-# accepted types per ExperimentConfig field; a bool is neither int nor float
-_INT, _REAL = (int, np.integer), (float, int, np.integer, np.floating)
-_FIELD_TYPES = {"M": _INT, "n": _INT, "alpha": _REAL, "noise": (str,), "sigma": _REAL,
-                "trials": _INT, "test_points": _INT, "seed": _INT, "output": (str, type(None))}
+# accepted values per parameter type (its default's type); a bool is neither int nor float
+_VALUE_TYPES = {int: (int, np.integer), float: (float, int, np.integer, np.floating), str: (str,)}
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ``ValueError`` unless ``value`` is accepted for a parameter of type ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -201,10 +205,12 @@ class ExperimentConfig:
     output: str | None = None
 
     def validate(self) -> None:
-        for name, kinds in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{name} must be of type {kinds[0].__name__}, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # output=None runs without writing; the CLI always writes (its
+            # default output is "helix_out"), so there a null output is an error
+            if f.name != "output" or value is not None:
+                _check_type(f.name, value, type(f.default) if f.default is not None else str)
         if self.M < 1 or self.trials < 1 or self.test_points < 2:
             raise ValueError("M, trials must be >= 1 and test_points >= 2")
         if self.n < 2:
@@ -348,32 +354,26 @@ def write_report(report: ExperimentReport, out_dir: str) -> None:
 
 
 def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Heat smoother on the values and on a unit column, from one exp(-d^2/t) matrix per chunk.
+    """Heat smoother on the values and on a unit column, from one exp(-d^2/t) row per point.
 
     The value pass is the Monte-Carlo heat-kernel smoother
     (1/(M (4 pi t)^{q/2})) sum_j exp(-|x - y_j|^2/t) F_j, reported raw; the
     unit pass is the same sum with every F_j = 1, the denominator of the
-    normalized form.  ``xs`` is a batch (N, Q).  The matrix is formed a
-    chunk of points at a time, with the estimator's chunk size and squared
-    distances, so memory stays flat in N and M.
+    normalized form.  ``xs`` is a finite batch (N, Q).  The sums go through
+    ``estimator._weighted_passes``: memory flat in N and M, the error bound
+    of ``_row_sums``, and bitwise the same passes alone or in any batch.
     """
     if not 0 < t < math.inf:  # the one check on diffusion times; NaN fails it too
         raise ValueError(f"diffusion time t must be finite and positive, got {t!r}")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim:
-        raise ValueError(f"points must be a batch (N, {ds.ambient_dim})")
-    scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
     points_t = np.ascontiguousarray(ds.points.T)
-    ones = np.ones(ds.size)
-    rows = max(1, _PAIRS_PER_CHUNK // ds.size)
-    num, den = np.empty(xs.shape[0]), np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], rows):
-        d2 = _squared_distances(xs[start : start + rows], points_t)
+
+    def weights(chunk: np.ndarray) -> np.ndarray:
+        d2 = _squared_distances(chunk, points_t)
         d2 /= -t
-        weights = np.exp(d2)
-        num[start : start + rows] = weights @ ds.values
-        den[start : start + rows] = weights @ ones
-    return scale * num, scale * den
+        return np.exp(d2)
+
+    scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
+    return _weighted_passes(ds, xs, weights, scale, unit_pass=True)
 
 
 def bernstein_demo(f: Callable[[float], float], n: int, x) -> float | np.ndarray:

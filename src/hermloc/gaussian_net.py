@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import Dataset, _row_sums
+from .estimator import Dataset, _weighted_passes
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from .kernels import _filter_sums
 
@@ -324,12 +324,17 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     return replace(net, scale=scale, coeffs=factor * net.coeffs)
 
 
-def shallow_net_estimate(ds: Dataset, net: GaussianNetwork, x) -> float:
-    """Network analogue of the kernel estimator: (1/M) sum_j F_j net(x - y_j)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != net.dim:
-        raise ValueError("point dimension does not match the network")
+def shallow_net_estimate(ds: Dataset, net: GaussianNetwork, xs) -> np.ndarray:
+    """Network analogue of the kernel estimator: (1/M) sum_j F_j net(x - y_j).
+
+    ``xs`` is a finite batch (N, Q); the (N,) sums go through
+    ``estimator._weighted_passes``, bitwise the same alone or in any batch.
+    """
     if ds.ambient_dim != net.dim:
         raise ValueError("dataset dimension does not match the network")
-    vals = net(x[None, :] - ds.points)
-    return float(_row_sums((vals * ds.values)[None, :])[0]) / ds.size
+
+    def weights(chunk: np.ndarray) -> np.ndarray:
+        diffs = chunk[:, None, :] - ds.points
+        return net(diffs.reshape(-1, net.dim)).reshape(chunk.shape[0], ds.size)
+
+    return _weighted_passes(ds, xs, weights, 1.0 / ds.size, unit_pass=False)[0]

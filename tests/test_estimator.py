@@ -31,7 +31,8 @@ from hermloc.estimator import (
     value_and_unit_passes,
     write_dataset_csv,
 )
-from hermloc.experiments import HelixSpec, gen_training
+from hermloc.experiments import HelixSpec, gen_training, heat_value_and_unit_passes
+from hermloc.gaussian_net import prefab_kernel_network, shallow_net_estimate
 from hermloc.kernels import compile_kernel, eval_kernel
 
 
@@ -255,6 +256,43 @@ class TestEstimate:
             EstimatorConfig.build(8.0, 1.5, 1)
         with pytest.raises(ValueError):
             EstimatorConfig(8.0, 1.0, compile_kernel(6.0, 1))
+
+
+def _cfg():
+    return EstimatorConfig.build(8.0, 1.0, 1)
+
+
+# every batch entry point over a dataset, as f(ds, xs) -> one or two (T,) passes
+_BATCH_ENTRY_POINTS = {
+    "estimate_batch": lambda ds, xs: estimate_batch(ds, _cfg(), xs),
+    "value_and_unit_passes": lambda ds, xs: value_and_unit_passes(ds, _cfg(), xs),
+    "ratio_reconstruction": lambda ds, xs: ratio_reconstruction(ds, _cfg(), xs),
+    "heat_value_and_unit_passes": lambda ds, xs: heat_value_and_unit_passes(ds, 0.1, xs),
+    "shallow_net_estimate": lambda ds, xs: shallow_net_estimate(
+        ds, prefab_kernel_network(4, 1, 2, 1.0), xs
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_BATCH_ENTRY_POINTS.values()), ids=list(_BATCH_ENTRY_POINTS))
+class TestBatchContract:
+    """A single point is a batch of one: every entry point takes a finite (T, Q) batch."""
+
+    ds = Dataset(np.random.default_rng(30).normal(size=(40, 2)), np.arange(40.0), 1)
+
+    def test_empty_batch_gives_empty_result(self, entry):
+        out = entry(self.ds, np.zeros((0, 2)))
+        for part in out if isinstance(out, tuple) else (out,):
+            assert part.shape == (0,)
+
+    def test_one_dimensional_point_raises(self, entry):
+        with pytest.raises(ValueError, match="test points must be a batch"):
+            entry(self.ds, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises(self, entry, bad):
+        with pytest.raises(ValueError, match="test points must be a batch"):
+            entry(self.ds, np.array([[0.1, 0.2], [0.3, bad]]))
 
 
 def _tree_sum_bound(terms: np.ndarray, want: np.ndarray) -> np.ndarray:

@@ -8,12 +8,13 @@ frozen streams.
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hermloc import experiments
-from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch
+from hermloc.estimator import Dataset, EstimatorConfig, _squared_distances, estimate_batch
 from hermloc.experiments import (
     INTERIOR_HI,
     INTERIOR_LO,
@@ -295,9 +296,32 @@ class TestHeatKernelBaseline:
         xs = rng.normal(size=(6, 2))
         batch = heat_value_and_unit_passes(ds, 0.2, xs)[0]
         for i in range(6):
-            # no bitwise contract here (BLAS paths differ by shape)
             one = heat_value_and_unit_passes(ds, 0.2, xs[i : i + 1])[0]
-            assert one[0] == pytest.approx(batch[i], rel=1e-12)
+            np.testing.assert_array_equal(one, batch[i : i + 1])
+
+    def test_sums_within_the_row_sums_bound(self):
+        # values +-1e6 that cancel: a plain dot product misses by about
+        # u * sum|terms|, far outside the bound below
+        m, t, u = 1000, 0.5, 2.0**-53
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(0.0, 1.0, (m, 1))
+        vals = np.where(np.arange(m) % 2 == 0, 1e6, -1e6) + rng.normal(size=m)
+        ds = Dataset(pts, vals, 1)
+        xs = rng.uniform(0.0, 1.0, (16, 1))
+        num, den = heat_value_and_unit_passes(ds, t, xs)
+        scale = 1.0 / (m * math.sqrt(4.0 * math.pi * t))
+        d2 = _squared_distances(xs, np.ascontiguousarray(pts.T))
+        d2 /= -t
+        weights = np.exp(d2)
+        p = 2.0 ** math.ceil(math.log2(m + 2))
+        c = 3 * m**2 * p**2 * u**3  # two extraction levels at M <= 32766
+        for got, rows in ((num, weights * vals), (den, weights)):
+            for value, row in zip(got, rows):
+                exact = sum(map(Fraction, row.tolist()))
+                # |s^ - S| <= u|S| + (u^2 + c) sum|x|, then one rounding of scale * s^
+                bound = scale * (u * abs(exact) + (u * u + c) * math.fsum(np.abs(row)))
+                bound += u * abs(value)
+                assert abs(Fraction(value) - Fraction(scale) * exact) <= bound
 
     def test_saturation_rate_is_linear_in_t(self):
         # normalized heat smoothing of y**2 at 0 has error ~ t/2 regardless

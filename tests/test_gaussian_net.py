@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hermloc import gaussian_net
-from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch
+from hermloc.estimator import _PAIRS_PER_CHUNK, Dataset, EstimatorConfig, estimate_batch
 from hermloc.gaussian_net import (
     MAX_DIM,
     MAX_M,
@@ -282,18 +282,31 @@ class TestShallowEstimate:
         net = prefab_kernel_network(4, 1, 2, 1.0)
         cfg = EstimatorConfig.build(4.0, 1.0, 1)
         for x in rng.normal(size=(10, 2)) * 0.5:
-            a = shallow_net_estimate(ds, net, x)
+            a = shallow_net_estimate(ds, net, x[None, :])[0]
             b = estimate_batch(ds, cfg, x[None, :])[0]
             assert a == pytest.approx(b, abs=1e-10)
+
+    def test_single_equals_batch_across_chunks(self):
+        # 200 points against 1000 samples span four chunks of test points
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(1000, 2)) * 0.8
+        ds = Dataset(pts, np.sin(pts[:, 0] - pts[:, 1]), 1)
+        net = prefab_kernel_network(4, 1, 2, 1.0)
+        xs = rng.normal(size=(200, 2)) * 0.5
+        assert 2 * (_PAIRS_PER_CHUNK // ds.size) < xs.shape[0]
+        batch = shallow_net_estimate(ds, net, xs)
+        assert batch.shape == (200,)
+        for i in range(200):
+            assert shallow_net_estimate(ds, net, xs[i : i + 1])[0] == batch[i]
 
     def test_validation(self):
         ds = Dataset(np.zeros((2, 3)), np.ones(2), 1)
         net = prefab_kernel_network(4, 1, 2, 1.0)
         with pytest.raises(ValueError):
-            shallow_net_estimate(ds, net, np.zeros(3))
+            shallow_net_estimate(ds, net, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             shallow_net_estimate(
-                Dataset(np.zeros((2, 2)), np.ones(2), 1), net, np.zeros(3)
+                Dataset(np.zeros((2, 2)), np.ones(2), 1), net, np.zeros((1, 3))
             )
 
 
