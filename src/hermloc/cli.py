@@ -42,6 +42,7 @@ from .deep_net import dag_from_doc, eval_gfunction
 from .estimator import (
     EstimatorConfig,
     _read_csv,
+    _read_json,
     _write_csv,
     estimate_batch,
     guarded_ratio,
@@ -74,7 +75,7 @@ CONSTITUENTS = {
     "norm": lambda v: float(np.linalg.norm(v)),
     "sin_sum": lambda v: math.sin(float(np.sum(v))),
     "cos_sum": lambda v: math.cos(float(np.sum(v))),
-    "helix_f": lambda v: math.cos(float(v[0] - v[1] - v[2] / 2.0)),
+    "helix_f": lambda v: float(HelixSpec().target_ambient(v)),
 }
 
 
@@ -88,8 +89,7 @@ def _settings(args, defaults: dict) -> dict:
     """
     config = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = _read_json(args.config)
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(config) - set(defaults))
@@ -266,8 +266,7 @@ def _cmd_synth_net(args) -> int:
 
 
 def _cmd_deep_eval(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.graph)
     dag = dag_from_doc(doc, args.graph)
     names = {}
     for row in doc["nodes"]:
@@ -285,8 +284,7 @@ def _cmd_deep_eval(args) -> int:
         names[str(row["id"])] = CONSTITUENTS[name]
     dag = dag.with_constituents(names)
 
-    with open(args.inputs, "r", encoding="utf-8") as fh:
-        inputs_doc = json.load(fh)
+    inputs_doc = _read_json(args.inputs)
     assignments = inputs_doc if isinstance(inputs_doc, list) else [inputs_doc]
     values = []
     for assignment in assignments:
@@ -296,7 +294,14 @@ def _cmd_deep_eval(args) -> int:
             coords = {sid: np.asarray(v, dtype=float) for sid, v in assignment.items()}
         except (TypeError, ValueError) as exc:
             raise ValueError(f"source coordinates must be numbers: {exc}") from exc
-        values.append(eval_gfunction(dag, coords))
+        for sid, v in coords.items():
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"source {sid!r}: coordinates must be finite, got {v.tolist()}")
+        value = eval_gfunction(dag, coords)
+        # JSON has no NaN or Infinity, so such a value is a failure, not an output
+        if not math.isfinite(value):
+            raise RuntimeError(f"inputs {assignment} gave the non-finite value {value}")
+        values.append(value)
 
     for v in values:
         print(repr(v))

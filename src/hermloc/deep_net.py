@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .estimator import Dataset, EstimatorConfig, ratio_reconstruction
+from .estimator import Dataset, EstimatorConfig, _read_json, ratio_reconstruction
 
 __all__ = [
     "make_pooling",
@@ -183,8 +183,7 @@ class Dag:
 
 def read_dag_json(path: str) -> Dag:
     """Load graph structure from JSON; constituents are attached in code."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return dag_from_doc(json.load(fh), path)
+    return dag_from_doc(_read_json(path), path)
 
 
 def dag_from_doc(doc, path: str) -> Dag:

@@ -30,6 +30,8 @@ max |F| and M, so no NaN comes out of finite input.
 
 The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the one
 table writer, and read by ``_read_csv``, which also reads ``--points`` files.
+Every JSON input (configs, DAGs, networks, DAG inputs) is read by
+``_read_json``.
 
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -168,6 +171,15 @@ def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     del blocks  # freed before the columns are copied out
     values = table[:, dim].copy() if dim < ncol else None
     return np.ascontiguousarray(table[:, :dim]), values
+
+
+def _read_json(path: str):
+    """Parse the JSON file at ``path``; a parse error raises ``ValueError`` naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_dataset_csv(ds: Dataset, path: str) -> None:

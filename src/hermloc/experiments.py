@@ -224,21 +224,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class TrialReport:

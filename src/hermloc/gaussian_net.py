@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import Dataset, _weighted_passes
+from .estimator import Dataset, _read_json, _weighted_passes
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from .kernels import _filter_sums
 
@@ -176,8 +176,7 @@ def read_network_json(path: str) -> GaussianNetwork:
     not match the stated shape, and non-finite values (``json`` reads
     NaN and Infinity).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a network must be a JSON object")
     if "centers" in doc:

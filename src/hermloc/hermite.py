@@ -18,15 +18,10 @@ applied directly to ``psi_k`` (the Gaussian factor commutes with the
 recurrence), which stays O(1) in magnitude instead of overflowing the way
 raw ``h_k`` values do once k is in the hundreds.
 
-The derivative identity ``h_k' = sqrt(2k) * h_{k-1}`` gives
-
-    psi_k'(x) = sqrt(2k) * psi_{k-1}(x) - x * psi_k(x),
-
-which the quadrature code uses to Newton-polish its nodes as zeros of
-``psi_m``.
-
 Quadrature rules integrate against ``exp(-x**2)``: a rule of size m is
-exact on polynomials of degree < 2m.
+exact on polynomials of degree < 2m.  Their nodes are numpy's
+``np.polynomial.hermite.hermgauss`` nodes; their weights come from the
+recurrence above (see :func:`gauss_hermite_rule`).
 """
 
 from __future__ import annotations
@@ -49,25 +44,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # desk-scale caps; larger requests are almost always a caller bug
 MAX_DEGREE = 5000
 MAX_RULE_SIZE = 256
-
-# Newton polish of the eigensolver's nodes: two steps reach the double
-# precision limit, and a correction beyond the cap (relative to max(1, |x|))
-# means the eigensolver handed back a wrong root
-_NEWTON_STEPS = 2
-_NEWTON_STEP_CAP = 1e-10
-
-
-def _jacobi_eigenvalues(m: int) -> np.ndarray:
-    """Eigenvalues, ascending, of the m x m Gauss-Hermite Jacobi matrix.
-
-    The matrix has zero diagonal and off-diagonal entries sqrt(k/2); numpy's
-    dense symmetric solver takes it whole.  At m <= MAX_RULE_SIZE that is
-    a few milliseconds, and after the Newton polish of
-    :func:`gauss_hermite_rule` the nodes are the same as from a tridiagonal
-    solver.
-    """
-    off = np.sqrt(np.arange(1, m) / 2.0)
-    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
 
 @dataclass(frozen=True)
@@ -131,68 +107,27 @@ def psi_zero_even(count: int) -> np.ndarray:
     return out
 
 
-def _symmetrize_nodes(nodes: np.ndarray) -> np.ndarray:
-    """Enforce the exact +/- symmetry the Jacobi matrix has in real arithmetic.
-
-    The middle node of an odd rule is set to exactly 0.
-    """
-    nodes = 0.5 * (nodes - nodes[::-1])
-    if nodes.size % 2 == 1:
-        nodes[nodes.size // 2] = 0.0
-    return nodes
-
-
 def gauss_hermite_rule(m: int) -> QuadratureRule:
-    """Gauss-Hermite rule of size m via the symmetric tridiagonal Jacobi matrix.
+    """Gauss-Hermite rule of size m: numpy's nodes with Christoffel weights.
 
-    Nodes start as the eigenvalues of the Jacobi matrix with zero diagonal
-    and off-diagonal entries sqrt(k/2).  Those carry an absolute error that
-    grows with m (about 8e-14, some 23 ulps, near |x| ~ 22 at m = 256), so
-    two Newton steps on psi_m follow, with
-    psi_m' = sqrt(2m) * psi_{m-1} - x * psi_m (Townsend, Trogdon & Olver,
-    IMA J. Numer. Anal. 2016).  The nodes are re-symmetrized after each
-    step, and a correction larger than 1e-10 * max(1, |x|) raises
-    RuntimeError: the eigensolver then returned a wrong root, and Newton
-    must not silently move a node onto a different zero.  For every
-    m <= MAX_RULE_SIZE the nodes are within a few ulps of |x| (absolute
-    error about 4e-15 at |x| ~ 22) and the weights within about 1e-13
-    relative.  Weights come from the Christoffel identity
+    The nodes are ``np.polynomial.hermite.hermgauss(m)``'s, bit for bit.
+    The weights come from the Christoffel identity
 
         w_k = exp(-x_k**2) / sum_{j<m} psi_j(x_k)**2,
 
-    which equals the squared-first-eigenvector-component formula in exact
-    arithmetic but never loses the extreme weights to eigenvector underflow
-    (LAPACK zeroes those components out around m = 64).  Within the size
-    cap, exp(-x_k**2) stays inside double range.  Nodes and weights are
-    symmetrized exactly and the weights rescaled so their sum is sqrt(pi)
-    to machine precision.
+    symmetrized and rescaled to sum to sqrt(pi); hermgauss's own weights are
+    off by up to 1.3e-13 relative at m = 200 and 256.  Against 40-digit
+    values at m in {5, 18, 50, 72, 128, 200, 256}, the nodes are within
+    1.8e-15 absolute and the weights within 7e-14 relative; for every
+    m <= MAX_RULE_SIZE, a Newton step on psi_m would move no node by more
+    than 1.6 ulps of max(1, |x|).
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("rule size m must be a positive integer")
     if m > MAX_RULE_SIZE:
         raise ValueError(f"m={m} exceeds the supported cap {MAX_RULE_SIZE}")
-    if m == 1:
-        return QuadratureRule(1, np.zeros(1), np.array([_SQRT_PI]))
 
-    try:
-        nodes = _jacobi_eigenvalues(m)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise RuntimeError(f"Jacobi eigensolver failed for m={m}") from exc
-
-    nodes = _symmetrize_nodes(nodes)
-    for _ in range(_NEWTON_STEPS):
-        psi = hermite_matrix(m, nodes)
-        dpsi = math.sqrt(2.0 * m) * psi[:, m - 1] - nodes * psi[:, m]
-        step = psi[:, m] / dpsi
-        cap = _NEWTON_STEP_CAP * np.maximum(1.0, np.abs(nodes))
-        # written so that a NaN step fails the check too
-        if not np.all(np.abs(step) <= cap):
-            raise RuntimeError(
-                f"Newton polish moved a node too far for m={m}: "
-                "the eigensolver returned a wrong root"
-            )
-        nodes = _symmetrize_nodes(nodes - step)
-
+    nodes = np.polynomial.hermite.hermgauss(m)[0]
     psi = hermite_matrix(m - 1, nodes)
     weights = np.exp(-nodes * nodes) / np.sum(psi * psi, axis=1)
     weights = 0.5 * (weights + weights[::-1])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hermloc import cli
+from hermloc.deep_net import read_dag_json
 from hermloc.estimator import (
     Dataset,
     EstimatorConfig,
@@ -23,7 +24,7 @@ from hermloc.estimator import (
     write_dataset_csv,
 )
 from hermloc.experiments import HelixSpec
-from hermloc.gaussian_net import MAX_M, prefab_kernel_network
+from hermloc.gaussian_net import MAX_M, prefab_kernel_network, read_network_json
 from hermloc.kernels import eval_kernel
 
 
@@ -288,6 +289,13 @@ class TestSubcommandsWriteOutput:
         doc = json.loads((out / "deep_eval.json").read_text())
         assert doc == {"values": [10.0, 0.5]}
 
+    def test_helix_constituent_is_the_helix_target(self):
+        spec = HelixSpec()
+        t = np.linspace(spec.t_min, spec.t_max, 101)
+        got = [cli.CONSTITUENTS["helix_f"](y) for y in spec.point(t)]
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(got, spec.target(t))
+
 
 class TestConfigPrecedence:
     """A config value is used where its flag is absent; the flag wins where given."""
@@ -406,6 +414,48 @@ class TestExitCodes:
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
         assert "error: source coordinates must be numbers" in capsys.readouterr().err
+
+    def test_deep_eval_non_finite_coordinates_exit_2(self, tmp_path, capsys):
+        graph = _write_json(tmp_path / "graph.json", GRAPH)
+        out = tmp_path / "out"
+        for source, bad in (("s1", [math.nan]), ("s2", [0.0, math.inf])):
+            doc = {"s1": [1.0], "s2": [0.0, 1.0], source: bad}
+            inputs = _write_json(tmp_path / "inputs.json", doc)  # json writes NaN, Infinity
+            rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
+            assert rc == 2
+            assert f"error: source '{source}': coordinates must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deep_eval_non_finite_value_exits_1(self, tmp_path, capsys):
+        # finite inputs whose product overflows: JSON cannot hold the result
+        graph = _write_json(tmp_path / "graph.json", GRAPH)
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": [1e200], "s2": [1e200, 0.0]})
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
+        assert rc == 1
+        assert "gave the non-finite value inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["config", "graph", "inputs", "dag", "network"])
+    def test_json_syntax_error_names_the_file(self, tmp_path, capsys, reader):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 3,\n')
+        graph = _write_json(tmp_path / "graph.json", GRAPH)
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": [0.0], "s2": [0.0, 1.0]})
+        argv = {
+            "config": ["synth-net", "--config", str(bad), "--out", str(tmp_path / "out")],
+            "graph": ["deep-eval", "--graph", str(bad), "--inputs", inputs],
+            "inputs": ["deep-eval", "--graph", graph, "--inputs", str(bad)],
+        }.get(reader)
+        if argv is None:
+            with pytest.raises(ValueError) as info:
+                {"dag": read_dag_json, "network": read_network_json}[reader](str(bad))
+            err = f"error: {info.value}"
+        else:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: Expecting property name")
 
     def test_deep_eval_pooling_not_an_object_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(GRAPH))

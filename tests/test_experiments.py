@@ -148,20 +148,10 @@ class TestExperimentConfig:
         for bad in ({"M": "256"}, {"M": 2.0}, {"trials": True}, {"alpha": True},
                     {"sigma": "0.3"}, {"noise": 1}, {"output": 3}):
             with pytest.raises(ValueError, match=next(iter(bad))):
-                ExperimentConfig.from_dict(bad)
-        cfg = ExperimentConfig.from_dict({"M": np.int64(8), "alpha": 1, "sigma": 1})
+                ExperimentConfig(**bad).validate()
+        cfg = ExperimentConfig(**{"M": np.int64(8), "alpha": 1, "sigma": 1})
+        cfg.validate()
         assert cfg.M == 8 and cfg.alpha == 1
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_dict({"M": 16, "bandwidth": 3})
-
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"M": 32, "n": 8, "trials": 2, "test_points": 64}))
-        cfg = ExperimentConfig.from_json(str(path))
-        assert cfg.M == 32 and cfg.n == 8 and cfg.trials == 2
-        assert cfg.noise == "none"
 
 
 class TestRatioReconstruction:

@@ -2,9 +2,9 @@
 
 Oracles: closed forms for psi_0, psi_1, psi_2; 50-digit mpmath values of
 psi_{2l}(0); analytic Gaussian moments Gamma(j + 1/2); the classical
-5-point Gauss-Hermite rule; numpy's independent hermgauss implementation;
-rules started from scipy's tridiagonal eigensolver; and 60-digit reference
-values for the extreme node and weight of the m=256 rule.
+5-point Gauss-Hermite rule; 40-digit mpmath rules (Newton on the
+orthonormal recurrence, Christoffel weights); and 60-digit reference values
+for the extreme node and weight of the m=256 rule.
 """
 
 import math
@@ -12,7 +12,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma
 
 from hermloc.gaussian_net import MAX_M
@@ -26,6 +25,42 @@ from hermloc.hermite import (
 from oracles import quad_integrate
 
 PI_M14 = math.pi ** -0.25
+
+
+def mp_rule(m: int, dps: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """Size-m Gauss-Hermite rule in mpmath, rounded to doubles.
+
+    Each nonnegative node is three Newton steps on h_m, with
+    h_m' = sqrt(2m) h_{m-1}, from the double rule's node; its weight is the
+    Christoffel value 1 / sum_{j<m} h_j(x)**2 at the converged node.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    c1 = [None, None] + [mp.sqrt(mp.mpf(2) / k) for k in range(2, m + 1)]
+    c2 = [None, None] + [mp.sqrt(mp.mpf(k - 1) / k) for k in range(2, m + 1)]
+    h0 = mp.pi ** mp.mpf(-0.25)
+
+    def recurrence(x):
+        hs = [h0, mp.sqrt(2) * h0 * x]
+        for k in range(2, m + 1):
+            hs.append(c1[k] * x * hs[-1] - c2[k] * hs[-2])
+        return hs
+
+    nodes, weights = [], []
+    for start in gauss_hermite_rule(m).nodes[m // 2 :]:
+        x = mp.mpf(float(start))
+        for _ in range(3):
+            hs = recurrence(x)
+            x -= hs[m] / (mp.sqrt(2 * m) * hs[m - 1])
+        hs = recurrence(x)
+        # converged: one more step would not move the node
+        assert abs(hs[m] / hs[m - 1]) < mp.mpf(10) ** (5 - dps) * max(1, abs(x))
+        nodes.append(float(x))
+        weights.append(float(1 / mp.fsum(h * h for h in hs[:m])))
+    half = m // 2
+    nodes = np.array([-v for v in reversed(nodes[len(nodes) - half :])] + nodes)
+    weights = np.array(list(reversed(weights[len(weights) - half :])) + weights)
+    return nodes, weights
 
 
 def psi0_direct(x: float) -> float:
@@ -161,20 +196,20 @@ class TestGaussHermiteRule:
             )
 
     def test_against_independent_implementation(self):
-        # the sizes 2m^2 that the Gaussian-network center grids ask for,
-        # plus a few others up to the size cap
-        sizes = sorted({10, 64, 256} | {2 * m * m for m in range(1, MAX_M + 1)})
-        for m in sizes:
+        # 40-digit rules at a network center grid size 2n^2 (n = 3, 6) and
+        # at the size cap
+        for m in [18, 2 * MAX_M * MAX_M, MAX_RULE_SIZE]:
             rule = gauss_hermite_rule(m)
-            nodes, weights = np.polynomial.hermite.hermgauss(m)
+            nodes, weights = mp_rule(m)
+            assert np.all(np.diff(nodes) > 0), f"m={m}"
             np.testing.assert_allclose(
-                rule.nodes, nodes, rtol=0, atol=2e-14, err_msg=f"m={m}"
+                rule.nodes, nodes, rtol=0, atol=4e-15, err_msg=f"m={m}"
             )
             np.testing.assert_allclose(
-                rule.weights, weights, rtol=5e-13, atol=0, err_msg=f"m={m}"
+                rule.weights, weights, rtol=1e-13, atol=0, err_msg=f"m={m}"
             )
         # the m=256 extreme node and weight against 60-digit reference
-        # values (Newton on H_256 in mpmath), independent of hermgauss
+        # values (Newton on H_256 in mpmath)
         rule = gauss_hermite_rule(256)
         assert rule.nodes[0] == pytest.approx(
             -21.99169337968173143150578, rel=0, abs=4e-15
@@ -183,24 +218,15 @@ class TestGaussHermiteRule:
             5.235854530678407140045257e-211, rel=5e-13, abs=0
         )
 
-    def test_matches_tridiagonal_solver(self, monkeypatch):
-        # the dense eigensolver's first guesses give the same rule as
-        # scipy's tridiagonal one, within the documented accuracy
-        import hermloc.hermite as hermite_mod
-
-        dense = [gauss_hermite_rule(m) for m in range(1, MAX_RULE_SIZE + 1)]
-
-        def tridiagonal(m):
-            off = np.sqrt(np.arange(1, m) / 2.0)
-            return eigh_tridiagonal(np.zeros(m), off, eigvals_only=True)
-
-        monkeypatch.setattr(hermite_mod, "_jacobi_eigenvalues", tridiagonal)
-        for m, want in enumerate(dense, start=1):
-            rule = gauss_hermite_rule(m)
-            atol = 4 * np.spacing(np.maximum(1.0, np.abs(want.nodes)))
-            assert np.all(np.abs(rule.nodes - want.nodes) <= atol), f"m={m}"
-            np.testing.assert_allclose(rule.weights, want.weights, rtol=1e-13, atol=0,
-                                       err_msg=f"m={m}")
+    def test_nodes_are_newton_fixed_points(self):
+        # a Newton step on psi_m, psi_m' = sqrt(2m) psi_{m-1} - x psi_m,
+        # moves no node by more than 4 ulps: every node sits on its zero
+        for m in range(1, MAX_RULE_SIZE + 1):
+            nodes = gauss_hermite_rule(m).nodes
+            psi = hermite_matrix(m, nodes)
+            step = psi[:, m] / (math.sqrt(2.0 * m) * psi[:, m - 1] - nodes * psi[:, m])
+            ulps = np.abs(step) / np.spacing(np.maximum(1.0, np.abs(nodes)))
+            assert np.all(ulps <= 4.0), f"m={m}: {ulps.max():.2f} ulps"
 
     def test_moments_match_gamma(self):
         # integral x^{2j} exp(-x^2) dx = Gamma(j + 1/2)
@@ -233,22 +259,6 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(MAX_RULE_SIZE + 1)
         with pytest.raises(ValueError):
             gauss_hermite_rule(2.5)
-
-    def test_newton_polish_rejects_a_wrong_root(self, monkeypatch):
-        # an eigensolver that hands back a node far from its zero must make
-        # the rule fail loudly instead of Newton moving it somewhere else
-        import hermloc.hermite as hermite_mod
-
-        true_nodes = np.polynomial.hermite.hermgauss(8)[0]
-
-        def bad_eigensolver(m):
-            nodes = true_nodes.copy()
-            nodes[[0, -1]] += [0.1, -0.1]
-            return nodes
-
-        monkeypatch.setattr(hermite_mod, "_jacobi_eigenvalues", bad_eigensolver)
-        with pytest.raises(RuntimeError, match="wrong root"):
-            gauss_hermite_rule(8)
 
 
 class TestQuadIntegrate:
