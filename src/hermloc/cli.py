@@ -10,18 +10,12 @@ Subcommands:
   synth-net       build the Gaussian network for a localized kernel
   deep-eval       evaluate a DAG composition from JSON descriptions
 
-Shared flags, each only where its subcommand reads it:
-
-  --out <dir>      every subcommand
-  --config <json>  gen-data, estimate, helix, baseline-heat, synth-net:
-                   a JSON object keyed by the subcommand's parameter names;
-                   each parameter takes its flag, else its config value,
-                   else its default; for `helix` the keys mirror
-                   ExperimentConfig field for field, `output` included
-                   (--out wins over it); a key the subcommand does not read,
-                   or a value of the wrong JSON type, is a validation error
-  --seed <u64>     gen-data, helix, baseline-heat
-  --trials <k>     helix
+``hermloc <cmd> --help`` lists a subcommand's flags and every default.
+Every subcommand takes --out <dir>.  Those with a row in ``_PARAMETERS``
+also take --config <json>, a JSON object keyed by the row's parameter
+names; each parameter takes its flag (helix's ``output`` is --out), else
+its config value, else its default.  A key the subcommand does not read,
+or a value of the wrong JSON type, is a validation error.
 
 Exit code 0 on success, 2 on a validation error (bad or unknown flag,
 malformed config or input file), 1 on a runtime failure.
@@ -56,13 +50,14 @@ from .experiments import (
     ExperimentConfig,
     HelixSpec,
     _check_type,
+    _summary,
     bernstein_demo,
     gen_training,
     heat_value_and_unit_passes,
     run_experiment,
 )
-from .gaussian_net import MAX_M, prefab_kernel_network, write_network_json
-from .kernels import eval_kernel, kernel_form
+from .gaussian_net import prefab_kernel_network, write_network_json
+from .kernels import compile_kernel, eval_kernel, kernel_form
 
 # unit roundoff of float64
 _U = 2.0**-53
@@ -72,21 +67,46 @@ CONSTITUENTS = {
     "sum": lambda v: float(np.sum(v)),
     "mean": lambda v: float(np.mean(v)),
     "prod": lambda v: float(np.prod(v)),
-    "norm": lambda v: float(np.linalg.norm(v)),
+    "norm": lambda v: math.hypot(*v),
     "sin_sum": lambda v: math.sin(float(np.sum(v))),
     "cos_sum": lambda v: math.cos(float(np.sum(v))),
     "helix_f": lambda v: float(HelixSpec().target_ambient(v)),
 }
 
+# the --config parameters of each subcommand and their defaults: build_parser
+# gives each a flag typed as its default, with a help line from _HELP, and
+# _settings resolves it; helix's keys mirror ExperimentConfig field for field
+_PARAMETERS = {
+    "gen-data": {"M": 256, "noise": "none", "sigma": 0.3, "seed": 0},
+    "estimate": {"n": 64, "alpha": 1.0, "q": 1},
+    "helix": {**asdict(ExperimentConfig()), "output": "helix_out"},
+    "baseline-heat": {"M": 1024, "seed": 0, "test_points": 512},
+    "synth-net": {"n": 4, "q": 1, "ambient_dim": 2, "alpha": 1.0},
+}
+_HELP = {
+    "M": "number of training samples",
+    "n": "kernel degree",
+    "alpha": "localization exponent",
+    "q": "manifold dimension",
+    "noise": "noise model",
+    "sigma": "additive noise std",
+    "trials": "number of trials",
+    "test_points": "test grid size",
+    "seed": "RNG seed, an unsigned integer",
+    "output": "output directory",
+    "ambient_dim": "ambient dimension Q",
+}
 
-def _settings(args, defaults: dict) -> dict:
-    """Each parameter of ``defaults``: its flag, else its ``--config`` value, else its default.
 
-    A parameter's flag is ``args.<key lowercased>``, and its type is its
-    default's.  A config that is not a JSON object, a key outside
-    ``defaults``, and a value of another JSON type (null, list, object,
-    bool, or a string for a number) raise ``ValueError``.
+def _settings(args) -> dict:
+    """Each parameter of ``args.command``'s row: its flag, else its config value, else its default.
+
+    A parameter's flag sets ``args.<key lowercased>``, and its type is its
+    default's.  A config that is not a JSON object, a key outside the row,
+    and a value of another JSON type (null, list, object, bool, or a string
+    for a number) raise ``ValueError``.
     """
+    defaults = _PARAMETERS[args.command]
     config = {}
     if args.config is not None:
         config = _read_json(args.config)
@@ -97,7 +117,7 @@ def _settings(args, defaults: dict) -> dict:
             raise ValueError(f"unknown config fields: {unknown}")
     settings = {}
     for key, default in defaults.items():
-        flag, kind = getattr(args, key.lower(), None), type(default)
+        flag, kind = getattr(args, key.lower()), type(default)
         if flag is not None:
             settings[key] = flag
         elif key in config:
@@ -115,7 +135,7 @@ def _out_dir(args, default: str) -> str:
 
 
 def _cmd_gen_data(args) -> int:
-    params = _settings(args, {"M": 256, "noise": "none", "sigma": 0.3, "seed": 0})
+    params = _settings(args)
     noise, seed = params["noise"], params["seed"]
     ds = gen_training(HelixSpec(), params["M"], noise, sigma=params["sigma"], seed=seed)
     out = _out_dir(args, "data_out")
@@ -126,7 +146,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    params = _settings(args, {"n": 64, "alpha": 1.0, "q": 1})
+    params = _settings(args)
     n, alpha = params["n"], params["alpha"]
     ds = read_dataset_csv(args.data, params["q"])
     ecfg = EstimatorConfig.build(n, alpha, ds.q)
@@ -165,10 +185,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_helix(args) -> int:
-    params = _settings(args, {**asdict(ExperimentConfig()), "output": "helix_out"})
-    if args.out is not None:
-        params["output"] = args.out
-    cfg = ExperimentConfig(**params)
+    cfg = ExperimentConfig(**_settings(args))
     report = run_experiment(cfg)
     avg = report.average_summary
     print(
@@ -190,7 +207,7 @@ def _cmd_helix(args) -> int:
 
 
 def _cmd_baseline_heat(args) -> int:
-    params = _settings(args, {"M": 1024, "seed": 0, "test_points": 512})
+    params = _settings(args)
     times = [float(s) for s in args.times.split(",")]
     n_list = [int(s) for s in args.n_list.split(",")]
 
@@ -203,13 +220,11 @@ def _cmd_baseline_heat(args) -> int:
     rows = []
     for t in times:
         est = guarded_ratio(*heat_value_and_unit_passes(ds, t, xs))
-        err = float(np.max(np.abs((est - f_true)[interior])))
-        rows.append(("heat", t, err))
+        rows.append(("heat", t, _summary(est - f_true, interior)["interior_max"]))
     for n in n_list:
         ecfg = EstimatorConfig.build(n, 1.0, 1)
         est = ratio_reconstruction(ds, ecfg, xs)
-        err = float(np.max(np.abs((est - f_true)[interior])))
-        rows.append(("kernel", n, err))
+        rows.append(("kernel", n, _summary(est - f_true, interior)["interior_max"]))
 
     out = _out_dir(args, "baseline_out")
     path = os.path.join(out, "baseline_heat.csv")
@@ -243,7 +258,7 @@ def _cmd_demo_bernstein(args) -> int:
 
 
 def _cmd_synth_net(args) -> int:
-    params = _settings(args, {"n": 4, "q": 1, "ambient_dim": 2, "alpha": 1.0})
+    params = _settings(args)
     n, q, big_q, alpha = params["n"], params["q"], params["ambient_dim"], params["alpha"]
     net = prefab_kernel_network(n, q, big_q, alpha)
     out = _out_dir(args, "synth_out")
@@ -251,12 +266,11 @@ def _cmd_synth_net(args) -> int:
     write_network_json(net, path)
     print(f"wrote {path} ({net.coeffs.size} Gaussian terms, scale={net.scale})")
     if args.check:
-        table_cfg = EstimatorConfig.build(n, alpha, q)
         radii = np.linspace(0.0, 3.0, 121)
         pts = np.zeros((radii.size, big_q))
         pts[:, 0] = radii
         lam = float(n) ** (1.0 - alpha)
-        want = float(n) ** (q * (1.0 - alpha)) * eval_kernel(table_cfg.table, lam * radii)
+        want = float(n) ** (q * (1.0 - alpha)) * eval_kernel(compile_kernel(n, q), lam * radii)
         got = net(pts)
         dev = float(np.max(np.abs(got - want)))
         mass = float(np.sum(np.abs(net.coeffs)))
@@ -315,88 +329,63 @@ def _cmd_deep_eval(args) -> int:
     return 0
 
 
-def _flag(*args, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser holding one shared flag."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*args, **kwargs)
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermloc",
         description="Training-free localized-kernel function approximation toolkit",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    out = _flag("--out", help="output directory")
-    config = _flag("--config", help="JSON file of parameter defaults")
-    seed = _flag("--seed", type=int, help="RNG seed (unsigned integer)")
-    trials = _flag("--trials", type=int, help="number of trials")
 
-    p = subs.add_parser("gen-data", parents=[out, config, seed],
-                        help="draw helix training samples to CSV")
-    p.add_argument("--m", type=int, help="number of samples (default 256)")
-    p.add_argument("--noise", choices=NOISE_MODELS, help="noise model")
-    p.add_argument("--sigma", type=float, help="additive noise std (default 0.3)")
-    p.set_defaults(func=_cmd_gen_data)
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        params = _PARAMETERS.get(name, {})
+        if "output" not in params:
+            p.add_argument("--out", help="output directory")
+        if params:
+            p.add_argument("--config", help="JSON file of parameter defaults")
+        for key, default in params.items():
+            flag = "--out" if key == "output" else "--" + key.lower().replace("_", "-")
+            p.add_argument(flag, dest=key.lower(), type=type(default),
+                           choices=NOISE_MODELS if key == "noise" else None,
+                           help=f"{_HELP[key]} (default {default})")
+        return p
 
-    p = subs.add_parser("estimate", parents=[out, config],
-                        help="run the kernel estimator on a dataset CSV")
+    add("gen-data", _cmd_gen_data, "draw helix training samples to CSV")
+
+    p = add("estimate", _cmd_estimate, "run the kernel estimator on a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV (gen-data format)")
-    p.add_argument("--n", type=int, help="kernel degree (default 64)")
-    p.add_argument("--alpha", type=float, help="localization exponent (default 1)")
-    p.add_argument("--q", type=int, help="declared manifold dimension (default 1)")
     p.add_argument("--points", help="CSV of evaluation points, header y_1..y_Q, then an "
                                     "optional value column (ignored); blank lines are skipped")
     p.add_argument(
         "--helix-grid", type=int, default=512,
-        help="evaluate on this many equidistant helix points (at least 1, default 512)",
+        help="evaluate on this many equidistant helix points (at least 1, default %(default)s)",
     )
     p.add_argument("--ratio", action="store_true",
                    help="append the two-pass ratio reconstruction column")
-    p.set_defaults(func=_cmd_estimate)
 
-    p = subs.add_parser("helix", parents=[out, config, seed, trials],
-                        help="run the helix reconstruction experiment")
-    p.add_argument("--m", type=int, help="training size M")
-    p.add_argument("--n", type=int, help="kernel degree")
-    p.add_argument("--alpha", type=float, help="localization exponent")
-    p.add_argument("--noise", choices=NOISE_MODELS, help="noise model")
-    p.add_argument("--sigma", type=float, help="additive noise std")
-    p.add_argument("--test-points", type=int, help="test grid size")
-    p.set_defaults(func=_cmd_helix)
+    add("helix", _cmd_helix, "run the helix reconstruction experiment")
 
-    p = subs.add_parser("baseline-heat", parents=[out, config, seed],
-                        help="heat smoother vs kernel estimator table")
-    p.add_argument("--m", type=int, help="training size (default 1024)")
+    p = add("baseline-heat", _cmd_baseline_heat, "heat smoother vs kernel estimator table")
     p.add_argument("--times", default="0.1,0.05,0.025",
-                   help="comma-separated diffusion times")
+                   help="comma-separated diffusion times (default %(default)s)")
     p.add_argument("--n-list", default="16,32,64",
-                   help="comma-separated kernel degrees")
-    p.add_argument("--test-points", type=int, help="test grid size (default 512)")
-    p.set_defaults(func=_cmd_baseline_heat)
+                   help="comma-separated kernel degrees (default %(default)s)")
 
-    p = subs.add_parser("demo-bernstein", parents=[out],
-                        help="Bernstein saturation table")
-    p.add_argument("--n-list", default="16,64,256", help="comma-separated degrees")
-    p.add_argument("--grid", type=int, default=257, help="grid size on [0,1]")
-    p.set_defaults(func=_cmd_demo_bernstein)
+    p = add("demo-bernstein", _cmd_demo_bernstein, "Bernstein saturation table")
+    p.add_argument("--n-list", default="16,64,256",
+                   help="comma-separated degrees (default %(default)s)")
+    p.add_argument("--grid", type=int, default=257,
+                   help="grid size on [0,1] (default %(default)s)")
 
-    p = subs.add_parser("synth-net", parents=[out, config],
-                        help="build a Gaussian network for a kernel")
-    p.add_argument("--n", type=int, help=f"kernel degree (2..{MAX_M}, default 4)")
-    p.add_argument("--q", type=int, help="manifold dimension (default 1)")
-    p.add_argument("--ambient-dim", type=int, help="ambient dimension Q (default 2)")
-    p.add_argument("--alpha", type=float, help="localization exponent (default 1)")
+    p = add("synth-net", _cmd_synth_net, "build a Gaussian network for a kernel")
     p.add_argument("--check", action="store_true",
                    help="compare the network against the kernel on [0,3]")
-    p.set_defaults(func=_cmd_synth_net)
 
-    p = subs.add_parser("deep-eval", parents=[out], help="evaluate a DAG composition")
+    p = add("deep-eval", _cmd_deep_eval, "evaluate a DAG composition")
     p.add_argument("--graph", required=True, help="DAG JSON (nodes name constituents)")
     p.add_argument("--inputs", required=True,
                    help="JSON: {source id: coords} or a list of such objects")
-    p.set_defaults(func=_cmd_deep_eval)
 
     return parser
 

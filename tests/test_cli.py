@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,16 @@ class TestSubcommandsWriteOutput:
         doc = json.loads((out / "deep_eval.json").read_text())
         assert doc == {"values": [10.0, 0.5]}
 
+    def test_deep_eval_norm_of_large_coordinates(self, tmp_path, capsys):
+        # |(1e200, 0)| is finite although its square is not
+        graph = _write_json(tmp_path / "graph.json", GRAPH)
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": [1.0], "s2": [1e200, 0.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
+        assert rc == 0
+        assert capsys.readouterr() == ("1e+200\n", "")
+
     def test_helix_constituent_is_the_helix_target(self):
         spec = HelixSpec()
         t = np.linspace(spec.t_min, spec.t_max, 101)
@@ -524,3 +535,40 @@ class TestFlags:
             cli.main(["demo-bernstein", "--seed", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+class TestParameterTable:
+    """Each --config parameter's flag, help line and resolved default come from one table."""
+
+    @staticmethod
+    def _help(command, flag, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"  {flag} "))
+        # "--flag METAVAR  help", or the help alone on the next line
+        parts = lines[i].split(maxsplit=2)
+        return parts[2] if len(parts) == 3 else lines[i + 1].strip()
+
+    @staticmethod
+    def _resolved(command):
+        extra = ["--data", "data.csv"] if command == "estimate" else []
+        return cli._settings(cli.build_parser().parse_args([command, *extra]))
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, row in cli._PARAMETERS.items() for key in row
+    ])
+    def test_help_shows_the_resolved_default(self, command, key, capsys, monkeypatch):
+        flag = "--out" if key == "output" else "--" + key.lower().replace("_", "-")
+        value = self._resolved(command)[key]
+        assert self._help(command, flag, capsys, monkeypatch).endswith(f"(default {value})")
+
+    def test_a_table_default_sets_help_and_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._PARAMETERS["gen-data"], "M", 11)
+        assert self._help("gen-data", "--m", capsys, monkeypatch).endswith("(default 11)")
+        assert self._resolved("gen-data")["M"] == 11
+        assert cli.main(["gen-data", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "data.csv", encoding="utf-8") as fh:
+            assert len(list(csv.reader(fh))) == 12
