@@ -24,7 +24,6 @@ malformed config or input file), 1 on a runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -38,6 +37,7 @@ from .estimator import (
     _read_csv,
     _read_json,
     _write_csv,
+    _write_json,
     estimate_batch,
     guarded_ratio,
     ratio_reconstruction,
@@ -137,7 +137,8 @@ def _out_dir(args, default: str) -> str:
 def _cmd_gen_data(args) -> int:
     params = _settings(args)
     noise, seed = params["noise"], params["seed"]
-    ds = gen_training(HelixSpec(), params["M"], noise, sigma=params["sigma"], seed=seed)
+    ds = gen_training(HelixSpec(), params["M"], noise, sigma=params["sigma"],
+                      rng=np.random.default_rng(seed))
     out = _out_dir(args, "data_out")
     path = os.path.join(out, "data.csv")
     write_dataset_csv(ds, path)
@@ -212,7 +213,7 @@ def _cmd_baseline_heat(args) -> int:
     n_list = [int(s) for s in args.n_list.split(",")]
 
     spec = HelixSpec()
-    ds = gen_training(spec, params["M"], "none", seed=params["seed"])
+    ds = gen_training(spec, params["M"], "none", rng=np.random.default_rng(params["seed"]))
     t_grid, xs = spec.grid(params["test_points"])
     f_true = spec.target(t_grid)
     interior = spec.interior(t_grid)
@@ -320,11 +321,9 @@ def _cmd_deep_eval(args) -> int:
     for v in values:
         print(repr(v))
     if args.out is not None:
-        out = _out_dir(args, "deep_out")
-        path = os.path.join(out, "deep_eval.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"values": values}, fh, indent=1)
-            fh.write("\n")
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, "deep_eval.json")
+        _write_json(path, {"values": values})
         print(f"wrote {path}")
     return 0
 

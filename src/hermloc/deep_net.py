@@ -29,14 +29,13 @@ module's zero-mass policy applies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .estimator import Dataset, EstimatorConfig, _read_json, ratio_reconstruction
+from .estimator import Dataset, EstimatorConfig, _read_json, _write_json, ratio_reconstruction
 
 __all__ = [
     "make_pooling",
@@ -246,9 +245,7 @@ def write_dag_json(dag: Dag, path: str) -> None:
         rows.append({"id": node.id, "kind": node.kind, "in_dim": node.in_dim,
                      "children": list(node.children), "pooling": pooling,
                      "lipschitz": node.lipschitz})
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"nodes": rows, "sink": dag.sink}, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, {"nodes": rows, "sink": dag.sink})
 
 
 def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:

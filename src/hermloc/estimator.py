@@ -31,7 +31,7 @@ max |F| and M, so no NaN comes out of finite input.
 The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the one
 table writer, and read by ``_read_csv``, which also reads ``--points`` files.
 Every JSON input (configs, DAGs, networks, DAG inputs) is read by
-``_read_json``.
+``_read_json``, and every JSON output is written by ``_write_json``.
 
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 parametrized curve (q = 1): the same kernel integrated against the
@@ -182,6 +182,13 @@ def _read_json(path: str):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _write_json(path: str, doc, sort_keys: bool = False) -> None:
+    """Write ``doc`` to ``path`` as JSON indented by 1, with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def write_dataset_csv(ds: Dataset, path: str) -> None:
     """Write the dataset CSV, header y_1..y_Q,value, with :func:`_write_csv`."""
     header = [f"y_{i + 1}" for i in range(ds.ambient_dim)] + ["value"]
@@ -198,23 +205,23 @@ def read_dataset_csv(path: str, q: int) -> Dataset:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Degree n, localization exponent alpha in (0, 1], and compiled table."""
+    """Localization exponent alpha in (0, 1] and the compiled table of degree n."""
 
-    n: float
     alpha: float
     table: KernelTable
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.n) or self.n < 1:
-            raise ValueError("n must be a finite real >= 1")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.table.n != self.n:
-            raise ValueError("kernel table was compiled for a different n")
+
+    @property
+    def n(self) -> float:
+        """The degree the table was compiled for."""
+        return self.table.n
 
     @classmethod
     def build(cls, n: float, alpha: float, q: int) -> "EstimatorConfig":
-        return cls(float(n), float(alpha), compile_kernel(n, q))
+        return cls(float(alpha), compile_kernel(n, q))
 
 
 # test points are processed in chunks of about this many (point, sample)
@@ -431,6 +438,10 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when panel refinement does not reach the requested tolerance."""
 
 
+# the finest panel count ``continuous_operator_on_curve`` refines to
+_MAX_PANELS = 1 << 17
+
+
 def continuous_operator_on_curve(
     curve: Curve,
     f: Callable[[np.ndarray], np.ndarray],
@@ -439,7 +450,6 @@ def continuous_operator_on_curve(
     x,
     *,
     tol: float = 1e-8,
-    max_panels: int = 1 << 17,
 ) -> float:
     """Continuous analogue of the estimator on a curve (q = 1).
 
@@ -470,7 +480,7 @@ def continuous_operator_on_curve(
     smax = float(np.max(curve.speed_at(tprobe)))
     panels = 32
     target = lam * math.sqrt(2.0) * n * smax * span / (2.0 * math.pi)
-    while panels < min(max_panels, 2.0 * target):
+    while panels < min(_MAX_PANELS, 2.0 * target):
         panels *= 2
 
     def level(p: int) -> tuple[float, float]:
@@ -489,7 +499,7 @@ def continuous_operator_on_curve(
     prev_val = None
     agree = 0
     p = panels
-    while p <= max_panels:
+    while p <= _MAX_PANELS:
         integ, mass = level(p)
         val = lam * integ / mass
         if prev_val is not None:
@@ -502,5 +512,5 @@ def continuous_operator_on_curve(
         prev_val = val
         p *= 2
     raise QuadratureConvergenceError(
-        f"no agreement to {tol} within {max_panels} panels"
+        f"no agreement to {tol} within {_MAX_PANELS} panels"
     )

@@ -45,7 +45,6 @@ two dense trials on two cores take about as long as one.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -61,6 +60,7 @@ from .estimator import (
     _squared_distances,
     _weighted_passes,
     _write_csv,
+    _write_json,
     ratio_reconstruction,
 )
 
@@ -152,8 +152,7 @@ def gen_training(
     noise: str = "none",
     *,
     sigma: float = 0.3,
-    seed=None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> Dataset:
     """Draw M labeled samples from the helix under the given noise model.
 
@@ -164,8 +163,6 @@ def gen_training(
         raise ValueError("M must be positive")
     if noise not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {noise!r}; choose from {NOISE_MODELS}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     t = rng.uniform(spec.t_min, spec.t_max, M)
     points = spec.point(t)
     if noise == "none":
@@ -192,7 +189,7 @@ def _check_type(name: str, value, kind: type) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Run parameters; mirrors the JSON config schema field for field."""
+    """Run parameters, checked on construction; mirrors the JSON config schema field for field."""
 
     M: int = 256
     n: int = 64
@@ -204,15 +201,15 @@ class ExperimentConfig:
     seed: int = 0
     output: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             # output=None runs without writing; the CLI always writes (its
             # default output is "helix_out"), so there a null output is an error
             if f.name != "output" or value is not None:
                 _check_type(f.name, value, type(f.default) if f.default is not None else str)
-        if self.M < 1 or self.trials < 1 or self.test_points < 2:
-            raise ValueError("M, trials must be >= 1 and test_points >= 2")
+        if self.M < 1 or self.trials < 1 or self.test_points < 3:
+            raise ValueError("M, trials must be >= 1 and test_points >= 3")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if not 0.0 < self.alpha <= 1.0:
@@ -243,10 +240,12 @@ class ExperimentReport:
     average_fhat: np.ndarray
     average_summary: dict
     aggregate_histogram: np.ndarray
-    rng_kind: str = "PCG64"
 
 
 def _summary(errors: np.ndarray, interior: np.ndarray) -> dict:
+    """Max, interior max, mean and median of |errors|; ``interior`` masks the interior points."""
+    if not np.any(interior):  # an equidistant grid needs 3 points to reach inside
+        raise ValueError(f"at least 3 test points are needed, got {interior.size}")
     abs_err = np.abs(errors)
     return {
         "max": float(abs_err.max()),
@@ -269,7 +268,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Writes CSV/JSON files when cfg.output is set; always returns the
     in-memory report.
     """
-    cfg.validate()
     spec = HelixSpec()
     t_grid, xs = spec.grid(cfg.test_points)
     f_true = spec.target(t_grid)
@@ -327,15 +325,13 @@ def write_report(report: ExperimentReport, out_dir: str) -> None:
     cfg_doc.pop("output", None)
     doc = {
         "config": cfg_doc,
-        "rng": report.rng_kind,
+        "rng": "PCG64",
         "trial_summaries": [tr.summary for tr in report.trials],
         "trial_histograms": [tr.histogram.tolist() for tr in report.trials],
         "average_summary": report.average_summary,
         "aggregate_histogram": report.aggregate_histogram.tolist(),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), doc, sort_keys=True)
 
 
 def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, np.ndarray]:

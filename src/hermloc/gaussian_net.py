@@ -1,8 +1,8 @@
 """Synthesis of Gaussian networks that emulate weighted Hermite polynomials.
 
 A weighted polynomial P = sum_k b_k psi_k (multi-indexed, |k|_1 < m**2),
-given as the dense coefficient tensor B[k] = b_k of shape (m**2,)*d, is
-converted into a single hidden layer of isotropic Gaussians
+given as the dense coefficient tensor B[k] = b_k of shape (m**2,)*d, which
+fixes m and d, is converted into a single hidden layer of isotropic Gaussians
 
     G(P)(x) = sum_j c_j exp(-|x - z_j|**2)
 
@@ -16,19 +16,19 @@ from the generating identity for Hermite functions at parameter 1/sqrt(3):
 discretized exactly enough by the quadrature rule; the synthesis error
 decays like m**(d-2) 3**(-m**2/2).
 
-Networks carry an input scale s and evaluate x -> base(s * x); nothing else
-is trained or adapted.
+Networks carry an input scale s and evaluate x -> base(s * x) on a batch
+(N, d) of points; nothing else is trained or adapted.
 
 Because the centers form a tensor grid, a network is stored as its 1-D
 axis centers (K = 2m**2 values) and a coefficient tensor of shape (K,)*d,
-and it is evaluated in tensor-product form: exp(-|s x - z_j|**2) is the
-product over the axes of exp(-(s x_a - z_{j_a})**2), so the network is a
-d-way contraction of the coefficients with one (points x K) factor matrix
-per axis.  That costs O(K**d) multiply-adds per point and no exponential
-per (center, point) pair.  Points are contracted one at a time in chunks
-whose intermediate holds at most ``_CHUNK_ENTRIES`` values, so memory is
-flat in the number of points and a point's value never depends on the
-batch it came in.
+whose d axes give the input dimension, and it is evaluated in
+tensor-product form: exp(-|s x - z_j|**2) is the product over the axes of
+exp(-(s x_a - z_{j_a})**2), so the network is a d-way contraction of the
+coefficients with one (points x K) factor matrix per axis.  That costs
+O(K**d) multiply-adds per point and no exponential per (center, point)
+pair.  Points are contracted one at a time in chunks whose intermediate
+holds at most ``_CHUNK_ENTRIES`` values, so memory is flat in the number
+of points and a point's value never depends on the batch it came in.
 
 Rounding: the coefficients of a synthesized kernel cancel heavily, so an
 evaluation is exact only to the scale u * sum_j |c_j| (u = 2**-53), far
@@ -42,13 +42,12 @@ of the same scale, rounded differently, so it is no more exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import Dataset, _read_json, _weighted_passes
+from .estimator import Dataset, _read_json, _weighted_passes, _write_json
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from .kernels import _filter_sums
 
@@ -85,11 +84,12 @@ class GaussianNetwork:
     with one (points x K) factor matrix exp(-(scale*x_a - axis_centers)**2)
     per axis a: no exponential is formed per (center, point) pair.
 
+    A call takes an (N, dim) batch, a single point being a batch of one.
     Each point is contracted on its own, the last axis first: one
     matrix-vector product (K**(dim-1) x K) per point, then dim-1 smaller
     ones on the shrinking per-point vectors.  A point's value therefore
-    depends only on that point, so a scalar call, a batch and any chunking
-    agree bitwise.  Points are processed in chunks of at most
+    depends only on that point, so any batch and any chunking agree
+    bitwise.  Points are processed in chunks of at most
     ``_CHUNK_ENTRIES // K**(dim-1)``, so memory stays flat in the number
     of points.
 
@@ -99,20 +99,16 @@ class GaussianNetwork:
     for ``prefab_kernel_network(6, 2, 3, 1.0)``).
     """
 
-    dim: int
     scale: float
     axis_centers: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError("dim must be a positive integer")
         z = np.asarray(self.axis_centers, dtype=float)
         c = np.asarray(self.coeffs, dtype=float)
         if z.ndim != 1 or z.size == 0:
             raise ValueError("axis_centers must be a non-empty 1-D array")
-        if c.ndim != dim or c.shape != (z.size,) * c.ndim:
+        if c.ndim < 1 or c.shape != (z.size,) * c.ndim:
             raise ValueError(f"coeffs must have shape (K,)*dim with K = {z.size}, got {c.shape}")
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise ValueError("scale must be a positive finite real")
@@ -120,21 +116,24 @@ class GaussianNetwork:
             raise ValueError("axis_centers must be finite")
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "axis_centers", z)
         object.__setattr__(self, "coeffs", c)
 
-    def __call__(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        pts = np.atleast_2d(x) * self.scale
+    @property
+    def dim(self) -> int:
+        """The input dimension: the number of axes of ``coeffs``."""
+        return self.coeffs.ndim
+
+    def __call__(self, x) -> np.ndarray:
+        pts = np.asarray(x, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points must have {self.dim} coordinates")
+            raise ValueError(f"points must be a batch (N, {self.dim}), got shape {pts.shape}")
+        pts = pts * self.scale
         step = max(1, _CHUNK_ENTRIES // self.axis_centers.size ** (self.dim - 1))
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], step):
             out[start : start + step] = self._contract(pts[start : start + step])
-        return float(out[0]) if scalar else out
+        return out
 
     def _contract(self, pts: np.ndarray) -> np.ndarray:
         n, k = pts.shape[0], self.axis_centers.size
@@ -163,18 +162,17 @@ def write_network_json(net: GaussianNetwork, path: str) -> None:
             "values": [float(v) for v in net.coeffs.ravel()],
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def read_network_json(path: str) -> GaussianNetwork:
     """Read the tensor form that ``write_network_json`` writes.
 
     Raises ValueError, naming the field, for the retired dense format
-    (a ``centers`` list), a missing field, a coefficient count that does
-    not match the stated shape, and non-finite values (``json`` reads
-    NaN and Infinity).
+    (a ``centers`` list), a missing field, a ``dim`` that is not the
+    integer number of coefficient axes, a coefficient count that does not
+    match the stated shape, and non-finite values (``json`` reads NaN and
+    Infinity).
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -197,6 +195,9 @@ def read_network_json(path: str) -> GaussianNetwork:
         isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape
     ):
         raise ValueError(f"{path}: field 'coeffs' needs a shape of nonnegative integers")
+    dim = doc["dim"]
+    if type(dim) is not int or dim != len(shape):
+        raise ValueError(f"{path}: field 'dim' must be {len(shape)} (coeffs axes), got {dim!r}")
     try:
         centers = np.array(doc["axis_centers"], dtype=float)
         values = np.array(coeffs["values"], dtype=float)
@@ -208,18 +209,20 @@ def read_network_json(path: str) -> GaussianNetwork:
         )
     try:
         return GaussianNetwork(
-            dim=doc["dim"], scale=float(scale), axis_centers=centers, coeffs=values.reshape(shape)
+            scale=float(scale), axis_centers=centers, coeffs=values.reshape(shape)
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def poly_to_gaussian(B, m: int) -> GaussianNetwork:
+def poly_to_gaussian(B) -> GaussianNetwork:
     """Convert a weighted polynomial sum_k B[k] psi_k to a Gaussian network.
 
     ``B`` is the dense coefficient tensor of shape (m**2,)*d, indexed by the
-    multi-index k.  Raises ValueError for d outside 1..MAX_DIM, a wrong
-    shape, a non-finite entry or a nonzero entry at |k|_1 >= m**2.
+    multi-index k; m is the square root of its axis length.  Raises
+    ValueError for d outside 1..MAX_DIM, axes that are not all m**2 long
+    with m in 1..MAX_M, a non-finite entry or a nonzero entry at
+    |k|_1 >= m**2.
 
     The network's axis centers are (sqrt(3)/2) x_i over the nodes x_i of
     the size-2m**2 Gauss-Hermite rule.  Coefficients are linear in B:
@@ -231,25 +234,24 @@ def poly_to_gaussian(B, m: int) -> GaussianNetwork:
     The inner polynomial evaluation runs as per-axis mode products against
     B, so the cost is O(d * (2m^2)^d * m^2).
     """
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_M:
-        raise ValueError(f"m must be an integer in 1..{MAX_M}")
     B = np.asarray(B, dtype=float)
     d = B.ndim
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"B must have 1..{MAX_DIM} axes, got {d}")
-    kcap = m * m
-    if B.shape != (kcap,) * d:
-        raise ValueError(f"B must have shape {(kcap,) * d} for m = {m}, got {B.shape}")
+    kcap = B.shape[0]
+    m = math.isqrt(kcap)
+    if m * m != kcap or not 1 <= m <= MAX_M or B.shape != (kcap,) * d:
+        raise ValueError(f"B must have shape (m**2,)*d, m in 1..{MAX_M}, got {B.shape}")
     if not np.all(np.isfinite(B)):
         raise ValueError("B must be finite")
     if np.any(B[_total_degree(kcap, d) >= kcap]):
         raise ValueError(f"B has a nonzero entry at |k|_1 >= m**2 = {kcap}")
 
-    rule = gauss_hermite_rule(2 * kcap)
+    nodes, weights = gauss_hermite_rule(2 * kcap)
     # lambda_i * exp(3 x_i^2/4), formed per axis in log space
-    axis_w = np.exp(np.log(rule.weights) + 0.75 * rule.nodes * rule.nodes)
+    axis_w = np.exp(np.log(weights) + 0.75 * nodes * nodes)
 
-    psi = hermite_matrix(kcap - 1, rule.nodes)  # (2m^2, m^2)
+    psi = hermite_matrix(kcap - 1, nodes)  # (2m^2, m^2)
     psi_scaled = psi * np.power(3.0, 0.5 * np.arange(kcap))[None, :]
 
     # mode products: contract each leading k axis with the scaled node rows;
@@ -265,8 +267,8 @@ def poly_to_gaussian(B, m: int) -> GaussianNetwork:
 
     pref = (3.0 / (2.0 * math.pi)) ** (d / 2.0)
     coeffs = pref * wgrid * vals
-    axis_centers = (math.sqrt(3.0) / 2.0) * rule.nodes
-    return GaussianNetwork(dim=d, scale=1.0, axis_centers=axis_centers, coeffs=coeffs)
+    axis_centers = (math.sqrt(3.0) / 2.0) * nodes
+    return GaussianNetwork(scale=1.0, axis_centers=axis_centers, coeffs=coeffs)
 
 
 def _total_degree(size: int, d: int) -> np.ndarray:
@@ -317,7 +319,7 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
     B *= pref  # in place: no further tensor-sized temporaries
     B *= acc_by_total[_total_degree(n2, Q)]
 
-    net = poly_to_gaussian(B, int(n))
+    net = poly_to_gaussian(B)
     scale = float(n) ** (1.0 - alpha)
     factor = float(n) ** (q * (1.0 - alpha))
     return replace(net, scale=scale, coeffs=factor * net.coeffs)

@@ -18,21 +18,20 @@ applied directly to ``psi_k`` (the Gaussian factor commutes with the
 recurrence), which stays O(1) in magnitude instead of overflowing the way
 raw ``h_k`` values do once k is in the hundreds.
 
-Quadrature rules integrate against ``exp(-x**2)``: a rule of size m is
-exact on polynomials of degree < 2m.  Their nodes are numpy's
-``np.polynomial.hermite.hermgauss`` nodes; their weights come from the
+A quadrature rule is a pair of arrays ``(nodes, weights)`` that
+integrates against ``exp(-x**2)``: a rule of size m is exact on
+polynomials of degree < 2m.  Its nodes are numpy's
+``np.polynomial.hermite.hermgauss`` nodes; its weights come from the
 recurrence above (see :func:`gauss_hermite_rule`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "hermite_matrix",
     "gauss_hermite_rule",
 ]
@@ -44,19 +43,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # desk-scale caps; larger requests are almost always a caller bug
 MAX_DEGREE = 5000
 MAX_RULE_SIZE = 256
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Size-m Gauss-Hermite rule for the weight exp(-x**2).
-
-    Nodes are strictly increasing and symmetric about 0; weights are
-    positive, symmetric, and sum to sqrt(pi).
-    """
-
-    size: int
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 def hermite_matrix(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -107,11 +93,14 @@ def psi_zero_even(count: int) -> np.ndarray:
     return out
 
 
-def gauss_hermite_rule(m: int) -> QuadratureRule:
+def gauss_hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite rule of size m: numpy's nodes with Christoffel weights.
 
-    The nodes are ``np.polynomial.hermite.hermgauss(m)``'s, bit for bit.
-    The weights come from the Christoffel identity
+    Returns ``(nodes, weights)``, as ``np.polynomial.hermite.hermgauss``
+    does: the nodes strictly increasing and symmetric about 0, the weights
+    positive, symmetric and summing to sqrt(pi).  The nodes are
+    ``hermgauss(m)``'s, bit for bit; the weights come from the Christoffel
+    identity
 
         w_k = exp(-x_k**2) / sum_{j<m} psi_j(x_k)**2,
 
@@ -137,4 +126,4 @@ def gauss_hermite_rule(m: int) -> QuadratureRule:
         raise RuntimeError("quadrature nodes failed to be strictly increasing")
     if np.any(weights <= 0):
         raise RuntimeError("quadrature weights failed to be positive")
-    return QuadratureRule(int(m), nodes, weights)
+    return nodes, weights

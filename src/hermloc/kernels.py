@@ -247,7 +247,6 @@ class KernelForm:
     """
 
     coeffs: np.ndarray
-    rcut: float
     width: float
     certificate: float
 
@@ -255,6 +254,11 @@ class KernelForm:
     def panels(self) -> int:
         """Sub-panels on [0, rcut], not counting the zero guard column."""
         return self.coeffs.shape[1] - 1
+
+    @property
+    def rcut(self) -> float:
+        """The cutoff radius, panels * width: exact, as the width is a power of two."""
+        return self.panels * self.width
 
     @property
     def degree(self) -> int:
@@ -417,7 +421,6 @@ def _build_form(table: KernelTable) -> KernelForm:
     while tail > 0.01 * _CERT_BUDGET:  # only very short tables (L = 0) get here
         panels += 1
         tail = _tail_bound(a, panels * _PANEL_WIDTH)
-    rcut = panels * _PANEL_WIDTH
     degree = max(16, int(1.3 * math.sqrt(2.0) * table.n * _PANEL_WIDTH + 12.0))
     # the check grid has 2 (degree + 1) points per panel, at least one in
     # every sub-panel
@@ -427,7 +430,7 @@ def _build_form(table: KernelTable) -> KernelForm:
         subs *= 2
     cheb, grid, exact, peak = _fit_panels(a, panels, degree)
     budget = _CERT_BUDGET * max(1.0, peak)
-    form = KernelForm(_horner_coeffs(cheb, subs, budget), rcut, _PANEL_WIDTH / subs, 0.0)
+    form = KernelForm(_horner_coeffs(cheb, subs, budget), _PANEL_WIDTH / subs, 0.0)
     certificate = _GRID_SAFETY * float(np.max(np.abs(form(grid) - exact))) + tail
     if certificate > budget:
         raise RuntimeError(

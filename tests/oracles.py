@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import binom as _binom
 from scipy.special import gammaln, gammasgn
 
-from hermloc.hermite import QuadratureRule, hermite_matrix, psi_zero_even
+from hermloc.hermite import hermite_matrix, psi_zero_even
 from hermloc.kernels import filter_h
 
 MAX_COMPOSITIONS = 2_000_000
@@ -274,11 +274,11 @@ def phi_localized(n: float, d: int, x, y) -> float:
 
 
 def quad_integrate(
-    rule: QuadratureRule,
+    rule: tuple[np.ndarray, np.ndarray],
     f: Callable[[np.ndarray], np.ndarray],
     weightless: bool = False,
 ) -> float:
-    """Apply a quadrature rule to ``f``.
+    """Apply a quadrature rule ``(nodes, weights)`` to ``f``.
 
     With ``weightless=False`` this approximates ``integral f(x) exp(-x**2) dx``
     and is exact to rounding for polynomials of degree < 2m.  With
@@ -289,14 +289,14 @@ def quad_integrate(
     ``f`` is called once with the full node vector and must return a
     same-length array of finite values.
     """
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
+    nodes, w = rule
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape != nodes.shape:
         raise ValueError("f must return one value per node")
     if not np.all(np.isfinite(vals)):
         raise ValueError("f returned non-finite values at quadrature nodes")
-    w = rule.weights
     if weightless:
-        w = w * np.exp(rule.nodes**2)
+        w = w * np.exp(nodes**2)
     return math.fsum((w * vals).tolist())
 
 

@@ -498,6 +498,18 @@ class TestExitCodes:
             assert "diffusion time t must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "baseline_heat.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["helix", "--m", "16", "--n", "4"], "test_points >= 3"),
+        (["baseline-heat", "--m", "16", "--n-list", "4", "--times", "0.1"],
+         "at least 3 test points are needed, got {}"),
+    ], ids=["helix", "baseline-heat"])
+    @pytest.mark.parametrize("points", ["0", "1", "2"])
+    def test_fewer_than_three_test_points_exit_2(self, tmp_path, capsys, argv, message, points):
+        rc = cli.main([*argv, "--test-points", points, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message.format(points) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_deep_eval_constituent_not_a_string_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(GRAPH))
         doc["nodes"][2]["constituent"] = ["sum"]

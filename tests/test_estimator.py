@@ -254,8 +254,7 @@ class TestEstimate:
             EstimatorConfig.build(8.0, 0.0, 1)
         with pytest.raises(ValueError):
             EstimatorConfig.build(8.0, 1.5, 1)
-        with pytest.raises(ValueError):
-            EstimatorConfig(8.0, 1.0, compile_kernel(6.0, 1))
+        assert EstimatorConfig(1.0, compile_kernel(6.0, 1)).n == 6.0
 
 
 def _cfg():
@@ -598,7 +597,7 @@ class TestContinuousOperator:
         assert len(calls) <= 1
         assert warm == cold * 2
 
-    def test_validation_and_convergence_guard(self):
+    def test_validation_and_convergence_guard(self, monkeypatch):
         spec = HelixSpec()
         curve = spec.curve()
         ones = lambda pts: np.ones(pts.shape[0])
@@ -607,10 +606,9 @@ class TestContinuousOperator:
         bad = Curve(curve.chart, curve.speed, 1.0, 1.0)
         with pytest.raises(ValueError):
             continuous_operator_on_curve(bad, ones, 16.0, 1.0, spec.point(1.0))
+        monkeypatch.setattr(estimator, "_MAX_PANELS", 8)
         with pytest.raises(QuadratureConvergenceError):
-            continuous_operator_on_curve(
-                curve, ones, 16.0, 1.0, spec.point(1.0), max_panels=8
-            )
+            continuous_operator_on_curve(curve, ones, 16.0, 1.0, spec.point(1.0))
 
 
 class TestMonteCarloConsistency:
@@ -623,7 +621,7 @@ class TestMonteCarloConsistency:
         for m in (256, 1024, 4096):
             per_seed = []
             for seed in (0, 1, 2):
-                ds = gen_training(spec, m, "none", seed=seed)
+                ds = gen_training(spec, m, "none", rng=np.random.default_rng(seed))
                 raw = estimate_batch(ds, cfg, xs)
                 per_seed.append(float(np.mean(np.abs(raw - oracle))))
             mads.append(float(np.mean(per_seed)))
@@ -636,7 +634,7 @@ class TestMonteCarloConsistency:
         spec, _, xs, oracle = helix_oracle16
         m = 1024
         cfg = EstimatorConfig.build(16.0, 1.0, 1)
-        ds = gen_training(spec, m, "none", seed=0)
+        ds = gen_training(spec, m, "none", rng=np.random.default_rng(0))
         raw = estimate_batch(ds, cfg, xs)
         for i, x in enumerate(xs):
             r = np.linalg.norm(ds.points - x[None, :], axis=1)

@@ -33,7 +33,7 @@ XS = np.linspace(-4.0, 4.0, 801)
 def basis_error(k, m, d):
     B = np.zeros((m * m,) * d)
     B[k] = 1.0
-    net = poly_to_gaussian(B, m)
+    net = poly_to_gaussian(B)
     if d == 1:
         got = net(XS[:, None])
         want = hermite_matrix(k[0], XS)[:, k[0]]
@@ -73,50 +73,47 @@ class TestGaussianNetwork:
         coeffs = np.zeros((3, 3))
         coeffs[1, 1] = 2.0
         coeffs[2, 0] = -0.5
-        net = GaussianNetwork(
-            dim=2, scale=1.0, axis_centers=np.array([-1.0, 0.0, 1.0]), coeffs=coeffs
-        )
+        net = GaussianNetwork(scale=1.0, axis_centers=np.array([-1.0, 0.0, 1.0]), coeffs=coeffs)
+        assert net.dim == 2
         x = np.array([0.3, 0.4])
-        single = net(x)
+        single = net(x[None, :])
+        assert single.shape == (1,)
         want = 2.0 * math.exp(-0.25) - 0.5 * math.exp(-(0.7**2 + 1.4**2))
-        assert single == pytest.approx(want, rel=1e-14)
+        assert single[0] == pytest.approx(want, rel=1e-14)
         batch = net(np.stack([x, x]))
         assert batch.shape == (2,)
-        np.testing.assert_allclose(batch, single, rtol=1e-15)
+        np.testing.assert_allclose(batch, single[0], rtol=1e-15)
+        # a single point is a batch of one
+        with pytest.raises(ValueError, match="batch"):
+            net(x)
 
     def test_scale_composes_with_input(self):
-        net = GaussianNetwork(
-            dim=1, scale=3.0, axis_centers=np.array([0.6]), coeffs=np.array([1.0])
-        )
-        assert net(np.array([0.2])) == pytest.approx(1.0, rel=1e-15)
+        net = GaussianNetwork(scale=3.0, axis_centers=np.array([0.6]), coeffs=np.array([1.0]))
+        assert net(np.array([[0.2]]))[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="coeffs must have shape"):
+            GaussianNetwork(scale=1.0, axis_centers=np.zeros(3), coeffs=np.float64(1.0))
         with pytest.raises(ValueError):
-            GaussianNetwork(dim=2, scale=1.0, axis_centers=np.zeros(3), coeffs=np.zeros(3))
+            GaussianNetwork(scale=1.0, axis_centers=np.zeros(3), coeffs=np.zeros(2))
         with pytest.raises(ValueError):
-            GaussianNetwork(dim=1, scale=1.0, axis_centers=np.zeros(3), coeffs=np.zeros(2))
+            GaussianNetwork(scale=0.0, axis_centers=np.zeros(1), coeffs=np.zeros(1))
         with pytest.raises(ValueError):
-            GaussianNetwork(dim=1, scale=0.0, axis_centers=np.zeros(1), coeffs=np.zeros(1))
-        with pytest.raises(ValueError):
-            GaussianNetwork(
-                dim=1, scale=1.0, axis_centers=np.zeros((1, 1)), coeffs=np.zeros(1)
-            )
+            GaussianNetwork(scale=1.0, axis_centers=np.zeros((1, 1)), coeffs=np.zeros(1))
         with pytest.raises(ValueError, match="coeffs"):
             GaussianNetwork(
-                dim=1, scale=1.0, axis_centers=np.zeros(2), coeffs=np.array([1.0, math.inf])
+                scale=1.0, axis_centers=np.zeros(2), coeffs=np.array([1.0, math.inf])
             )
         with pytest.raises(ValueError, match="axis_centers"):
-            GaussianNetwork(
-                dim=1, scale=1.0, axis_centers=np.array([math.nan]), coeffs=np.ones(1)
-            )
-        net = GaussianNetwork(dim=1, scale=1.0, axis_centers=np.zeros(1), coeffs=np.ones(1))
+            GaussianNetwork(scale=1.0, axis_centers=np.array([math.nan]), coeffs=np.ones(1))
+        net = GaussianNetwork(scale=1.0, axis_centers=np.zeros(1), coeffs=np.ones(1))
         with pytest.raises(ValueError):
             net(np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: poly_to_gaussian(np.eye(9)[3], 3),
+            lambda: poly_to_gaussian(np.eye(9)[3]),
             lambda: prefab_kernel_network(4, 1, 2, 0.5),
             lambda: prefab_kernel_network(4, 2, 3, 1.0),
         ],
@@ -145,7 +142,7 @@ class TestGaussianNetwork:
         batch = net(pts)
         assert batch.shape == (step + 5,)
         for i in (0, 1, step - 1, step, step + 4):
-            assert net(pts[i]) == batch[i]
+            assert net(pts[i : i + 1])[0] == batch[i]
         np.testing.assert_array_equal(net(pts[step - 2 :]), batch[step - 2 :])
 
     @pytest.mark.parametrize("count", [121, 1024])
@@ -185,7 +182,7 @@ class TestBasisSynthesis:
     def test_synthesis_is_linear(self):
         m = 3
         ba, bb = np.eye(m * m)[[0, 2]]
-        ga, gb, gm = (poly_to_gaussian(b, m) for b in (ba, bb, 2.0 * ba - 0.5 * bb))
+        ga, gb, gm = (poly_to_gaussian(b) for b in (ba, bb, 2.0 * ba - 0.5 * bb))
         np.testing.assert_allclose(
             gm.coeffs, 2.0 * ga.coeffs - 0.5 * gb.coeffs, rtol=1e-12, atol=1e-300
         )
@@ -194,22 +191,22 @@ class TestBasisSynthesis:
     def test_validation(self):
         B = np.zeros((4, 4))
         B[3, 0] = 1.0
-        poly_to_gaussian(B, 2)  # |k|_1 = 3 < m**2
-        with pytest.raises(ValueError, match="m must be"):
-            poly_to_gaussian(np.zeros(49), MAX_M + 1)
+        poly_to_gaussian(B)  # m = 2, |k|_1 = 3 < m**2
+        # m past MAX_M, m = 0, and axes that are not all m**2 long
+        for bad in (np.zeros((MAX_M + 1) ** 2), np.zeros(0), np.zeros(3), np.zeros((10, 10)),
+                    np.zeros((4, 5))):
+            with pytest.raises(ValueError, match=f"shape .* in 1..{MAX_M}, got"):
+                poly_to_gaussian(bad)
         for bad in (np.float64(1.0), np.zeros((4,) * (MAX_DIM + 1))):
             with pytest.raises(ValueError, match="axes"):
-                poly_to_gaussian(bad, 2)
-        for bad in (np.zeros(3), np.zeros((4, 5))):
-            with pytest.raises(ValueError, match="shape"):
-                poly_to_gaussian(bad, 2)
+                poly_to_gaussian(bad)
         B[0, 0] = math.nan
         with pytest.raises(ValueError, match="finite"):
-            poly_to_gaussian(B, 2)
+            poly_to_gaussian(B)
         B[0, 0] = 0.0
         B[2, 2] = 1e-300  # |k|_1 = 4 = m**2
         with pytest.raises(ValueError, match=r"\|k\|_1 >= m\*\*2"):
-            poly_to_gaussian(B, 2)
+            poly_to_gaussian(B)
 
 
 # coefficients of prefab_kernel_network(n, q, Q, alpha) at the indices
@@ -349,7 +346,16 @@ class TestNetworkJson:
         doc = {"dim": 10**12, "scale": 1.0, "axis_centers": [0.0, 1.0],
                "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="coeffs must have shape"):
+        with pytest.raises(ValueError, match="field 'dim' must be 2"):
+            read_network_json(str(path))
+
+    @pytest.mark.parametrize("dim", [True, 2.0, 1, 3, None], ids=repr)
+    def test_dim_must_be_the_coeffs_axis_count(self, tmp_path, dim):
+        path = tmp_path / "net.json"
+        doc = {"dim": dim, "scale": 1.0, "axis_centers": [0.0, 1.0],
+               "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="field 'dim' must be 2"):
             read_network_json(str(path))
 
     def test_count_not_matching_shape_rejected(self, tmp_path):
