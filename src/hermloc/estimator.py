@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -120,17 +121,20 @@ _CSV_BLOCK_ROWS = 2048
 def _write_csv(path: str, header, columns) -> None:
     """Write equal-length ``columns`` (arrays or lists) under ``header``.
 
-    Each entry of a column's ``.tolist()`` is written with ``str``, which
-    for a float is the shortest round-trip decimal, so ``float`` reads back
-    every bit.  Nothing is quoted and lines end in "\\n".  Rows are
-    formatted a block of ``_CSV_BLOCK_ROWS`` at a time.
+    Each entry of a column's ``.tolist()`` is written with ``%s``, which is
+    ``str``: for a float the shortest round-trip decimal, so ``float`` reads
+    back every bit.  Nothing is quoted and lines end in "\\n".  Rows are
+    formatted a block of ``_CSV_BLOCK_ROWS`` at a time, by one ``%`` on one
+    template of the block's rows, with the cells in row-major order.
     """
     columns = [np.asarray(col) for col in columns]
+    row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [map(str, col[start : start + _CSV_BLOCK_ROWS].tolist()) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            block = [col[start : start + _CSV_BLOCK_ROWS].tolist() for col in columns]
+            cells = tuple(itertools.chain.from_iterable(zip(*block)))
+            fh.write(row * (len(cells) // len(columns)) % cells)
 
 
 def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:

@@ -12,8 +12,10 @@ which ties the compiled kernel of :mod:`hermloc.kernels` to the projection
 machinery; ``phi_localized`` is the d-dimensional filtered kernel built on
 ``proj_tensor``.
 
-Two helpers the tests share sit here too: ``quad_integrate`` applies a
-Gauss-Hermite rule, and ``estimate_lipschitz`` samples difference quotients.
+Three helpers the tests share sit here too: ``quad_integrate`` applies a
+Gauss-Hermite rule, ``estimate_lipschitz`` samples difference quotients,
+and ``write_csv_per_cell`` is the per-cell table writer that
+``estimator._write_csv`` must match byte for byte.
 """
 
 import itertools
@@ -312,3 +314,13 @@ def estimate_lipschitz(fn: Callable, dim: int, rng: np.random.Generator,
             continue
         best = max(best, abs(float(fn(a)) - float(fn(b))) / denom)
     return best
+
+
+def write_csv_per_cell(path: str, header, columns) -> None:
+    """The CSV table writer cell by cell: ``str`` of each entry, then two joins a block."""
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), 2048):
+            cells = [map(str, col[start : start + 2048].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -34,6 +34,7 @@ from hermloc.estimator import (
 from hermloc.experiments import HelixSpec, gen_training, heat_value_and_unit_passes
 from hermloc.gaussian_net import prefab_kernel_network, shallow_net_estimate
 from hermloc.kernels import compile_kernel, eval_kernel
+from oracles import write_csv_per_cell
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,28 @@ class TestDatasetCsv:
                              [np.array([0.1, 1e-300, -0.0]), np.array([1, -2, 30]),
                               ["a", "b", "c"]])
         assert path.read_bytes() == b"x,n,name\n0.1,1,a\n1e-300,-2,b\n-0.0,30,c\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 4097])
+    def test_table_bytes_match_the_per_cell_writer(self, tmp_path, rows):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5,
+                   0.1, 1e16, -1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        k = min(rows, len(special))
+        floats[:k] = special[:k]
+        floats[rows - k : rows] = special[:k]  # and across the last block boundary
+        ints = rng.integers(-(10**15), 10**15, rows)
+        # baseline-heat's parameter column: diffusion times and integer degrees
+        mixed = tuple(float(v) if i % 2 else int(i) for i, v in enumerate(floats))
+        names = [("heat", "kernel", "")[i % 3] for i in range(rows)]
+        header = ["x", "n", "parameter", "name"]
+        columns = [floats, ints, mixed, names]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        estimator._write_csv(str(new), header, columns)
+        write_csv_per_cell(str(old), header, columns)
+        assert new.read_bytes() == old.read_bytes()
+        if rows > 1:
+            assert new.read_text().splitlines()[1].split(",")[2] == "0.0"  # int 0, written as a float
 
     @pytest.mark.parametrize("rows", [10_000, 40_000])
     def test_write_memory_is_flat_in_rows(self, tmp_path, rows):

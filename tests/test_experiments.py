@@ -262,6 +262,19 @@ class TestWriteReport:
         assert (out / "trial_000.csv").read_bytes() == (out / "average.csv").read_bytes()
         np.testing.assert_array_equal(report.average_fhat, report.trials[0].fhat)
 
+    def test_two_trial_average_is_written_from_the_mean(self, tmp_path):
+        out = tmp_path / "run"
+        report = run_experiment(
+            ExperimentConfig(M=64, n=8, test_points=128, seed=3, trials=2, output=str(out))
+        )
+        average = (out / "average.csv").read_bytes()
+        rows = [line.split(",") for line in average.decode().splitlines()]
+        assert rows[0] == ["t", "f", "fhat", "error"]
+        fhat = np.array([float(row[2]) for row in rows[1:]])
+        assert fhat.tobytes() == report.average_fhat.tobytes()
+        assert average != (out / "trial_000.csv").read_bytes()
+        assert average != (out / "trial_001.csv").read_bytes()
+
     def test_write_report_separately(self, tmp_path):
         report = run_experiment(ExperimentConfig(M=64, n=8, test_points=128, seed=3))
         write_report(report, str(tmp_path / "later"))
