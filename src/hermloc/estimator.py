@@ -24,9 +24,9 @@ error-free extraction; ``_row_sums`` states its error bound, no weaker than
 a compensated pairwise tree's up to M = 2**20 - 3, and a point's sum is
 bitwise the same alone or in any batch.  Its numpy operations release the
 GIL, so threads estimating separate batches run in parallel.  NaN and
-overflow policy: datasets and test points must be finite, and sample values
-that would overflow the sums (near 1e308 / M) raise ``ValueError`` naming
-max |F| and M, so no NaN comes out of finite input.
+overflow policy: datasets and test points must be finite, and an estimate
+that overflows raises ``ValueError`` naming max |F| and M, so no NaN or
+infinity comes out of finite input.
 
 The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the one
 table writer, and read by ``_read_csv``, which also reads ``--points`` files.
@@ -34,11 +34,10 @@ Every JSON input (configs, DAGs, networks, DAG inputs) is read by
 ``_read_json``, and every JSON output is written by ``_write_json``.
 
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
-parametrized curve (q = 1): the same kernel integrated against the
-normalized arc-length measure.  It serves as the oracle against which the
-Monte-Carlo estimator is checked, and is evaluated by panel-adaptive
-composite Gauss-Legendre quadrature with refinement until two consecutive
-doublings agree.
+constant-speed curve (q = 1), the oracle the Monte-Carlo estimator is checked
+against: the pass engine on a composite Gauss-Legendre rule, whose nodes are
+the samples and whose weights multiply the kernel rows.  Its panels double
+until each point's value agrees over two doublings.
 """
 
 from __future__ import annotations
@@ -111,6 +110,12 @@ class Dataset:
     def with_unit_values(self) -> "Dataset":
         """Same points, all values 1 (the density pass of two-pass use)."""
         return Dataset(self.points, np.ones(self.size), self.q)
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, np.ndarray]:
+        """(k, F / 2**k), the least k >= 0 with max |F| / 2**k < 2**512; kept per dataset."""
+        k = max(0, math.frexp(float(np.max(np.abs(self.values))))[1] - 512)
+        return k, (np.ldexp(self.values, -k) if k else self.values)
 
 
 # rows per block in `_write_csv` and `_read_csv` (about 0.5 MB of text): memory
@@ -307,38 +312,39 @@ def _weighted_passes(ds: Dataset, xs, weights: Callable, factor: float, unit_pas
     The rows times the values and, for the unit pass, a copy of the rows
     (bitwise a pass over unit values, as w * 1.0 == w) fill one C-contiguous
     buffer whose rows ``_row_sums`` sums, so a point's passes are bitwise
-    the same in any batch and with or without the unit pass.
+    the same in any batch and with or without the unit pass.  Values past
+    2**512 are scaled down by a power of two folded into the value pass's
+    factor, so only an estimate that overflows raises; smaller ones are not scaled.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim or not np.all(np.isfinite(xs)):
         raise ValueError(f"test points must be a batch (T, {ds.ambient_dim}) of finite numbers")
     rows = max(1, _PAIRS_PER_CHUNK // ds.size)
     passes = 2 if unit_pass else 1
+    shift, values = ds._scaled
+    scale = np.array([[math.ldexp(factor, shift)], [factor]])[:passes]
     sums = [np.empty((passes, 0))]
     for start in range(0, xs.shape[0], rows):
         w = weights(xs[start : start + rows])
         t = w.shape[0]
         terms = np.empty((passes * t, ds.size))
-        np.multiply(w, ds.values, out=terms[:t])
+        np.multiply(w, values, out=terms[:t])
         if unit_pass:
             terms[t:] = w
         del w  # free before the sums and the next chunk
         try:
-            sums.append(factor * _row_sums(terms).reshape(passes, t))
-        except ValueError as err:
+            with np.errstate(over="raise"):
+                sums.append(scale * _row_sums(terms).reshape(passes, t))
+        except (ValueError, FloatingPointError) as err:
             big = np.max(np.abs(ds.values))
             raise ValueError(f"sample values up to |F| = {big:.3g}, M = {ds.size}: {err}") from None
     sums = np.concatenate(sums, axis=1)
     return sums[0], (sums[1] if unit_pass else None)
 
 
-def _kernel_passes(ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool):
-    """Value pass and, if asked, unit pass of the estimator: kernel weight rows."""
-    if cfg.table.q != ds.q:
-        raise ValueError("kernel table q does not match dataset q")
-    form = kernel_form(cfg.table)
-    lam = cfg.n ** (1.0 - cfg.alpha)
-    points_t = np.ascontiguousarray(ds.points.T)
+def _kernel_rows(form: KernelForm, lam: float, points: np.ndarray) -> Callable:
+    """The weight rows K(lam |x - y_j|) of a chunk of points x, for samples y_j (M, Q)."""
+    points_t = np.ascontiguousarray(points.T)
 
     def weights(chunk: np.ndarray) -> np.ndarray:
         radii = _squared_distances(chunk, points_t)
@@ -346,6 +352,14 @@ def _kernel_passes(ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool):
         radii *= lam
         return form(radii)
 
+    return weights
+
+
+def _kernel_passes(ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool):
+    """Value pass and, if asked, unit pass of the estimator: kernel weight rows."""
+    if cfg.table.q != ds.q:
+        raise ValueError("kernel table q does not match dataset q")
+    weights = _kernel_rows(kernel_form(cfg.table), cfg.n ** (1.0 - cfg.alpha), ds.points)
     factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
     return _weighted_passes(ds, xs, weights, factor, unit_pass)
 
@@ -397,22 +411,15 @@ def ratio_reconstruction(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Curve:
-    """Parametrized curve t in [t0, t1] -> R^Q with known speed |x'(t)|.
-
-    ``chart`` maps an array of parameters to points, shape (N, Q);
-    ``speed`` is either a constant or a map from parameters to |x'(t)|,
-    shape (N,).
-    """
+    """Curve t in [t0, t1] -> R^Q at constant speed; ``chart`` maps (N,) parameters to (N, Q)."""
 
     chart: Callable[[np.ndarray], np.ndarray]
-    speed: float | Callable[[np.ndarray], np.ndarray]
     t0: float
     t1: float
 
-    def speed_at(self, t: np.ndarray) -> np.ndarray:
-        if callable(self.speed):
-            return np.asarray(self.speed(t), dtype=float)
-        return np.full(np.shape(t), float(self.speed))
+    def __post_init__(self) -> None:
+        if not self.t1 > self.t0:
+            raise ValueError("curve must have t1 > t0")
 
 
 @functools.cache
@@ -430,11 +437,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _curve_form(n: float) -> KernelForm:
-    """The certified form of ``compile_kernel(n, 1)``, looked up once per n.
-
-    The continuous operator is called many times at one n; this skips
-    rebuilding the table and hashing its bytes on every call.
-    """
+    """The form of ``compile_kernel(n, 1)``, built and hashed once per n for the limit."""
     return kernel_form(compile_kernel(n, 1))
 
 
@@ -454,67 +457,62 @@ def continuous_operator_on_curve(
     x,
     *,
     tol: float = 1e-8,
-) -> float:
+):
     """Continuous analogue of the estimator on a curve (q = 1).
 
         sigma_{n,lam}(x) = lam * integral Phi~_{n,1}(lam |x - y(t)|) f(y(t)) dmu(t)
 
     where mu is arc length normalized to total mass 1, the distribution of
-    uniformly drawn samples.  The kernel values come from the certified form
-    of ``compile_kernel(n, 1)``, the same evaluator the estimator uses; it
-    is exactly 0 beyond the form's cutoff.  The integral is evaluated with
-    composite Gauss-Legendre panels, refined by doubling until two
-    consecutive refinements agree to ``tol`` (absolute, relative above
-    magnitude 1).
+    uniformly drawn samples.  The chart must run at constant speed, so mu is
+    dt / (t1 - t0).  Each level of composite Gauss-Legendre panels is one
+    ``_weighted_passes`` call on the nodes y(t_j) with values f(y(t_j)): the
+    estimator's kernel rows, from the form of ``compile_kernel(n, 1)``, times
+    the node weights, with factor lam.  Panels double until a point agrees to
+    ``tol`` (absolute, relative above magnitude 1) over two doublings; then
+    it leaves the finer levels, so its value in a batch is bitwise its value
+    alone.  ``x`` is a finite (T, Q) batch or one point (Q,); the result has
+    shape ``x.shape[:-1]``.  ``f`` maps (N, Q) points to (N,) values.
 
-    ``f`` receives points of R^Q, shape (N, Q), and returns (N,) values.
+    Non-smooth targets: next to a square-root kink composite Gauss-Legendre
+    converges only like h**1.5, so a ``tol`` that ``_MAX_PANELS`` panels
+    cannot reach raises ``QuadratureConvergenceError``; no tolerance is
+    loosened.
     """
     if not np.isfinite(lam) or lam < 1.0:
         raise ValueError("lam must be a finite real >= 1")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(-1, x.shape[-1] if x.ndim else 1)
     form = _curve_form(float(n))
-    span = curve.t1 - curve.t0
-    if span <= 0:
-        raise ValueError("curve must have t1 > t0")
-
     glx, glw = _gauss_legendre()
 
-    # speed scale for the initial panel count (resolve kernel oscillation)
-    tprobe = np.linspace(curve.t0, curve.t1, 257)
-    smax = float(np.max(curve.speed_at(tprobe)))
+    # the chart's polyline length sets the first panel count (resolve the
+    # kernel's oscillation)
+    probe = curve.chart(np.linspace(curve.t0, curve.t1, 257))
+    length = float(np.linalg.norm(np.diff(probe, axis=0), axis=1).sum())
     panels = 32
-    target = lam * math.sqrt(2.0) * n * smax * span / (2.0 * math.pi)
+    target = lam * math.sqrt(2.0) * n * length / (2.0 * math.pi)
     while panels < min(_MAX_PANELS, 2.0 * target):
         panels *= 2
 
-    def level(p: int) -> tuple[float, float]:
-        edges = np.linspace(curve.t0, curve.t1, p + 1)
-        h = (edges[1:] - edges[:-1])[:, None]
-        tnodes = (edges[:-1, None] + 0.5 * h * (glx[None, :] + 1.0)).ravel()
-        wnodes = (0.5 * h * glw[None, :]).ravel()
+    out, todo = np.empty(xs.shape[0]), np.arange(xs.shape[0])
+    prev, agree = np.full(xs.shape[0], np.nan), np.zeros(xs.shape[0], dtype=int)
+    while panels <= _MAX_PANELS:
+        edges = np.linspace(curve.t0, curve.t1, panels + 1)
+        h = np.diff(edges)[:, None]
+        tnodes = (edges[:-1, None] + 0.5 * h * (glx + 1.0)).ravel()
+        wnodes = (0.5 * h * glw / (curve.t1 - curve.t0)).ravel()
         pts = curve.chart(tnodes)
-        sp = curve.speed_at(tnodes)
-        r = lam * np.sqrt(_squared_distances(x[None, :], np.ascontiguousarray(pts.T))[0])
-        kern = form(r)
-        mass = float(np.dot(wnodes, sp))
-        integ = float(np.dot(wnodes, kern * np.asarray(f(pts), dtype=float) * sp))
-        return integ, mass
-
-    prev_val = None
-    agree = 0
-    p = panels
-    while p <= _MAX_PANELS:
-        integ, mass = level(p)
-        val = lam * integ / mass
-        if prev_val is not None:
-            if abs(val - prev_val) <= tol * max(1.0, abs(val)):
-                agree += 1
-                if agree >= 2:
-                    return val
-            else:
-                agree = 0
-        prev_val = val
-        p *= 2
+        rows = _kernel_rows(form, lam, pts)
+        val = _weighted_passes(Dataset(pts, f(pts), 1), xs[todo],
+                               lambda chunk: rows(chunk) * wnodes, lam, False)[0]
+        close = np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val))
+        agree = np.where(close, agree + 1, 0)
+        done = agree >= 2
+        out[todo[done]] = val[done]
+        todo, prev, agree = todo[~done], val[~done], agree[~done]
+        if not todo.size:
+            return out.reshape(x.shape[:-1])[()]
+        panels *= 2
     raise QuadratureConvergenceError(
         f"no agreement to {tol} within {_MAX_PANELS} panels"
     )

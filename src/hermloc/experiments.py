@@ -130,8 +130,7 @@ class HelixSpec:
         return np.cos(y[..., 0] - y[..., 1] - y[..., 2] / 2.0)
 
     def curve(self) -> Curve:
-        return Curve(chart=lambda t: self.point(t), speed=self.speed,
-                     t0=self.t_min, t1=self.t_max)
+        return Curve(chart=self.point, t0=self.t_min, t1=self.t_max)
 
     def grid(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """``count`` equidistant parameters on [t_min, t_max] and their points."""

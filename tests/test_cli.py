@@ -105,14 +105,16 @@ class TestEstimate:
         assert [float(r["ratio"]) for r in rows] == want_ratio.tolist()
 
     def test_values_that_overflow_the_sums_exit_2(self, tmp_path, capsys):
-        _, pts = HelixSpec().grid(64)
+        # every sample at the first grid point puts its kernel row at the
+        # peak (about 2.7), so values 1e308 give an estimate past the float range
+        pts = np.repeat(HelixSpec().point([0.0]), 64, axis=0)
         data = tmp_path / "data.csv"
-        write_dataset_csv(Dataset(pts, np.full(64, 1e307), 1), str(data))
+        write_dataset_csv(Dataset(pts, np.full(64, 1e308), 1), str(data))
         out_dir = tmp_path / "est"
         rc = cli.main(["estimate", "--data", str(data), "--n", "8",
                        "--helix-grid", "16", "--out", str(out_dir)])
         assert rc == 2
-        assert "|F| = 1e+307" in capsys.readouterr().err
+        assert "|F| = 1e+308, M = 64: overflow encountered" in capsys.readouterr().err
         assert not (out_dir / "estimates.csv").exists()
 
 

@@ -45,9 +45,7 @@ def helix_oracle16():
     span = spec.t_max - spec.t_min
     tg = np.linspace(spec.t_min + 0.15 * span, spec.t_min + 0.85 * span, 16)
     xs = spec.point(tg)
-    vals = np.array(
-        [continuous_operator_on_curve(curve, spec.target_ambient, 16.0, 1.0, x) for x in xs]
-    )
+    vals = continuous_operator_on_curve(curve, spec.target_ambient, 16.0, 1.0, xs)
     return spec, tg, xs, vals
 
 
@@ -471,16 +469,31 @@ class TestTreeSums:
             _row_sums(np.full((1, 1000), 2.0**1013))
 
     def test_estimator_rejects_values_that_overflow_its_sums(self):
-        # all samples near one point put every kernel row near its peak, so
-        # sums of values 1e306 overflow, while 1e300 still works
+        # all samples near one point put every kernel row near its peak (the
+        # unit pass is about 2.72 there); values past 2**512 are scaled by a
+        # power of two before the sums, so only an estimate that itself
+        # overflows raises
         pts = np.random.default_rng(24).normal(scale=1e-3, size=(1024, 3))
         cfg = EstimatorConfig.build(8.0, 1.0, 1)
-        ds = Dataset(pts, np.full(1024, 1e306), 1)
+        for value in (1e300, 1e306):
+            ok = ratio_reconstruction(Dataset(pts, np.full(1024, value), 1), cfg, pts[:3])
+            np.testing.assert_allclose(ok, value, rtol=1e-13)
+        ds = Dataset(pts, np.full(1024, 1e308), 1)
         for fn in (estimate_batch, ratio_reconstruction):
-            with pytest.raises(ValueError, match="1e\\+306, M = 1024"):
+            with pytest.raises(ValueError, match="1e\\+308, M = 1024: overflow encountered"):
                 fn(ds, cfg, pts[:3])
-        ok = ratio_reconstruction(Dataset(pts, np.full(1024, 1e300), 1), cfg, pts[:3])
-        np.testing.assert_allclose(ok, 1e300, rtol=1e-13)
+
+    def test_scaled_values_keep_every_bit(self):
+        # a power-of-two shift of the values, folded into the factor, leaves
+        # the passes bitwise as they are unscaled
+        rng = np.random.default_rng(25)
+        pts = rng.normal(size=(700, 3))
+        vals = np.cos(pts[:, 0])
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        small = value_and_unit_passes(Dataset(pts, vals, 1), cfg, pts[:40])
+        large = value_and_unit_passes(Dataset(pts, np.ldexp(vals, 900), 1), cfg, pts[:40])
+        np.testing.assert_array_equal(large[0], np.ldexp(small[0], 900))
+        np.testing.assert_array_equal(large[1], small[1])
 
     def test_single_equals_batch_at_odd_width(self):
         # M = 1000 is not a power of two; 200 points span four chunks
@@ -577,17 +590,68 @@ class TestContinuousOperator:
             den = continuous_operator_on_curve(curve, ones, n, 1.0, x)
             assert num / den == pytest.approx(spec.target(2.5), abs=5e-8)
 
-    def test_callable_speed_matches_constant(self):
+    def test_batch_matches_the_per_point_loop(self, helix_oracle16):
+        # converged points leave the finer levels, so a point's value in a
+        # batch is bitwise its value alone, not just within tol * max(1, |v|)
+        spec, _, xs, vals = helix_oracle16
+        alone = [continuous_operator_on_curve(spec.curve(), spec.target_ambient, 16.0, 1.0, x)
+                 for x in xs]
+        np.testing.assert_array_equal(vals, alone)
+        # a kink at t = 1.3, inside a panel, keeps the point there refining
+        # after the point at t = 5 has converged
+        kinked = lambda y: np.abs(y[:, 2] - 1.3 * np.pi) ** 1.5
+        xs = spec.point([1.3, 5.0])
+        both = continuous_operator_on_curve(spec.curve(), kinked, 16.0, 1.0, xs)
+        alone = [continuous_operator_on_curve(spec.curve(), kinked, 16.0, 1.0, x) for x in xs]
+        np.testing.assert_array_equal(both, alone)
+
+    def test_result_has_the_batch_shape(self):
         spec = HelixSpec()
-        const = spec.curve()
-        def speed_fn(t):
-            return np.full(np.shape(t), spec.speed)
-        varying = Curve(const.chart, speed_fn, const.t0, const.t1)
         ones = lambda pts: np.ones(pts.shape[0])
-        x = spec.point(3.0)
-        a = continuous_operator_on_curve(const, ones, 16.0, 1.0, x)
-        b = continuous_operator_on_curve(varying, ones, 16.0, 1.0, x)
-        assert a == b
+        one = continuous_operator_on_curve(spec.curve(), ones, 6.0, 1.0, spec.point(2.0))
+        assert np.ndim(one) == 0
+        two = continuous_operator_on_curve(spec.curve(), ones, 6.0, 1.0, spec.point([1.0, 2.0]))
+        assert two.shape == (2,)
+        assert two[1] == one
+        grid = spec.point([[1.0, 2.0], [3.0, 4.0]])
+        assert continuous_operator_on_curve(spec.curve(), ones, 6.0, 1.0, grid).shape == (2, 2)
+
+    def test_bad_points_raise_before_refining(self):
+        # f runs once per level: each bad point stops at the first level
+        spec = HelixSpec()
+        levels = []
+
+        def counted(pts):
+            levels.append(len(pts))
+            return np.ones(len(pts))
+
+        for x in ([math.nan, 0.0, 0.0], [1.0, 2.0], [[0.0, 1.0, math.inf]]):
+            with pytest.raises(ValueError, match="test points must be a batch"):
+                continuous_operator_on_curve(spec.curve(), counted, 16.0, 1.0, x)
+        assert len(levels) == 3
+
+    def test_no_saturation_for_a_smooth_target(self):
+        # sigma(f)/sigma(1) at six points in [0.2, 0.8] of the range, lam = 1:
+        # errors 4.3e-4, 6.3e-6, 3.6e-8, 1.6e-10 at n = 8, 16, 32, 64, and the
+        # doubling slope grows (6.1, 7.4, 7.8) instead of stalling at a fixed
+        # rate.  Margins from the tolerance: each sigma is below 1 and settles
+        # to within tol = 1e-12, and |f| <= 1, so a ratio moves by at most
+        # 2 * tol / sigma(1) = 2 * tol * arc length = 5.6e-11.  That is 0.2% of
+        # err(32) against a bound 2.9 times err(32), and it can lower the
+        # 32 -> 64 slope by at most log2(1 + 5.6e-11 / 1.6e-10) = 0.43, to
+        # 7.4, still above 6.1.
+        spec = HelixSpec()
+        curve = spec.curve()
+        ones = lambda pts: np.ones(pts.shape[0])
+        t = spec.t_min + (spec.t_max - spec.t_min) * np.linspace(0.2, 0.8, 6)
+        xs = spec.point(t)
+        err = {}
+        for n in (8.0, 16.0, 32.0, 64.0):
+            num = continuous_operator_on_curve(curve, spec.target_ambient, n, 1.0, xs, tol=1e-12)
+            den = continuous_operator_on_curve(curve, ones, n, 1.0, xs, tol=1e-12)
+            err[n] = float(np.max(np.abs(num / den - spec.target(t))))
+        assert err[32.0] <= err[8.0] * 4.0**-6
+        assert math.log2(err[32.0] / err[64.0]) > math.log2(err[8.0] / err[16.0])
 
     def test_quadrature_rule_is_built_once(self, monkeypatch):
         spec = HelixSpec()
@@ -626,9 +690,8 @@ class TestContinuousOperator:
         ones = lambda pts: np.ones(pts.shape[0])
         with pytest.raises(ValueError):
             continuous_operator_on_curve(curve, ones, 16.0, 0.5, spec.point(1.0))
-        bad = Curve(curve.chart, curve.speed, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            continuous_operator_on_curve(bad, ones, 16.0, 1.0, spec.point(1.0))
+        with pytest.raises(ValueError, match="t1 > t0"):
+            Curve(curve.chart, 1.0, 1.0)
         monkeypatch.setattr(estimator, "_MAX_PANELS", 8)
         with pytest.raises(QuadratureConvergenceError):
             continuous_operator_on_curve(curve, ones, 16.0, 1.0, spec.point(1.0))
