@@ -4,8 +4,10 @@ Each node v of the graph owns a constituent function f_v.  A source node
 reads a point of R^{in_dim} supplied by the caller; an internal node reads
 the tuple of its children's outputs, passed through the node's pooling map,
 and the single sink's output is the value of the composite.  Children are
-ordered.  A Dag fixes its children-first evaluation order when it is built,
-and every evaluation walks that order once, computing each node once.
+ordered.  A Dag fixes its layers when it is built: the sources, then every
+node whose children all lie in earlier layers, by longest path from the
+sources.  Every evaluation walks the layers once, computing each node once,
+as a deep network is computed one layer at a time.
 
 When every constituent f_v is replaced by an approximation g_v with
 per-node sup gap <= eps, the sink gap obeys the recursion
@@ -24,7 +26,10 @@ other family's constituent at the recorded inputs.
 estimate from per-node training data: ``estimator.ratio_reconstruction``,
 the two-pass form (value pass over a unit-value pass), so sampling density
 never biases the node scale; where the unit pass vanishes the estimator
-module's zero-mass policy applies.
+module's zero-mass policy applies.  These kernel channels are stacked by
+layer: the channels of one layer that share a kernel table, alpha, sample
+count M and input width Q are evaluated by one estimator pass, each row of
+it bitwise the channel's value alone.
 """
 
 from __future__ import annotations
@@ -35,7 +40,14 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .estimator import Dataset, EstimatorConfig, _read_json, _write_json, ratio_reconstruction
+from .estimator import (
+    Dataset,
+    EstimatorConfig,
+    _DatasetStack,
+    _read_json,
+    _write_json,
+    ratio_reconstruction,
+)
 
 __all__ = [
     "make_pooling",
@@ -133,12 +145,16 @@ class DagNode:
 class Dag:
     """Validated DAG with ordered children and exactly one sink.
 
-    ``order`` is the children-first evaluation order, fixed at construction
-    by Kahn's algorithm, which also rejects cycles.
+    ``layers`` are fixed at construction by Kahn's algorithm run in waves,
+    which also rejects cycles: layer 0 holds the sources, and a node lies
+    one layer past its deepest child (its longest path from a source).
+    Each layer is sorted by id.  ``order``, the children-first evaluation
+    order, is the layers concatenated.
     """
 
     nodes: dict
     sink: str
+    layers: tuple = field(init=False, compare=False)
     order: tuple = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -156,18 +172,21 @@ class Dag:
                 f"graph must have exactly one sink; unreferenced nodes: {sorted(unreferenced)}"
             )
         indeg = {nid: len(node.children) for nid, node in self.nodes.items()}
-        ready = sorted(nid for nid, dgr in indeg.items() if dgr == 0)
-        order: list = []
+        layers: list = []
+        ready = [nid for nid, dgr in indeg.items() if dgr == 0]
         while ready:
-            cur = ready.pop()
-            order.append(cur)
-            for parent in parents[cur]:
-                indeg[parent] -= 1
-                if indeg[parent] == 0:
-                    ready.append(parent)
+            layers.append(tuple(sorted(ready)))
+            ready = []
+            for cur in layers[-1]:
+                for parent in parents[cur]:
+                    indeg[parent] -= 1
+                    if indeg[parent] == 0:
+                        ready.append(parent)
+        order = tuple(nid for layer in layers for nid in layer)
         if len(order) != len(self.nodes):
             raise ValueError("graph contains a cycle")
-        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "order", order)
 
     def sources(self) -> list:
         return sorted(i for i, n in self.nodes.items() if n.kind == "source")
@@ -248,27 +267,62 @@ def write_dag_json(dag: Dag, path: str) -> None:
     _write_json(path, {"nodes": rows, "sink": dag.sink})
 
 
+@dataclass(frozen=True, eq=False)
+class _KernelChannel:
+    """A kernel channel: row ``row`` of a stack of node datasets sharing ``cfg``.
+
+    Called with one point, it is ``ratio_reconstruction`` on its own row
+    alone; ``_walk`` evaluates the channels of a layer that share a stack in
+    one pass, each row bitwise the same.
+    """
+
+    stack: _DatasetStack
+    cfg: EstimatorConfig
+    row: int
+
+    def __call__(self, z) -> float:
+        z = np.asarray(z, dtype=float).reshape(1, -1)
+        return float(ratio_reconstruction(self.stack.take([self.row]), self.cfg, z)[0])
+
+
 def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:
     """Each node's input point and value at one assignment of source inputs.
 
-    Walks ``dag.order`` once and calls ``funcs[v]`` once per node.  A source
-    without an input, or with the wrong number of coordinates, raises
-    ``ValueError``.
+    Walks ``dag.layers`` once and computes each node once.  In each layer
+    the kernel channels that share a stack are evaluated by one estimator
+    pass; any other ``funcs[v]`` is called once per node.  A source without
+    an input, with the wrong number of coordinates or with a coordinate that
+    is not finite raises ``ValueError`` naming it.
     """
     node_inputs: dict = {}
     node_values: dict = {}
-    for nid in dag.order:
-        node = dag.nodes[nid]
-        if node.kind == "source":
-            if nid not in inputs:
-                raise ValueError(f"missing input for source {nid!r}")
-            z = np.asarray(inputs[nid], dtype=float).reshape(-1)
-            if z.size != node.in_dim:
-                raise ValueError(f"source {nid}: expected {node.in_dim} coordinates")
-        else:
-            z = node.pooling(np.array([node_values[c] for c in node.children], dtype=float))
-        node_inputs[nid] = z
-        node_values[nid] = float(funcs[nid](z))
+    for layer in dag.layers:
+        stacks: dict = {}
+        for nid in layer:
+            node = dag.nodes[nid]
+            if node.kind == "source":
+                if nid not in inputs:
+                    raise ValueError(f"missing input for source {nid!r}")
+                z = np.asarray(inputs[nid], dtype=float).reshape(-1)
+                if z.size != node.in_dim:
+                    raise ValueError(f"source {nid}: expected {node.in_dim} coordinates")
+                if not np.isfinite(z).all():
+                    raise ValueError(
+                        f"source {nid!r}: coordinates must be finite, got {z.tolist()}"
+                    )
+            else:
+                z = node.pooling(np.array([node_values[c] for c in node.children], dtype=float))
+            node_inputs[nid] = z
+            if isinstance(funcs[nid], _KernelChannel):
+                stacks.setdefault(funcs[nid].stack, []).append(nid)
+            else:
+                node_values[nid] = float(funcs[nid](z))
+        for stack, members in stacks.items():
+            channels = [funcs[nid] for nid in members]
+            zs = np.array([node_inputs[nid] for nid in members])
+            ratios = ratio_reconstruction(stack.take([ch.row for ch in channels]),
+                                          channels[0].cfg, zs)
+            node_values.update(zip(members, ratios.tolist()))
     return node_inputs, node_values
 
 
@@ -336,22 +390,38 @@ def build_deep_approx(dag: Dag, node_points: Mapping, node_configs: Mapping) -> 
     ``node_points`` maps node id -> sample points of that node's input set
     (shape (M, in_dim)); labels come from the node's true constituent.
     ``node_configs`` maps node id -> EstimatorConfig.  Each resulting g_v is
-    ``ratio_reconstruction`` closed over its dataset, evaluated pointwise.
+    a kernel channel, ``ratio_reconstruction`` on its dataset.  The datasets
+    of one layer whose configs share alpha and the table's content, and
+    whose points share the shape (M, Q), form one stack, built here once;
+    ``eval_gfunction`` evaluates each stack of a layer in one pass.  A
+    missing entry or a bad dataset raises ``ValueError`` naming the node.
     """
-    approx: dict = {}
+    datasets: dict = {}
     for nid, node in dag.nodes.items():
         if node.constituent is None:
             raise ValueError(f"node {nid}: no true constituent to sample")
+        for what, table in (("sample points", node_points), ("estimator config", node_configs)):
+            if nid not in table:
+                raise ValueError(f"node {nid}: no {what}")
         pts = np.asarray(node_points[nid], dtype=float)
         if pts.ndim != 2 or pts.shape[1] != node.in_dim:
             raise ValueError(f"node {nid}: points must have shape (M, {node.in_dim})")
         labels = np.array([float(node.constituent(p)) for p in pts])
-        cfg: EstimatorConfig = node_configs[nid]
-        ds = Dataset(pts, labels, cfg.table.q)
+        try:
+            datasets[nid] = Dataset(pts, labels, node_configs[nid].table.q)
+        except ValueError as exc:
+            raise ValueError(f"node {nid}: {exc}") from None
 
-        def g(z, ds=ds, cfg=cfg):
-            z = np.asarray(z, dtype=float).reshape(1, -1)
-            return float(ratio_reconstruction(ds, cfg, z)[0])
-
-        approx[nid] = g
+    approx: dict = {}
+    for layer in dag.layers:
+        groups: dict = {}
+        for nid in layer:
+            cfg, ds = node_configs[nid], datasets[nid]
+            key = (cfg.alpha, cfg.table.n, cfg.table.q, cfg.table.a.tobytes(), ds.points.shape)
+            groups.setdefault(key, []).append(nid)
+        for members in groups.values():
+            stack = _DatasetStack.of([datasets[nid] for nid in members])
+            cfg = node_configs[members[0]]
+            for row, nid in enumerate(members):
+                approx[nid] = _KernelChannel(stack, cfg, row)
     return dag.with_constituents(approx)

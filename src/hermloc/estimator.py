@@ -107,6 +107,11 @@ class Dataset:
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
+    @property
+    def points_t(self) -> np.ndarray:
+        """The points transposed to a C-contiguous (Q, M) array, the distance pass's layout."""
+        return np.ascontiguousarray(self.points.T)
+
     def with_unit_values(self) -> "Dataset":
         """Same points, all values 1 (the density pass of two-pass use)."""
         return Dataset(self.points, np.ones(self.size), self.q)
@@ -116,6 +121,51 @@ class Dataset:
         """(k, F / 2**k), the least k >= 0 with max |F| / 2**k < 2**512; kept per dataset."""
         k = max(0, math.frexp(float(np.max(np.abs(self.values))))[1] - 512)
         return k, (np.ldexp(self.values, -k) if k else self.values)
+
+
+@dataclass(frozen=True, eq=False)
+class _DatasetStack:
+    """Datasets of one shape (M, Q) and one q, stacked so that point i of a batch uses dataset i.
+
+    ``points_t`` (Q, R, M) holds each dataset's points transposed, ``shift``
+    (R,) and ``values`` (R, M) each dataset's ``Dataset._scaled``.  The
+    kernel pass functions (``estimate_batch``, ``value_and_unit_passes``,
+    ``ratio_reconstruction``) take a stack in place of a Dataset with a batch
+    of R points, one per row.  A row's passes are bitwise those of its
+    dataset at that point alone.
+    """
+
+    points_t: np.ndarray
+    shift: np.ndarray
+    values: np.ndarray
+    q: int
+
+    @classmethod
+    def of(cls, datasets) -> "_DatasetStack":
+        first = datasets[0]
+        if any(ds.points.shape != first.points.shape or ds.q != first.q for ds in datasets):
+            raise ValueError("stacked datasets must share their shape (M, Q) and q")
+        shift, values = zip(*(ds._scaled for ds in datasets))
+        points_t = np.array([ds.points.T for ds in datasets]).transpose(1, 0, 2)
+        return cls(points_t, np.array(shift), np.array(values), first.q)
+
+    @property
+    def size(self) -> int:
+        return self.points_t.shape[2]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.points_t.shape[0]
+
+    @property
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.shift, self.values
+
+    def take(self, rows) -> "_DatasetStack":
+        """The stack of rows ``rows`` (a list of row indices), in that order."""
+        if rows == list(range(len(self.shift))):
+            return self
+        return _DatasetStack(self.points_t[:, rows], self.shift[rows], self.values[rows], self.q)
 
 
 # rows per block in `_write_csv` and `_read_csv` (about 0.5 MB of text): memory
@@ -242,6 +292,8 @@ _PAIRS_PER_CHUNK = 1 << 16
 def _squared_distances(xs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
     """|x_i - y_j|^2 in a (len(xs), M) array, from points transposed to (Q, M).
 
+    Points transposed to (Q, len(xs), M) give each x_i its own samples y_j.
+
     The coordinates are added one at a time in their order,
     ((x_1 - y_1)^2 + (x_2 - y_2)^2) + ..., each a pass over the whole array,
     so no (T, M, Q) difference array is formed and every entry depends only
@@ -304,50 +356,62 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return s + (((a - (s - z)) + (b - z)) + rest)
 
 
-def _weighted_passes(ds: Dataset, xs, weights: Callable, factor: float, unit_pass: bool):
+def _weighted_passes(ds, xs, weights: Callable, factor: float, unit_pass: bool):
     """factor * sum_j w(x, y_j) F_j at many points; with unit_pass, also with F_j = 1.
 
-    ``weights(chunk)`` returns the (t, M) weight rows of a chunk of about
-    ``_PAIRS_PER_CHUNK`` pairs, so memory is flat in the number of points.
-    The rows times the values and, for the unit pass, a copy of the rows
-    (bitwise a pass over unit values, as w * 1.0 == w) fill one C-contiguous
-    buffer whose rows ``_row_sums`` sums, so a point's passes are bitwise
-    the same in any batch and with or without the unit pass.  Values past
-    2**512 are scaled down by a power of two folded into the value pass's
-    factor, so only an estimate that overflows raises; smaller ones are not scaled.
+    ``ds`` is a Dataset that every point sums over, or a ``_DatasetStack``
+    whose row i holds the values, and so the factor, of point i.
+    ``weights(chunk, rows)`` returns the (t, M) weight rows of a chunk
+    ``xs[rows]`` of about ``_PAIRS_PER_CHUNK`` pairs, so memory is flat in
+    the number of points.  The rows times the values and, for the unit pass,
+    a copy of the rows (bitwise a pass over unit values, as w * 1.0 == w)
+    fill one C-contiguous buffer whose rows ``_row_sums`` sums, so a point's
+    passes are bitwise the same in any batch, alone or in a stack, and with
+    or without the unit pass.  Values past 2**512 are scaled down by a power
+    of two (one per dataset) folded into the value pass's factor, so only an
+    estimate that overflows raises; smaller ones are not scaled.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim or not np.all(np.isfinite(xs)):
+    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim or not np.isfinite(xs).all():
         raise ValueError(f"test points must be a batch (T, {ds.ambient_dim}) of finite numbers")
     rows = max(1, _PAIRS_PER_CHUNK // ds.size)
     passes = 2 if unit_pass else 1
     shift, values = ds._scaled
-    scale = np.array([[math.ldexp(factor, shift)], [factor]])[:passes]
-    sums = [np.empty((passes, 0))]
+    # a stack has one row of values, so one power of two, per point
+    per_point = values.ndim == 2
+    if per_point and values.shape[0] != xs.shape[0]:
+        raise ValueError(f"a stack of {values.shape[0]} datasets needs as many test points")
+    shifts = shift.tolist() if per_point else [shift]
+    scale = np.array([[math.ldexp(factor, k) for k in shifts], [factor] * len(shifts)])[:passes]
+    sums = np.empty((passes, xs.shape[0]))
     for start in range(0, xs.shape[0], rows):
-        w = weights(xs[start : start + rows])
+        chunk = slice(start, start + rows)
+        w = weights(xs[chunk], chunk)
         t = w.shape[0]
         terms = np.empty((passes * t, ds.size))
-        np.multiply(w, values, out=terms[:t])
+        np.multiply(w, values[chunk] if per_point else values, out=terms[:t])
         if unit_pass:
             terms[t:] = w
         del w  # free before the sums and the next chunk
         try:
             with np.errstate(over="raise"):
-                sums.append(scale * _row_sums(terms).reshape(passes, t))
+                np.multiply(scale[:, chunk] if per_point else scale,
+                            _row_sums(terms).reshape(passes, t), out=sums[:, chunk])
         except (ValueError, FloatingPointError) as err:
-            big = np.max(np.abs(ds.values))
+            big = np.max(np.ldexp(np.max(np.abs(values), axis=-1), shift))
             raise ValueError(f"sample values up to |F| = {big:.3g}, M = {ds.size}: {err}") from None
-    sums = np.concatenate(sums, axis=1)
     return sums[0], (sums[1] if unit_pass else None)
 
 
-def _kernel_rows(form: KernelForm, lam: float, points: np.ndarray) -> Callable:
-    """The weight rows K(lam |x - y_j|) of a chunk of points x, for samples y_j (M, Q)."""
-    points_t = np.ascontiguousarray(points.T)
+def _kernel_rows(form: KernelForm, lam: float, points_t: np.ndarray) -> Callable:
+    """The weight rows K(lam |x - y_j|) of a chunk of points x, as ``_weighted_passes`` takes them.
 
-    def weights(chunk: np.ndarray) -> np.ndarray:
-        radii = _squared_distances(chunk, points_t)
+    ``points_t`` holds the samples y_j transposed: (Q, M) for one sample
+    set, or (Q, T, M) with its own set for each of T points.
+    """
+
+    def weights(chunk: np.ndarray, rows: slice) -> np.ndarray:
+        radii = _squared_distances(chunk, points_t if points_t.ndim == 2 else points_t[:, rows])
         np.sqrt(radii, out=radii)
         radii *= lam
         return form(radii)
@@ -356,10 +420,13 @@ def _kernel_rows(form: KernelForm, lam: float, points: np.ndarray) -> Callable:
 
 
 def _kernel_passes(ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool):
-    """Value pass and, if asked, unit pass of the estimator: kernel weight rows."""
+    """Value pass and, if asked, unit pass of the estimator: kernel weight rows.
+
+    ``ds`` may be a ``_DatasetStack``: point i is then estimated from dataset i.
+    """
     if cfg.table.q != ds.q:
         raise ValueError("kernel table q does not match dataset q")
-    weights = _kernel_rows(kernel_form(cfg.table), cfg.n ** (1.0 - cfg.alpha), ds.points)
+    weights = _kernel_rows(kernel_form(cfg.table), cfg.n ** (1.0 - cfg.alpha), ds.points_t)
     factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
     return _weighted_passes(ds, xs, weights, factor, unit_pass)
 
@@ -502,9 +569,10 @@ def continuous_operator_on_curve(
         tnodes = (edges[:-1, None] + 0.5 * h * (glx + 1.0)).ravel()
         wnodes = (0.5 * h * glw / (curve.t1 - curve.t0)).ravel()
         pts = curve.chart(tnodes)
-        rows = _kernel_rows(form, lam, pts)
-        val = _weighted_passes(Dataset(pts, f(pts), 1), xs[todo],
-                               lambda chunk: rows(chunk) * wnodes, lam, False)[0]
+        ds = Dataset(pts, f(pts), 1)
+        rows = _kernel_rows(form, lam, ds.points_t)
+        val = _weighted_passes(ds, xs[todo], lambda chunk, sl: rows(chunk, sl) * wnodes,
+                               lam, False)[0]
         close = np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val))
         agree = np.where(close, agree + 1, 0)
         done = agree >= 2

@@ -356,9 +356,9 @@ def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, n
     """
     if not 0 < t < math.inf:  # the one check on diffusion times; NaN fails it too
         raise ValueError(f"diffusion time t must be finite and positive, got {t!r}")
-    points_t = np.ascontiguousarray(ds.points.T)
+    points_t = ds.points_t
 
-    def weights(chunk: np.ndarray) -> np.ndarray:
+    def weights(chunk: np.ndarray, rows: slice) -> np.ndarray:
         d2 = _squared_distances(chunk, points_t)
         d2 /= -t
         return np.exp(d2)

@@ -334,7 +334,7 @@ def shallow_net_estimate(ds: Dataset, net: GaussianNetwork, xs) -> np.ndarray:
     if ds.ambient_dim != net.dim:
         raise ValueError("dataset dimension does not match the network")
 
-    def weights(chunk: np.ndarray) -> np.ndarray:
+    def weights(chunk: np.ndarray, rows: slice) -> np.ndarray:
         diffs = chunk[:, None, :] - ds.points
         return net(diffs.reshape(-1, net.dim)).reshape(chunk.shape[0], ds.size)
 

@@ -106,12 +106,17 @@ def filter_h(t):
         raise ValueError("filter argument must be finite")
     if np.any(arr < 0):
         raise ValueError("filter argument must be nonnegative")
-    tm = np.clip(arr, 0.5, 1.0)
-    with np.errstate(divide="ignore", under="ignore"):
-        up = np.exp(-1.0 / (2.0 - 2.0 * tm))
-        down = np.exp(-1.0 / (2.0 * tm - 1.0))
-    out = up / (up + down)
+    out = _filter(arr)
     return float(out) if out.ndim == 0 else out
+
+
+def _filter(t: np.ndarray) -> np.ndarray:
+    """``filter_h`` on a float array of finite, nonnegative arguments, unchecked."""
+    two_t = 2.0 * np.minimum(np.maximum(t, 0.5), 1.0)
+    with np.errstate(divide="ignore", under="ignore"):
+        up = np.exp(-1.0 / (2.0 - two_t))
+        down = np.exp(-1.0 / (two_t - 1.0))
+    return up / (up + down)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ def compile_kernel(n: float, q: int) -> KernelTable:
     psi_{2l}(0).  A table whose factor pi**s or peak a_0 is not a normal
     double (pi**s from q = 1239 on, at any n) raises ``ValueError``.
     """
-    if not np.isfinite(n) or n < 1:
+    if not math.isfinite(n) or n < 1:
         raise ValueError("n must be a finite real >= 1")
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError("q must be a positive integer")
@@ -152,7 +157,7 @@ def compile_kernel(n: float, q: int) -> KernelTable:
     if not (k > -1022 and a[0] > 0.0 and -1022 < math.frexp(a[0])[1] + e + k - 1 <= 1024):
         raise ValueError(f"the kernel table at n = {n:g}, q = {q} leaves the double range")
     np.ldexp(a, e + k - 1, out=a)
-    a[2 * np.arange(L + 1) >= n * n] = 0.0
+    a[math.ceil(n * n / 2.0) :] = 0.0
     return KernelTable(float(n), int(q), a)
 
 
@@ -171,7 +176,9 @@ def _filter_sums(n: float, s: float) -> tuple[np.ndarray, int]:
     b_{s+1} = 0 ends the sum: at s = 0 it is the filter itself.
     """
     L = int(math.floor(n * n / 2.0))
-    h = filter_h(np.sqrt(2.0 * np.arange(L + 1)) / n)
+    h = _filter(np.sqrt(2.0 * np.arange(L + 1)) / n)
+    if s == 0.0:  # b_1 = 0: the sum is the j = 0 term alone
+        return h, 0
     sums = h.copy()  # the j = 0 term: b_0 = 1
     b, e = -s, 0
     for j in range(1, L + 1):

@@ -11,9 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from hermloc import estimator
 from hermloc.deep_net import (
     Dag,
     DagNode,
+    _walk,
     build_deep_approx,
     eval_gfunction,
     make_pooling,
@@ -44,6 +46,55 @@ def two_level_tree():
         ),
     }
     return Dag(nodes=nodes, sink="top")
+
+
+def seven_node_tree():
+    """Four 1-d sources, s1,s2 -> a and s3,s4 -> b, then a,b -> sink, clipped."""
+    fns = {"s1": lambda x: math.sin(1.5 * x[0]), "s2": lambda x: math.cos(2.0 * x[0]),
+           "s3": lambda x: float(x[0]) ** 3, "s4": lambda x: math.tanh(2.0 * x[0])}
+    nodes = {sid: DagNode(id=sid, kind="source", in_dim=1, constituent=fn)
+             for sid, fn in fns.items()}
+    for nid, children, fn in (("a", ("s1", "s2"), lambda z: math.sin(z[0] + z[1])),
+                              ("b", ("s3", "s4"), lambda z: float(z[0] * z[1])),
+                              ("sink", ("a", "b"), lambda z: math.cos(z[0] - z[1]))):
+        nodes[nid] = DagNode(id=nid, kind="internal", in_dim=2, children=children,
+                             pooling_name="clip", pooling_params={"lo": -1.0, "hi": 1.0},
+                             lipschitz=1.0, constituent=fn)
+    return Dag(nodes=nodes, sink="sink")
+
+
+def per_node_sink(dag, datasets, cfgs, inputs, exact=()):
+    """The sink value with every node its own ``ratio_reconstruction`` call, children first.
+
+    Nodes named in ``exact`` keep their constituent.
+    """
+    values = {}
+    for nid in dag.order:
+        node = dag.nodes[nid]
+        if node.kind == "source":
+            z = np.asarray(inputs[nid], dtype=float)
+        else:
+            z = node.pooling(np.array([values[c] for c in node.children]))
+        if nid in exact:
+            values[nid] = float(node.constituent(z))
+        else:
+            values[nid] = float(ratio_reconstruction(datasets[nid], cfgs[nid], z[None, :])[0])
+    return values[dag.sink]
+
+
+def counted_passes(monkeypatch) -> list:
+    """Record the batch size of every ``estimator._weighted_passes`` call."""
+    calls = []
+    passes = estimator._weighted_passes
+    monkeypatch.setattr(estimator, "_weighted_passes",
+                        lambda ds, xs, *rest: calls.append(len(xs)) or passes(ds, xs, *rest))
+    return calls
+
+
+def node_datasets(dag, points, cfgs):
+    return {nid: Dataset(points[nid], np.array([float(dag.nodes[nid].constituent(p))
+                                                for p in points[nid]]), cfgs[nid].table.q)
+            for nid in dag.nodes}
 
 
 class TestPooling:
@@ -92,6 +143,21 @@ class TestDagStructure:
             for child in node.children:
                 assert pos[child] < pos[node.id]
         assert dag.sources() == ["s1", "s2"]
+        assert dag.layers == (("s1", "s2"), ("top",))
+
+    def test_layers_follow_the_longest_path_from_the_sources(self):
+        # t reads s directly and through a -> b, so it lies past b
+        nodes = {
+            "s": DagNode(id="s", kind="source", in_dim=1),
+            "u": DagNode(id="u", kind="source", in_dim=1),
+            "a": DagNode(id="a", kind="internal", in_dim=1, children=("s",)),
+            "b": DagNode(id="b", kind="internal", in_dim=2, children=("a", "u")),
+            "t": DagNode(id="t", kind="internal", in_dim=2, children=("s", "b")),
+        }
+        dag = Dag(nodes=nodes, sink="t")
+        assert dag.layers == (("s", "u"), ("a",), ("b",), ("t",))
+        assert dag.order == ("s", "u", "a", "b", "t")
+        assert seven_node_tree().layers == (("s1", "s2", "s3", "s4"), ("a", "b"), ("sink",))
 
     def test_node_validation(self):
         with pytest.raises(ValueError):
@@ -187,6 +253,19 @@ class TestEvalGFunction:
         )
         with pytest.raises(ValueError):
             eval_gfunction(bare, {"s": [0.0]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_source_named(self, bad):
+        # exact constituents would carry NaN to the sink, kernel channels
+        # would raise without naming a node
+        dag = two_level_tree()
+        g1 = np.linspace(-1.0, 1.0, 20).reshape(-1, 1)
+        approx = build_deep_approx(
+            dag, {"s1": g1, "s2": g1, "top": np.zeros((4, 2))},
+            {nid: EstimatorConfig.build(4.0, 1.0, 1) for nid in dag.nodes})
+        for graph in (dag, approx):
+            with pytest.raises(ValueError, match=r"source 's2': coordinates must be finite"):
+                eval_gfunction(graph, {"s1": [0.5], "s2": [bad]})
 
 
 class TestEstimateLipschitz:
@@ -345,6 +424,13 @@ class TestBuildDeepApprox:
         cfgs = {nid: EstimatorConfig.build(4.0, 1.0, 1) for nid in dag.nodes}
         with pytest.raises(ValueError):
             build_deep_approx(dag, pts, cfgs)  # top points have wrong width
+        pts["top"] = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="node s2: no sample points"):
+            build_deep_approx(dag, {k: v for k, v in pts.items() if k != "s2"}, cfgs)
+        with pytest.raises(ValueError, match="node top: no estimator config"):
+            build_deep_approx(dag, pts, {k: v for k, v in cfgs.items() if k != "top"})
+        with pytest.raises(ValueError, match="node s1: q must be an integer in 1..Q"):
+            build_deep_approx(dag, pts, {**cfgs, "s1": EstimatorConfig.build(4.0, 1.0, 2)})
         bare = Dag(
             nodes={
                 "s": DagNode(id="s", kind="source", in_dim=1),
@@ -359,6 +445,77 @@ class TestBuildDeepApprox:
                 {"s": np.zeros((4, 1)), "t": np.zeros((4, 1))},
                 {nid: EstimatorConfig.build(4.0, 1.0, 1) for nid in bare.nodes},
             )
+
+
+class TestLayeredChannels:
+    """Kernel channels of a layer sharing table, alpha, M and Q take one pass, bitwise."""
+
+    @staticmethod
+    def fitted(dag, ms, cfgs, seed=0):
+        rng = np.random.default_rng(seed)
+        points = {nid: rng.uniform(-1.0, 1.0, (ms[nid], dag.nodes[nid].in_dim))
+                  for nid in sorted(dag.nodes)}
+        return build_deep_approx(dag, points, cfgs), node_datasets(dag, points, cfgs)
+
+    def seven(self):
+        dag = seven_node_tree()
+        cfgs = {nid: EstimatorConfig.build(8.0, 1.0, dag.nodes[nid].in_dim) for nid in dag.nodes}
+        approx, datasets = self.fitted(dag, dict.fromkeys(dag.nodes, 256), cfgs)
+        return dag, approx, datasets, cfgs
+
+    def test_layered_walk_equals_per_node_estimates(self):
+        dag, approx, datasets, cfgs = self.seven()
+        rng = np.random.default_rng(1)
+        inputs = [{sid: rng.uniform(-1.0, 1.0, 1) for sid in dag.sources()} for _ in range(200)]
+        # s1 far from its samples: zero mass, so s1 reads 0 in a layer with mass
+        inputs.append({"s1": [40.0], "s2": [0.3], "s3": [-0.2], "s4": [0.9]})
+        for inp in inputs:
+            assert eval_gfunction(approx, inp) == per_node_sink(dag, datasets, cfgs, inp)
+        assert approx.nodes["s1"].constituent([40.0]) == 0.0
+
+    def test_one_pass_per_layer(self, monkeypatch):
+        dag, approx, _, _ = self.seven()
+        calls = counted_passes(monkeypatch)
+        for k in range(5):
+            eval_gfunction(approx, {sid: [0.1 * k] for sid in dag.sources()})
+            assert calls == [4, 2, 1]
+            calls.clear()
+
+    def test_channel_alone_equals_its_row_in_the_layer(self):
+        dag, approx, _, _ = self.seven()
+        funcs = {nid: node.constituent for nid, node in approx.nodes.items()}
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            inputs, values = _walk(approx, {sid: rng.uniform(-1.0, 1.0, 1)
+                                            for sid in dag.sources()}, funcs)
+            for nid, fn in funcs.items():
+                assert fn(inputs[nid]) == values[nid], nid
+
+    def test_mixed_layer_groups_by_table_and_sample_count(self, monkeypatch):
+        # layer 0: s1, s2 share a stack; s3 has another M and s4 another
+        # table; s5 is a plain callable.  The sink is one more pass.
+        nodes = {f"s{k}": DagNode(id=f"s{k}", kind="source", in_dim=1,
+                                  constituent=lambda x, k=k: math.sin(k * x[0]))
+                 for k in range(1, 6)}
+        nodes["sink"] = DagNode(id="sink", kind="internal", in_dim=5,
+                                children=tuple(sorted(nodes)), pooling_name="clip",
+                                constituent=lambda z: float(np.sum(z)) / 5.0)
+        dag = Dag(nodes=nodes, sink="sink")
+        cfgs = {nid: EstimatorConfig.build(8.0, 1.0, 1) for nid in dag.nodes}
+        cfgs["s4"] = EstimatorConfig.build(6.0, 1.0, 1)
+        ms = {**dict.fromkeys(dag.nodes, 64), "s3": 96}
+        approx, datasets = self.fitted(dag, ms, cfgs, seed=3)
+        approx = approx.with_constituents({"s5": dag.nodes["s5"].constituent})
+        stacks = {id(approx.nodes[nid].constituent.stack) for nid in ("s1", "s2", "s3", "s4")}
+        assert len(stacks) == 3
+        calls = counted_passes(monkeypatch)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            inp = {sid: rng.uniform(-1.0, 1.0, 1) for sid in dag.sources()}
+            calls.clear()
+            got = eval_gfunction(approx, inp)
+            assert sorted(calls[:3]) == [1, 1, 2] and calls[3:] == [1]
+            assert got == per_node_sink(dag, datasets, cfgs, inp, exact=("s5",))
 
 
 class TestDagJson:

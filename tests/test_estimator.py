@@ -495,6 +495,27 @@ class TestTreeSums:
         np.testing.assert_array_equal(large[0], np.ldexp(small[0], 900))
         np.testing.assert_array_equal(large[1], small[1])
 
+    def test_stack_rows_equal_their_datasets_alone(self):
+        # one dataset per point: M = 20000 puts 3 points in a chunk, so the 7
+        # rows span three chunks; one dataset's values are scaled down by a power of two
+        rng = np.random.default_rng(26)
+        cfg = EstimatorConfig.build(6.0, 0.5, 2)
+        sets = [Dataset(rng.normal(size=(20000, 3)), rng.normal(size=20000) * 10.0**k, 2)
+                for k in (0, 300, -300, 5, 0, 0, 2)]
+        xs = rng.normal(size=(7, 3))
+        stack = estimator._DatasetStack.of(sets)
+        assert np.flatnonzero(stack.shift).tolist() == [1]
+        num, den = value_and_unit_passes(stack, cfg, xs)
+        for i, ds in enumerate(sets):
+            one_num, one_den = value_and_unit_passes(ds, cfg, xs[i : i + 1])
+            assert (one_num[0], one_den[0]) == (num[i], den[i]), i
+        part = stack.take([5, 1])
+        assert list(estimate_batch(part, cfg, xs[[5, 1]])) == [num[5], num[1]]
+        with pytest.raises(ValueError, match="a stack of 7 datasets needs as many test points"):
+            estimate_batch(stack, cfg, xs[:3])
+        with pytest.raises(ValueError, match="share their shape"):
+            estimator._DatasetStack.of([sets[0], Dataset(np.zeros((5, 3)), np.zeros(5), 2)])
+
     def test_single_equals_batch_at_odd_width(self):
         # M = 1000 is not a power of two; 200 points span four chunks
         rng = np.random.default_rng(21)

@@ -163,11 +163,12 @@ class TestCompileKernel:
                 oracle = phi_localized(n, q, zero, e1)
                 assert eval_kernel(table, r) == pytest.approx(oracle, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [6, 8, 64])
+    @pytest.mark.parametrize("n", [6, 6.5, 7, 8, 64])
     def test_q1_table_is_filter_times_psi_zero(self, n):
         # at q = 1 the filter sum is the filter itself: no rounding beyond
-        # the one product
-        L = n * n // 2
+        # the one product; entries with 2l >= n**2 are zero, and at odd n**2
+        # there are none
+        L = int(n * n // 2)
         want = filter_h(np.sqrt(2.0 * np.arange(L + 1)) / n) * psi_zero_even(L + 1)
         want[2 * np.arange(L + 1) >= n * n] = 0.0
         assert compile_kernel(float(n), 1).a.tobytes() == want.tobytes()
