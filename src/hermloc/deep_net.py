@@ -26,10 +26,10 @@ other family's constituent at the recorded inputs.
 estimate from per-node training data: ``estimator.ratio_reconstruction``,
 the two-pass form (value pass over a unit-value pass), so sampling density
 never biases the node scale; where the unit pass vanishes the estimator
-module's zero-mass policy applies.  These kernel channels are stacked by
-layer: the channels of one layer that share a kernel table, alpha, sample
-count M and input width Q are evaluated by one estimator pass, each row of
-it bitwise the channel's value alone.
+module's zero-mass policy applies.  The datasets of one layer's channels
+that share a kernel table, alpha, sample count M and input width Q are one
+``estimator._DatasetStack``, evaluated by one estimator pass with one point
+per row, each row bitwise the channel's value alone.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ from .estimator import (
     Dataset,
     EstimatorConfig,
     _DatasetStack,
+    _kernel_passes,
     _read_json,
     _write_json,
-    ratio_reconstruction,
+    guarded_ratio,
 )
 
 __all__ = [
@@ -271,9 +272,9 @@ def write_dag_json(dag: Dag, path: str) -> None:
 class _KernelChannel:
     """A kernel channel: row ``row`` of a stack of node datasets sharing ``cfg``.
 
-    Called with one point, it is ``ratio_reconstruction`` on its own row
-    alone; ``_walk`` evaluates the channels of a layer that share a stack in
-    one pass, each row bitwise the same.
+    Called with one point, it is the ratio of the stack passes over its own
+    row, bitwise ``ratio_reconstruction`` on its dataset; ``_walk``
+    evaluates the channels of a layer that share a stack in one pass.
     """
 
     stack: _DatasetStack
@@ -282,7 +283,8 @@ class _KernelChannel:
 
     def __call__(self, z) -> float:
         z = np.asarray(z, dtype=float).reshape(1, -1)
-        return float(ratio_reconstruction(self.stack.take([self.row]), self.cfg, z)[0])
+        passes = _kernel_passes(self.stack.take([self.row]), self.cfg, z, unit_pass=True)
+        return float(guarded_ratio(*passes)[0])
 
 
 def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:
@@ -320,8 +322,8 @@ def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:
         for stack, members in stacks.items():
             channels = [funcs[nid] for nid in members]
             zs = np.array([node_inputs[nid] for nid in members])
-            ratios = ratio_reconstruction(stack.take([ch.row for ch in channels]),
-                                          channels[0].cfg, zs)
+            ratios = guarded_ratio(*_kernel_passes(stack.take([ch.row for ch in channels]),
+                                                   channels[0].cfg, zs, unit_pass=True))
             node_values.update(zip(members, ratios.tolist()))
     return node_inputs, node_values
 
@@ -351,27 +353,33 @@ class PropagationReport:
 def propagation_gap(dag: Dag, f_set: Mapping, g_set: Mapping, probe_inputs) -> PropagationReport:
     """Measured sink gap between two constituent families vs the recursion bound.
 
-    ``probe_inputs`` is a sequence of source-input assignments.  Per-node sup
-    gaps are measured on the node inputs realized under both families; the
-    predicted bound propagates them through the pooling constants and the
-    largest internal Lipschitz bound.
+    ``probe_inputs`` is a non-empty sequence of source-input assignments.
+    Per-node sup gaps are measured on the node inputs realized under both
+    families; the predicted bound propagates them through the pooling
+    constants and the largest internal Lipschitz bound.  A gap that is not
+    finite raises ``ValueError`` naming the node and the probe's index.
     """
     for nid, node in dag.nodes.items():
         if node.kind == "internal" and node.lipschitz is None:
             raise ValueError(f"internal node {nid} is missing a Lipschitz bound")
         if nid not in f_set or nid not in g_set:
             raise ValueError(f"node {nid}: both constituent families must cover it")
+    if not probe_inputs:
+        raise ValueError("propagation_gap needs at least one probe input")
 
     eps = measured = 0.0
-    for inputs in probe_inputs:
+    for probe, inputs in enumerate(probe_inputs):
         f_inputs, f_values = _walk(dag, inputs, f_set)
         g_inputs, g_values = _walk(dag, inputs, g_set)
-        # per-node sup gap, on inputs realized under either family
-        for nid in dag.order:
-            eps = max(eps, abs(f_values[nid] - float(g_set[nid](f_inputs[nid]))))
-        for nid in dag.order:
-            eps = max(eps, abs(float(f_set[nid](g_inputs[nid])) - g_values[nid]))
-        measured = max(measured, abs(f_values[dag.sink] - g_values[dag.sink]))
+        # per-node gaps, on inputs realized under either family
+        gaps = [(nid, f_values[nid] - float(g_set[nid](f_inputs[nid]))) for nid in dag.order]
+        gaps += [(nid, float(f_set[nid](g_inputs[nid])) - g_values[nid]) for nid in dag.order]
+        sink_gap = f_values[dag.sink] - g_values[dag.sink]
+        for nid, gap in gaps + [(dag.sink, sink_gap)]:
+            if not math.isfinite(gap):
+                raise ValueError(f"probe {probe}: node {nid!r} has the non-finite gap {gap}")
+        eps = max(eps, *(abs(gap) for _, gap in gaps))
+        measured = max(measured, abs(sink_gap))
 
     L = max((n.lipschitz for n in dag.nodes.values() if n.kind == "internal"), default=1.0)
     bound: dict = {}

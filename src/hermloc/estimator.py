@@ -19,7 +19,9 @@ every ratio of passes in the package.
 
 Every weighted sum over the samples, factor * sum_j w(x, y_j) F_j, goes
 through ``_weighted_passes``: the kernel estimator, the heat baseline and
-the network estimate differ only in the weight rows w.  It sums by
+the network estimate differ only in the weight rows w.  It reads the
+samples as a ``_DatasetStack``: a Dataset is a one-row stack read by every
+point, and the DAG's kernel channels stack one dataset per point.  It sums by
 error-free extraction; ``_row_sums`` states its error bound, no weaker than
 a compensated pairwise tree's up to M = 2**20 - 3, and a point's sum is
 bitwise the same alone or in any batch.  Its numpy operations release the
@@ -76,7 +78,9 @@ class Dataset:
 
     ``points`` has shape (M, Q); ``values`` has shape (M,).  q is the
     dimension of the set the points are believed to lie on and is supplied
-    by the caller, never inferred.
+    by the caller, never inferred.  The first pass reads both arrays into
+    ``_stack``, kept for the dataset's life, so they must not be changed
+    in place.
     """
 
     points: np.ndarray
@@ -107,32 +111,26 @@ class Dataset:
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def points_t(self) -> np.ndarray:
-        """The points transposed to a C-contiguous (Q, M) array, the distance pass's layout."""
-        return np.ascontiguousarray(self.points.T)
-
     def with_unit_values(self) -> "Dataset":
         """Same points, all values 1 (the density pass of two-pass use)."""
         return Dataset(self.points, np.ones(self.size), self.q)
 
     @functools.cached_property
-    def _scaled(self) -> tuple[int, np.ndarray]:
-        """(k, F / 2**k), the least k >= 0 with max |F| / 2**k < 2**512; kept per dataset."""
-        k = max(0, math.frexp(float(np.max(np.abs(self.values))))[1] - 512)
-        return k, (np.ldexp(self.values, -k) if k else self.values)
+    def _stack(self) -> "_DatasetStack":
+        """This dataset as a one-row stack, the layout every pass reads; built once."""
+        return _DatasetStack.of([self])
 
 
 @dataclass(frozen=True, eq=False)
 class _DatasetStack:
-    """Datasets of one shape (M, Q) and one q, stacked so that point i of a batch uses dataset i.
+    """R datasets of one shape (M, Q) and one q, in the layout of the pass engine.
 
-    ``points_t`` (Q, R, M) holds each dataset's points transposed, ``shift``
-    (R,) and ``values`` (R, M) each dataset's ``Dataset._scaled``.  The
-    kernel pass functions (``estimate_batch``, ``value_and_unit_passes``,
-    ``ratio_reconstruction``) take a stack in place of a Dataset with a batch
-    of R points, one per row.  A row's passes are bitwise those of its
-    dataset at that point alone.
+    ``points_t`` (Q, R, M) holds each dataset's points transposed.
+    ``values`` (R, M) holds its values scaled by 2**-shift, with ``shift``
+    (R,) the least k >= 0 that brings max |F| below 2**512.  A pass over T
+    points reads R = 1 rows, every point summing over the one dataset, or
+    R = T rows, point i summing over dataset i; a row's passes are bitwise
+    those of its dataset alone.
     """
 
     points_t: np.ndarray
@@ -145,21 +143,12 @@ class _DatasetStack:
         first = datasets[0]
         if any(ds.points.shape != first.points.shape or ds.q != first.q for ds in datasets):
             raise ValueError("stacked datasets must share their shape (M, Q) and q")
-        shift, values = zip(*(ds._scaled for ds in datasets))
+        values = np.array([ds.values for ds in datasets])
+        shift = np.maximum(0, np.frexp(np.max(np.abs(values), axis=1))[1] - 512)
+        if shift.any():
+            values = np.ldexp(values, -shift[:, None])
         points_t = np.array([ds.points.T for ds in datasets]).transpose(1, 0, 2)
-        return cls(points_t, np.array(shift), np.array(values), first.q)
-
-    @property
-    def size(self) -> int:
-        return self.points_t.shape[2]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.points_t.shape[0]
-
-    @property
-    def _scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.shift, self.values
+        return cls(points_t, shift, values, first.q)
 
     def take(self, rows) -> "_DatasetStack":
         """The stack of rows ``rows`` (a list of row indices), in that order."""
@@ -290,11 +279,10 @@ _PAIRS_PER_CHUNK = 1 << 16
 
 
 def _squared_distances(xs: np.ndarray, points_t: np.ndarray) -> np.ndarray:
-    """|x_i - y_j|^2 in a (len(xs), M) array, from points transposed to (Q, M).
+    """|x_i - y_j|^2 in a (len(xs), M) array, from samples transposed to (Q, R, M).
 
-    Points transposed to (Q, len(xs), M) give each x_i its own samples y_j.
-
-    The coordinates are added one at a time in their order,
+    With R = 1 every x_i reads the one sample set; with R = len(xs), x_i
+    reads row i.  The coordinates are added one at a time in their order,
     ((x_1 - y_1)^2 + (x_2 - y_2)^2) + ..., each a pass over the whole array,
     so no (T, M, Q) difference array is formed and every entry depends only
     on its own pair, bitwise.
@@ -356,62 +344,58 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return s + (((a - (s - z)) + (b - z)) + rest)
 
 
-def _weighted_passes(ds, xs, weights: Callable, factor: float, unit_pass: bool):
-    """factor * sum_j w(x, y_j) F_j at many points; with unit_pass, also with F_j = 1.
+def _weighted_passes(stack: _DatasetStack, xs, weights: Callable, factor: float,
+                     unit_pass: bool):
+    """factor * sum_j w(x, y_j) F_j at T points; with unit_pass, also with F_j = 1.
 
-    ``ds`` is a Dataset that every point sums over, or a ``_DatasetStack``
-    whose row i holds the values, and so the factor, of point i.
-    ``weights(chunk, rows)`` returns the (t, M) weight rows of a chunk
-    ``xs[rows]`` of about ``_PAIRS_PER_CHUNK`` pairs, so memory is flat in
-    the number of points.  The rows times the values and, for the unit pass,
-    a copy of the rows (bitwise a pass over unit values, as w * 1.0 == w)
-    fill one C-contiguous buffer whose rows ``_row_sums`` sums, so a point's
-    passes are bitwise the same in any batch, alone or in a stack, and with
-    or without the unit pass.  Values past 2**512 are scaled down by a power
-    of two (one per dataset) folded into the value pass's factor, so only an
-    estimate that overflows raises; smaller ones are not scaled.
+    ``stack`` holds one dataset (R = 1) that every point sums over, or T,
+    one per point.  ``weights(chunk, points_t)`` returns the (t, M) weight
+    rows of a chunk of about ``_PAIRS_PER_CHUNK`` pairs, so memory is flat
+    in the number of points: ``chunk`` is (t, Q), and ``points_t`` holds the
+    samples it reads, (Q, 1, M) or (Q, t, M).  The rows times the values
+    and, for the unit pass, a copy of the rows (bitwise a pass over unit
+    values, as w * 1.0 == w) fill one C-contiguous buffer whose rows
+    ``_row_sums`` sums, so a point's passes are bitwise the same in any
+    batch, alone or in a stack, and with or without the unit pass.  The
+    stack's power-of-two value shift is folded into the value pass's
+    factor, so only an estimate that overflows raises.
     """
+    dim, count, size = stack.points_t.shape
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != ds.ambient_dim or not np.isfinite(xs).all():
-        raise ValueError(f"test points must be a batch (T, {ds.ambient_dim}) of finite numbers")
-    rows = max(1, _PAIRS_PER_CHUNK // ds.size)
+    if xs.ndim != 2 or xs.shape[1] != dim or not np.isfinite(xs).all():
+        raise ValueError(f"test points must be a batch (T, {dim}) of finite numbers")
+    if count not in (1, xs.shape[0]):
+        raise ValueError(f"a stack of {count} datasets needs as many test points")
+    rows = max(1, _PAIRS_PER_CHUNK // size)
     passes = 2 if unit_pass else 1
-    shift, values = ds._scaled
-    # a stack has one row of values, so one power of two, per point
-    per_point = values.ndim == 2
-    if per_point and values.shape[0] != xs.shape[0]:
-        raise ValueError(f"a stack of {values.shape[0]} datasets needs as many test points")
-    shifts = shift.tolist() if per_point else [shift]
-    scale = np.array([[math.ldexp(factor, k) for k in shifts], [factor] * len(shifts)])[:passes]
+    scale = np.array([[math.ldexp(factor, k) for k in stack.shift.tolist()],
+                      [factor] * count])[:passes]
     sums = np.empty((passes, xs.shape[0]))
     for start in range(0, xs.shape[0], rows):
         chunk = slice(start, start + rows)
-        w = weights(xs[chunk], chunk)
+        own = chunk if count > 1 else slice(None)  # the stack rows this chunk reads
+        w = weights(xs[chunk], stack.points_t[:, own])
         t = w.shape[0]
-        terms = np.empty((passes * t, ds.size))
-        np.multiply(w, values[chunk] if per_point else values, out=terms[:t])
+        terms = np.empty((passes * t, size))
+        np.multiply(w, stack.values[own], out=terms[:t])
         if unit_pass:
             terms[t:] = w
         del w  # free before the sums and the next chunk
         try:
             with np.errstate(over="raise"):
-                np.multiply(scale[:, chunk] if per_point else scale,
-                            _row_sums(terms).reshape(passes, t), out=sums[:, chunk])
+                np.multiply(scale[:, own], _row_sums(terms).reshape(passes, t),
+                            out=sums[:, chunk])
         except (ValueError, FloatingPointError) as err:
-            big = np.max(np.ldexp(np.max(np.abs(values), axis=-1), shift))
-            raise ValueError(f"sample values up to |F| = {big:.3g}, M = {ds.size}: {err}") from None
+            big = np.max(np.ldexp(np.max(np.abs(stack.values), axis=1), stack.shift))
+            raise ValueError(f"sample values up to |F| = {big:.3g}, M = {size}: {err}") from None
     return sums[0], (sums[1] if unit_pass else None)
 
 
-def _kernel_rows(form: KernelForm, lam: float, points_t: np.ndarray) -> Callable:
-    """The weight rows K(lam |x - y_j|) of a chunk of points x, as ``_weighted_passes`` takes them.
+def _kernel_rows(form: KernelForm, lam: float) -> Callable:
+    """The weight rows K(lam |x - y_j|) of a chunk of points x, for ``_weighted_passes``."""
 
-    ``points_t`` holds the samples y_j transposed: (Q, M) for one sample
-    set, or (Q, T, M) with its own set for each of T points.
-    """
-
-    def weights(chunk: np.ndarray, rows: slice) -> np.ndarray:
-        radii = _squared_distances(chunk, points_t if points_t.ndim == 2 else points_t[:, rows])
+    def weights(chunk: np.ndarray, points_t: np.ndarray) -> np.ndarray:
+        radii = _squared_distances(chunk, points_t)
         np.sqrt(radii, out=radii)
         radii *= lam
         return form(radii)
@@ -419,16 +403,13 @@ def _kernel_rows(form: KernelForm, lam: float, points_t: np.ndarray) -> Callable
     return weights
 
 
-def _kernel_passes(ds: Dataset, cfg: EstimatorConfig, xs, unit_pass: bool):
-    """Value pass and, if asked, unit pass of the estimator: kernel weight rows.
-
-    ``ds`` may be a ``_DatasetStack``: point i is then estimated from dataset i.
-    """
-    if cfg.table.q != ds.q:
+def _kernel_passes(stack: _DatasetStack, cfg: EstimatorConfig, xs, unit_pass: bool):
+    """Value pass and, if asked, unit pass of the estimator: kernel weight rows."""
+    if cfg.table.q != stack.q:
         raise ValueError("kernel table q does not match dataset q")
-    weights = _kernel_rows(kernel_form(cfg.table), cfg.n ** (1.0 - cfg.alpha), ds.points_t)
-    factor = cfg.n ** (ds.q * (1.0 - cfg.alpha)) / ds.size
-    return _weighted_passes(ds, xs, weights, factor, unit_pass)
+    weights = _kernel_rows(kernel_form(cfg.table), cfg.n ** (1.0 - cfg.alpha))
+    factor = cfg.n ** (stack.q * (1.0 - cfg.alpha)) / stack.points_t.shape[2]
+    return _weighted_passes(stack, xs, weights, factor, unit_pass)
 
 
 def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
@@ -441,7 +422,7 @@ def estimate_batch(ds: Dataset, cfg: EstimatorConfig, xs) -> np.ndarray:
     Results per point are identical whether the point is evaluated alone
     or inside any batch.  Values that overflow the sums raise ``ValueError``.
     """
-    return _kernel_passes(ds, cfg, xs, unit_pass=False)[0]
+    return _kernel_passes(ds._stack, cfg, xs, unit_pass=False)[0]
 
 
 def value_and_unit_passes(
@@ -452,7 +433,7 @@ def value_and_unit_passes(
     They are bitwise equal to ``estimate_batch`` on ``ds`` and on
     ``ds.with_unit_values()``.
     """
-    return _kernel_passes(ds, cfg, xs, unit_pass=True)
+    return _kernel_passes(ds._stack, cfg, xs, unit_pass=True)
 
 
 ZERO_MASS = 1e-12
@@ -549,7 +530,7 @@ def continuous_operator_on_curve(
         raise ValueError("lam must be a finite real >= 1")
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, x.shape[-1] if x.ndim else 1)
-    form = _curve_form(float(n))
+    rows = _kernel_rows(_curve_form(float(n)), lam)
     glx, glw = _gauss_legendre()
 
     # the chart's polyline length sets the first panel count (resolve the
@@ -569,9 +550,12 @@ def continuous_operator_on_curve(
         tnodes = (edges[:-1, None] + 0.5 * h * (glx + 1.0)).ravel()
         wnodes = (0.5 * h * glw / (curve.t1 - curve.t0)).ravel()
         pts = curve.chart(tnodes)
-        ds = Dataset(pts, f(pts), 1)
-        rows = _kernel_rows(form, lam, ds.points_t)
-        val = _weighted_passes(ds, xs[todo], lambda chunk, sl: rows(chunk, sl) * wnodes,
+        vals = np.asarray(f(pts), dtype=float)
+        if vals.shape != tnodes.shape or not np.isfinite(vals).all():
+            raise ValueError(f"f at the {tnodes.size} quadrature nodes of {panels} panels must give "
+                             f"finite values of shape {tnodes.shape}, got shape {vals.shape}")
+        val = _weighted_passes(Dataset(pts, vals, 1)._stack, xs[todo],
+                               lambda chunk, points_t: rows(chunk, points_t) * wnodes,
                                lam, False)[0]
         close = np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val))
         agree = np.where(close, agree + 1, 0)

@@ -356,15 +356,14 @@ def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, n
     """
     if not 0 < t < math.inf:  # the one check on diffusion times; NaN fails it too
         raise ValueError(f"diffusion time t must be finite and positive, got {t!r}")
-    points_t = ds.points_t
 
-    def weights(chunk: np.ndarray, rows: slice) -> np.ndarray:
+    def weights(chunk: np.ndarray, points_t: np.ndarray) -> np.ndarray:
         d2 = _squared_distances(chunk, points_t)
         d2 /= -t
         return np.exp(d2)
 
     scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
-    return _weighted_passes(ds, xs, weights, scale, unit_pass=True)
+    return _weighted_passes(ds._stack, xs, weights, scale, unit_pass=True)
 
 
 def bernstein_demo(f: Callable[[float], float], n: int, x) -> float | np.ndarray:

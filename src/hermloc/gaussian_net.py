@@ -334,8 +334,8 @@ def shallow_net_estimate(ds: Dataset, net: GaussianNetwork, xs) -> np.ndarray:
     if ds.ambient_dim != net.dim:
         raise ValueError("dataset dimension does not match the network")
 
-    def weights(chunk: np.ndarray, rows: slice) -> np.ndarray:
-        diffs = chunk[:, None, :] - ds.points
+    def weights(chunk: np.ndarray, points_t: np.ndarray) -> np.ndarray:
+        diffs = chunk[:, None, :] - np.moveaxis(points_t, 0, -1)
         return net(diffs.reshape(-1, net.dim)).reshape(chunk.shape[0], ds.size)
 
-    return _weighted_passes(ds, xs, weights, 1.0 / ds.size, unit_pass=False)[0]
+    return _weighted_passes(ds._stack, xs, weights, 1.0 / ds.size, unit_pass=False)[0]

@@ -15,6 +15,7 @@ from hermloc import estimator
 from hermloc.deep_net import (
     Dag,
     DagNode,
+    PropagationReport,
     _walk,
     build_deep_approx,
     eval_gfunction,
@@ -346,6 +347,32 @@ class TestPropagation:
             propagation_gap(unbounded, f_set, f_set, [])
         with pytest.raises(ValueError):
             propagation_gap(dag, f_set, {"s1": f_set["s1"]}, [])
+
+    def test_non_finite_gap_is_raised_not_dropped(self):
+        # s -> t with identity constituents; g at t is NaN for z > 0.5, so
+        # probe 0 (z = 0.1) is fine and probe 1 (z = 0.9) is not
+        nodes = {
+            "s": DagNode(id="s", kind="source", in_dim=1, constituent=lambda x: float(x[0])),
+            "t": DagNode(id="t", kind="internal", in_dim=1, children=("s",), lipschitz=1.0,
+                         constituent=lambda z: float(z[0])),
+        }
+        dag = Dag(nodes=nodes, sink="t")
+        f_set = {nid: n.constituent for nid, n in nodes.items()}
+        g_set = {"s": f_set["s"], "t": lambda z: math.nan if z[0] > 0.5 else float(z[0])}
+        probes = [{"s": [0.1]}, {"s": [0.9]}]
+        finite = propagation_gap(dag, f_set, g_set, probes[:1])
+        assert finite == PropagationReport(0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="probe 1: node 't' has the non-finite gap nan"):
+            propagation_gap(dag, f_set, g_set, probes)
+        # every node gap finite (1.8 at s, 0 at t), but the families' sinks
+        # lie 2e308 apart, past the float range
+        big = lambda z: math.copysign(1e308, z[0])
+        f_set = {"s": f_set["s"], "t": big}
+        g_set = {"s": lambda x: -float(x[0]), "t": big}
+        with pytest.raises(ValueError, match="probe 0: node 't' has the non-finite gap inf"):
+            propagation_gap(dag, f_set, g_set, probes[1:])
+        with pytest.raises(ValueError, match="at least one probe input"):
+            propagation_gap(dag, f_set, f_set, [])
 
     def test_probe_of_wrong_shape_rejected(self):
         dag = two_level_tree()

@@ -505,16 +505,49 @@ class TestTreeSums:
         xs = rng.normal(size=(7, 3))
         stack = estimator._DatasetStack.of(sets)
         assert np.flatnonzero(stack.shift).tolist() == [1]
-        num, den = value_and_unit_passes(stack, cfg, xs)
+        num, den = estimator._kernel_passes(stack, cfg, xs, unit_pass=True)
         for i, ds in enumerate(sets):
             one_num, one_den = value_and_unit_passes(ds, cfg, xs[i : i + 1])
             assert (one_num[0], one_den[0]) == (num[i], den[i]), i
         part = stack.take([5, 1])
-        assert list(estimate_batch(part, cfg, xs[[5, 1]])) == [num[5], num[1]]
+        value = estimator._kernel_passes(part, cfg, xs[[5, 1]], unit_pass=False)[0]
+        assert list(value) == [num[5], num[1]]
         with pytest.raises(ValueError, match="a stack of 7 datasets needs as many test points"):
-            estimate_batch(stack, cfg, xs[:3])
+            estimator._kernel_passes(stack, cfg, xs[:3], unit_pass=False)
         with pytest.raises(ValueError, match="share their shape"):
             estimator._DatasetStack.of([sets[0], Dataset(np.zeros((5, 3)), np.zeros(5), 2)])
+
+    def test_one_row_stack_serves_every_point(self):
+        # a one-row stack is read by every point of the batch, as its dataset
+        # is; any other row count must match the batch
+        rng = np.random.default_rng(27)
+        cfg = EstimatorConfig.build(6.0, 0.5, 2)
+        sets = [Dataset(rng.normal(size=(900, 3)), rng.normal(size=900) * 10.0**k, 2)
+                for k in (0, 300, 2)]
+        stack = estimator._DatasetStack.of(sets)
+        xs = rng.normal(size=(5, 3))
+        for i, ds in enumerate(sets):
+            got = estimator._kernel_passes(stack.take([i]), cfg, xs, unit_pass=True)
+            want = value_and_unit_passes(ds, cfg, xs)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        for rows, count in (([0, 2], 1), ([0, 2], 5), ([0, 1, 2], 2)):
+            with pytest.raises(ValueError, match=f"a stack of {len(rows)} datasets needs as many"):
+                estimator._kernel_passes(stack.take(rows), cfg, xs[:count], unit_pass=True)
+
+    def test_dataset_stack_is_built_once(self, monkeypatch):
+        calls = []
+        of = estimator._DatasetStack.of
+        monkeypatch.setattr(estimator._DatasetStack, "of",
+                            classmethod(lambda cls, sets: calls.append(len(sets)) or of(sets)))
+        rng = np.random.default_rng(28)
+        pts = rng.normal(size=(300, 3))
+        ds = Dataset(pts, np.cos(pts[:, 0]), 1)
+        cfg = EstimatorConfig.build(6.0, 1.0, 1)
+        estimate_batch(ds, cfg, pts[:4])
+        ratio_reconstruction(ds, cfg, pts[:4])
+        heat_value_and_unit_passes(ds, 0.1, pts[:4])
+        assert calls == [1]
 
     def test_single_equals_batch_at_odd_width(self):
         # M = 1000 is not a power of two; 200 points span four chunks
@@ -704,6 +737,17 @@ class TestContinuousOperator:
                 for x in points * 2]
         assert len(calls) <= 1
         assert warm == cold * 2
+
+    @pytest.mark.parametrize("bad,got", [
+        (lambda pts: np.where(pts[:, 2] > 5.0, np.nan, 1.0), r"\(1280,\)"),
+        (lambda pts: np.ones((len(pts), 2)), r"\(1280, 2\)"),
+        (lambda pts: 1.0, r"\(\)"),
+    ])
+    def test_bad_values_of_f_are_named(self, bad, got):
+        spec = HelixSpec()
+        want = r"^f at the 1280 quadrature nodes of 128 panels must give finite values of shape"
+        with pytest.raises(ValueError, match=want + r" \(1280,\), got shape " + got + "$"):
+            continuous_operator_on_curve(spec.curve(), bad, 6.0, 1.0, spec.point(1.0))
 
     def test_validation_and_convergence_guard(self, monkeypatch):
         spec = HelixSpec()
