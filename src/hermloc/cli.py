@@ -72,6 +72,8 @@ CONSTITUENTS = {
     "cos_sum": lambda v: math.cos(float(np.sum(v))),
     "helix_f": lambda v: float(HelixSpec().target_ambient(v)),
 }
+# the coordinates a constituent reads, where it reads a fixed number
+_WIDTHS = {"helix_f": 3}
 
 # the --config parameters of each subcommand and their defaults: build_parser
 # gives each a flag typed as its default, with a help line from _HELP, and
@@ -296,7 +298,12 @@ def _cmd_deep_eval(args) -> int:
             raise ValueError(
                 f"unknown constituent {name!r}; choose from {sorted(CONSTITUENTS)}"
             )
-        names[str(row["id"])] = CONSTITUENTS[name]
+        nid = str(row["id"])
+        in_dim = dag.nodes[nid].in_dim
+        if _WIDTHS.get(name, in_dim) != in_dim:
+            raise ValueError(f"node {nid!r}: {name} reads {_WIDTHS[name]} coordinates, "
+                             f"but in_dim is {in_dim}")
+        names[nid] = CONSTITUENTS[name]
     dag = dag.with_constituents(names)
 
     inputs_doc = _read_json(args.inputs)
@@ -305,14 +312,10 @@ def _cmd_deep_eval(args) -> int:
     for assignment in assignments:
         if not isinstance(assignment, dict):
             raise ValueError("each input assignment must map source id -> coordinates")
-        try:
-            coords = {sid: np.asarray(v, dtype=float) for sid, v in assignment.items()}
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"source coordinates must be numbers: {exc}") from exc
-        for sid, v in coords.items():
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"source {sid!r}: coordinates must be finite, got {v.tolist()}")
-        value = eval_gfunction(dag, coords)
+        unknown = sorted(set(assignment) - set(dag.sources()))
+        if unknown:
+            raise ValueError(f"inputs name ids that are not sources of the graph: {unknown}")
+        value = eval_gfunction(dag, assignment)
         # JSON has no NaN or Infinity, so such a value is a failure, not an output
         if not math.isfinite(value):
             raise RuntimeError(f"inputs {assignment} gave the non-finite value {value}")

@@ -19,8 +19,7 @@ where L is the largest Lipschitz bound among internal constituents and
 c(v) is the pooling contract constant: the pooling must satisfy
 |pool(a) - pool(b)| <= c(v) * sum_k |a_k - b_k| on its inputs.
 ``propagation_gap`` measures eps on the node inputs realized under both
-families: one walk per family, and each node's gap taken by calling the
-other family's constituent at the recorded inputs.
+families: one walk per family, then the other family at every recorded input.
 
 ``build_deep_approx`` replaces every constituent by a one-shot kernel
 estimate from per-node training data: ``estimator.ratio_reconstruction``,
@@ -28,8 +27,8 @@ the two-pass form (value pass over a unit-value pass), so sampling density
 never biases the node scale; where the unit pass vanishes the estimator
 module's zero-mass policy applies.  The datasets of one layer's channels
 that share a kernel table, alpha, sample count M and input width Q are one
-``estimator._DatasetStack``, evaluated by one estimator pass with one point
-per row, each row bitwise the channel's value alone.
+``estimator._DatasetStack``; ``_values`` evaluates any set of nodes with one
+estimator pass per stack, each row bitwise the channel's value alone.
 """
 
 from __future__ import annotations
@@ -272,9 +271,8 @@ def write_dag_json(dag: Dag, path: str) -> None:
 class _KernelChannel:
     """A kernel channel: row ``row`` of a stack of node datasets sharing ``cfg``.
 
-    Called with one point, it is the ratio of the stack passes over its own
-    row, bitwise ``ratio_reconstruction`` on its dataset; ``_walk``
-    evaluates the channels of a layer that share a stack in one pass.
+    Called with one point, it is ``_values`` on itself alone, bitwise
+    ``ratio_reconstruction`` on its dataset and its row in any stack pass.
     """
 
     stack: _DatasetStack
@@ -282,30 +280,52 @@ class _KernelChannel:
     row: int
 
     def __call__(self, z) -> float:
-        z = np.asarray(z, dtype=float).reshape(1, -1)
-        passes = _kernel_passes(self.stack.take([self.row]), self.cfg, z, unit_pass=True)
-        return float(guarded_ratio(*passes)[0])
+        return _values([self], [np.asarray(z, dtype=float).reshape(-1)], [0])[0]
+
+
+def _values(funcs: Mapping, at: Mapping, nids) -> dict:
+    """``{v: float(funcs[v](at[v]))}`` for v in ``nids``, at 1-d points ``at[v]``.
+
+    Kernel channels sharing a stack take one estimator pass over their rows;
+    any other function is called once, and None raises naming its node.
+    """
+    values, stacks = {}, {}
+    for nid in nids:
+        fn = funcs[nid]
+        if isinstance(fn, _KernelChannel):
+            stacks.setdefault(fn.stack, []).append(nid)
+        elif fn is None:
+            raise ValueError(f"node {nid}: no constituent attached")
+        else:
+            values[nid] = float(fn(at[nid]))
+    for stack, members in stacks.items():
+        rows = stack.take([funcs[nid].row for nid in members])
+        zs = np.array([at[nid] for nid in members])
+        passes = _kernel_passes(rows, funcs[members[0]].cfg, zs, unit_pass=True)
+        values.update(zip(members, guarded_ratio(*passes).tolist()))
+    return values
 
 
 def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:
     """Each node's input point and value at one assignment of source inputs.
 
-    Walks ``dag.layers`` once and computes each node once.  In each layer
-    the kernel channels that share a stack are evaluated by one estimator
-    pass; any other ``funcs[v]`` is called once per node.  A source without
-    an input, with the wrong number of coordinates or with a coordinate that
-    is not finite raises ``ValueError`` naming it.
+    Walks ``dag.layers`` once: one ``_values`` call per layer, at inputs
+    taken from ``inputs`` or the earlier layers.  A source without an input,
+    with coordinates that are not numbers, of the wrong count or not finite
+    raises ``ValueError`` naming it.
     """
-    node_inputs: dict = {}
-    node_values: dict = {}
+    node_inputs, node_values = {}, {}
     for layer in dag.layers:
-        stacks: dict = {}
         for nid in layer:
             node = dag.nodes[nid]
             if node.kind == "source":
                 if nid not in inputs:
                     raise ValueError(f"missing input for source {nid!r}")
-                z = np.asarray(inputs[nid], dtype=float).reshape(-1)
+                try:
+                    z = np.asarray(inputs[nid], dtype=float).reshape(-1)
+                except (TypeError, ValueError) as exc:
+                    msg = f"source coordinates must be numbers: source {nid!r}: {exc}"
+                    raise ValueError(msg) from None
                 if z.size != node.in_dim:
                     raise ValueError(f"source {nid}: expected {node.in_dim} coordinates")
                 if not np.isfinite(z).all():
@@ -315,16 +335,7 @@ def _walk(dag: Dag, inputs: Mapping, funcs: Mapping) -> tuple[dict, dict]:
             else:
                 z = node.pooling(np.array([node_values[c] for c in node.children], dtype=float))
             node_inputs[nid] = z
-            if isinstance(funcs[nid], _KernelChannel):
-                stacks.setdefault(funcs[nid].stack, []).append(nid)
-            else:
-                node_values[nid] = float(funcs[nid](z))
-        for stack, members in stacks.items():
-            channels = [funcs[nid] for nid in members]
-            zs = np.array([node_inputs[nid] for nid in members])
-            ratios = guarded_ratio(*_kernel_passes(stack.take([ch.row for ch in channels]),
-                                                   channels[0].cfg, zs, unit_pass=True))
-            node_values.update(zip(members, ratios.tolist()))
+        node_values.update(_values(funcs, node_inputs, layer))
     return node_inputs, node_values
 
 
@@ -333,13 +344,9 @@ def eval_gfunction(dag: Dag, inputs: Mapping) -> float:
 
     ``inputs`` maps each source id to its point (array of length in_dim).
     Each node's function is its constituent; attach them with
-    :meth:`Dag.with_constituents`.
+    :meth:`Dag.with_constituents`.  It is ``_walk`` on the constituents.
     """
-    funcs = {}
-    for nid, node in dag.nodes.items():
-        if node.constituent is None:
-            raise ValueError(f"node {nid}: no constituent attached")
-        funcs[nid] = node.constituent
+    funcs = {nid: node.constituent for nid, node in dag.nodes.items()}
     return _walk(dag, inputs, funcs)[1][dag.sink]
 
 
@@ -355,7 +362,8 @@ def propagation_gap(dag: Dag, f_set: Mapping, g_set: Mapping, probe_inputs) -> P
 
     ``probe_inputs`` is a non-empty sequence of source-input assignments.
     Per-node sup gaps are measured on the node inputs realized under both
-    families; the predicted bound propagates them through the pooling
+    families: each family's walk, then the other family at its inputs in one
+    ``_values`` call.  The predicted bound propagates them through the pooling
     constants and the largest internal Lipschitz bound.  A gap that is not
     finite raises ``ValueError`` naming the node and the probe's index.
     """
@@ -372,8 +380,9 @@ def propagation_gap(dag: Dag, f_set: Mapping, g_set: Mapping, probe_inputs) -> P
         f_inputs, f_values = _walk(dag, inputs, f_set)
         g_inputs, g_values = _walk(dag, inputs, g_set)
         # per-node gaps, on inputs realized under either family
-        gaps = [(nid, f_values[nid] - float(g_set[nid](f_inputs[nid]))) for nid in dag.order]
-        gaps += [(nid, float(f_set[nid](g_inputs[nid])) - g_values[nid]) for nid in dag.order]
+        g_at_f, f_at_g = _values(g_set, f_inputs, dag.order), _values(f_set, g_inputs, dag.order)
+        gaps = [(nid, f_values[nid] - g_at_f[nid]) for nid in dag.order]
+        gaps += [(nid, f_at_g[nid] - g_values[nid]) for nid in dag.order]
         sink_gap = f_values[dag.sink] - g_values[dag.sink]
         for nid, gap in gaps + [(dag.sink, sink_gap)]:
             if not math.isfinite(gap):

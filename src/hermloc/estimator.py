@@ -151,9 +151,15 @@ class _DatasetStack:
         return cls(points_t, shift, values, first.q)
 
     def take(self, rows) -> "_DatasetStack":
-        """The stack of rows ``rows`` (a list of row indices), in that order."""
+        """The stack of rows ``rows`` (a list of row indices), in that order.
+
+        The whole stack is itself, and any other ascending run of rows is a
+        view of its arrays; other rows are copied.
+        """
         if rows == list(range(len(self.shift))):
             return self
+        if rows == list(range(rows[0], rows[0] + len(rows))):
+            rows = slice(rows[0], rows[0] + len(rows))
         return _DatasetStack(self.points_t[:, rows], self.shift[rows], self.values[rows], self.q)
 
 
@@ -528,6 +534,8 @@ def continuous_operator_on_curve(
     """
     if not np.isfinite(lam) or lam < 1.0:
         raise ValueError("lam must be a finite real >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, x.shape[-1] if x.ndim else 1)
     rows = _kernel_rows(_curve_form(float(n)), lam)

@@ -50,7 +50,7 @@ import os
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -93,10 +93,10 @@ INTERIOR_HI = 0.9
 
 @dataclass(frozen=True)
 class HelixSpec:
-    """The helix t -> (cos(pi t), sin(pi t), pi t) with normalized arc measure."""
+    """The helix t -> (cos(pi t), sin(pi t), pi t) on [0, 2 pi], with normalized arc measure."""
 
-    t_min: float = 0.0
-    t_max: float = _TWO_PI
+    t_min: ClassVar[float] = 0.0
+    t_max: ClassVar[float] = _TWO_PI
 
     @property
     def speed(self) -> float:

@@ -426,7 +426,30 @@ class TestExitCodes:
         inputs = _write_json(tmp_path / "inputs.json", {"s1": {"a": 1}, "s2": [0.0, 1.0]})
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
-        assert "error: source coordinates must be numbers" in capsys.readouterr().err
+        assert "error: source coordinates must be numbers: source 's1'" in capsys.readouterr().err
+
+    def test_deep_eval_inputs_for_unknown_ids_exit_2(self, tmp_path, capsys):
+        graph = _write_json(tmp_path / "graph.json", GRAPH)
+        doc = {"s1": [0.5], "s2": [0.0, 1.0], "s9": [1.0], "top": [2.0, 3.0]}
+        inputs = _write_json(tmp_path / "inputs.json", doc)
+        out = tmp_path / "out"
+        rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: inputs name ids that are not sources of the graph: ['s9', 'top']\n")
+        assert not out.exists()
+
+    def test_deep_eval_constituent_of_another_width_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRAPH))
+        doc["nodes"][2]["constituent"] = "helix_f"
+        graph = _write_json(tmp_path / "graph.json", doc)
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": [0.0], "s2": [0.0, 1.0]})
+        out = tmp_path / "out"
+        rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: node 'top': helix_f reads 3 coordinates, but in_dim is 2\n")
+        assert not out.exists()
 
     def test_deep_eval_non_finite_coordinates_exit_2(self, tmp_path, capsys):
         graph = _write_json(tmp_path / "graph.json", GRAPH)

@@ -7,6 +7,7 @@ kernel-estimate constituents produced by build_deep_approx.
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -543,6 +544,64 @@ class TestLayeredChannels:
             got = eval_gfunction(approx, inp)
             assert sorted(calls[:3]) == [1, 1, 2] and calls[3:] == [1]
             assert got == per_node_sink(dag, datasets, cfgs, inp, exact=("s5",))
+
+    def test_gap_probes_take_one_pass_per_stack(self, monkeypatch):
+        # per probe: the g walk, then g at every f input in one evaluator
+        # call, 4, 2 and 1 rows each; the exact family f takes no pass
+        dag, approx, _, _ = self.seven()
+        f_set = {nid: n.constituent for nid, n in dag.nodes.items()}
+        g_set = {nid: n.constituent for nid, n in approx.nodes.items()}
+        probes = [{sid: [0.1 * k - 0.2] for sid in dag.sources()} for k in range(3)]
+        calls = counted_passes(monkeypatch)
+        propagation_gap(dag, f_set, g_set, probes)
+        assert calls == [4, 2, 1, 4, 2, 1] * len(probes)
+
+    def test_gap_report_equals_plain_closures_bitwise(self):
+        # each channel against ratio_reconstruction on its node's dataset, in
+        # either family's place; the last probe puts s1 where it has no mass
+        dag, approx, datasets, cfgs = self.seven()
+        f_set = {nid: n.constituent for nid, n in dag.nodes.items()}
+        g_set = {nid: n.constituent for nid, n in approx.nodes.items()}
+        plain = {nid: lambda z, ds=datasets[nid], cfg=cfgs[nid]:
+                 float(ratio_reconstruction(ds, cfg, np.reshape(z, (1, -1)))[0])
+                 for nid in dag.nodes}
+        rng = np.random.default_rng(5)
+        probes = [{sid: rng.uniform(-1.0, 1.0, 1) for sid in dag.sources()} for _ in range(30)]
+        probes.append({"s1": [40.0], "s2": [0.3], "s3": [-0.2], "s4": [0.9]})
+        assert g_set["s1"]([40.0]) == 0.0
+        for chosen in (probes, probes[-1:]):
+            for got, want in ((propagation_gap(dag, f_set, g_set, chosen),
+                               propagation_gap(dag, f_set, plain, chosen)),
+                              (propagation_gap(dag, g_set, f_set, chosen),
+                               propagation_gap(dag, plain, f_set, chosen))):
+                assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
+
+    def test_channels_of_one_stack_in_other_layers(self):
+        # the source channels (one stack) and b's channel on another graph:
+        # p and q in layer 0 read rows 3 and 1, out of order, r reads row 0
+        # in layer 1, and the sink t reads b's row of the layer-1 stack
+        dag, approx, datasets, cfgs = self.seven()
+        ch = {nid: n.constituent for nid, n in approx.nodes.items()}
+        nodes = {"p": DagNode(id="p", kind="source", in_dim=1),
+                 "q": DagNode(id="q", kind="source", in_dim=1),
+                 "r": DagNode(id="r", kind="internal", in_dim=1, children=("p",),
+                              pooling_name="clip"),
+                 "t": DagNode(id="t", kind="internal", in_dim=2, children=("q", "r"),
+                              pooling_name="clip")}
+        other = Dag(nodes=nodes, sink="t").with_constituents(
+            {"p": ch["s4"], "q": ch["s2"], "r": ch["s1"], "t": ch["b"]})
+        assert other.layers == (("p", "q"), ("r",), ("t",))
+        own = {"p": "s4", "q": "s2", "r": "s1", "t": "b"}
+        funcs = {nid: n.constituent for nid, n in other.nodes.items()}
+        rng = np.random.default_rng(6)
+        inputs = [{"p": rng.uniform(-1.0, 1.0, 1), "q": rng.uniform(-1.0, 1.0, 1)}
+                  for _ in range(20)]
+        for inp in inputs + [{"p": [40.0], "q": [0.5]}]:
+            at, values = _walk(other, inp, funcs)
+            assert eval_gfunction(other, inp) == values["t"]
+            for nid, fn in funcs.items():
+                alone = ratio_reconstruction(datasets[own[nid]], cfgs[own[nid]], at[nid][None, :])
+                assert fn(at[nid]) == values[nid] == alone[0], nid
 
 
 class TestDagJson:

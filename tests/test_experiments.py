@@ -8,7 +8,7 @@ frozen streams.
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +33,12 @@ from hermloc.experiments import (
 
 
 class TestHelixSpec:
+    def test_range_is_a_constant(self):
+        assert fields(HelixSpec) == ()
+        assert (HelixSpec().t_min, HelixSpec().t_max) == (0.0, 2.0 * math.pi)
+        with pytest.raises(TypeError):
+            HelixSpec(t_max=1.0)
+
     def test_frozen_target_values(self):
         spec = HelixSpec()
         assert spec.target(0.0) == pytest.approx(math.cos(1.0), abs=1e-15)
