@@ -315,6 +315,12 @@ def _cmd_deep_eval(args) -> int:
         unknown = sorted(set(assignment) - set(dag.sources()))
         if unknown:
             raise ValueError(f"inputs name ids that are not sources of the graph: {unknown}")
+        for sid, coords in assignment.items():
+            # exact types, as dag_from_doc: a JSON string or boolean is not a number
+            if not all(type(c) in (int, float) for c in
+                       (coords if isinstance(coords, list) else [coords])):
+                raise ValueError(
+                    f"source coordinates must be numbers: source {sid!r}: got {coords!r}")
         value = eval_gfunction(dag, assignment)
         # JSON has no NaN or Infinity, so such a value is a failure, not an output
         if not math.isfinite(value):

@@ -269,11 +269,7 @@ def write_dag_json(dag: Dag, path: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _KernelChannel:
-    """A kernel channel: row ``row`` of a stack of node datasets sharing ``cfg``.
-
-    Called with one point, it is ``_values`` on itself alone, bitwise
-    ``ratio_reconstruction`` on its dataset and its row in any stack pass.
-    """
+    """Row ``row`` of a stack of node datasets sharing ``cfg``; see ``_values``."""
 
     stack: _DatasetStack
     cfg: EstimatorConfig
@@ -286,8 +282,7 @@ class _KernelChannel:
 def _values(funcs: Mapping, at: Mapping, nids) -> dict:
     """``{v: float(funcs[v](at[v]))}`` for v in ``nids``, at 1-d points ``at[v]``.
 
-    Kernel channels sharing a stack take one estimator pass over their rows;
-    any other function is called once, and None raises naming its node.
+    Kernel channels of one stack take one pass; None raises naming its node.
     """
     values, stacks = {}, {}
     for nid in nids:

@@ -151,15 +151,9 @@ class _DatasetStack:
         return cls(points_t, shift, values, first.q)
 
     def take(self, rows) -> "_DatasetStack":
-        """The stack of rows ``rows`` (a list of row indices), in that order.
-
-        The whole stack is itself, and any other ascending run of rows is a
-        view of its arrays; other rows are copied.
-        """
+        """The stack of rows ``rows`` (a list of row indices), in that order."""
         if rows == list(range(len(self.shift))):
             return self
-        if rows == list(range(rows[0], rows[0] + len(rows))):
-            rows = slice(rows[0], rows[0] + len(rows))
         return _DatasetStack(self.points_t[:, rows], self.shift[rows], self.values[rows], self.q)
 
 

@@ -427,6 +427,16 @@ class TestExitCodes:
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
         assert "error: source coordinates must be numbers: source 's1'" in capsys.readouterr().err
+        # numpy reads "0.5" and true as floats; JSON strings and booleans are not numbers
+        for s1, s2, bad in (("0.5", [0.0, 1.0], "'s1': got '0.5'"),
+                            ([0.5], [True, 2.0], "'s2': got [True, 2.0]")):
+            inputs = _write_json(tmp_path / "inputs.json", {"s1": s1, "s2": s2})
+            out = tmp_path / "out"
+            rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr() == (
+                "", f"error: source coordinates must be numbers: source {bad}\n")
+            assert not out.exists()
 
     def test_deep_eval_inputs_for_unknown_ids_exit_2(self, tmp_path, capsys):
         graph = _write_json(tmp_path / "graph.json", GRAPH)

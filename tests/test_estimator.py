@@ -535,31 +535,6 @@ class TestTreeSums:
             with pytest.raises(ValueError, match=f"a stack of {len(rows)} datasets needs as many"):
                 estimator._kernel_passes(stack.take(rows), cfg, xs[:count], unit_pass=True)
 
-    def test_take_of_an_ascending_run_is_a_view(self):
-        # an ascending run of rows slices the stack's arrays, the whole stack
-        # is itself, and other rows are copied; every pass is bitwise that of
-        # copied rows and of each row's dataset alone
-        rng = np.random.default_rng(29)
-        cfg = EstimatorConfig.build(6.0, 0.5, 2)
-        sets = [Dataset(rng.normal(size=(900, 3)), rng.normal(size=900) * 10.0**k, 2)
-                for k in (0, 300, 2, -1)]
-        stack = estimator._DatasetStack.of(sets)
-        xs = rng.normal(size=(4, 3))
-        assert stack.take([0, 1, 2, 3]) is stack
-        for rows in ([0], [3], [1, 2], [0, 1, 2], [1, 2, 3], [3, 1], [0, 2], [1, 1]):
-            part = stack.take(rows)
-            run = rows == list(range(rows[0], rows[0] + len(rows)))
-            for name in ("points_t", "shift", "values"):
-                assert np.shares_memory(getattr(part, name), getattr(stack, name)) == run
-            copied = estimator._DatasetStack(stack.points_t[:, rows], stack.shift[rows],
-                                             stack.values[rows], stack.q)
-            got = estimator._kernel_passes(part, cfg, xs[: len(rows)], unit_pass=True)
-            want = estimator._kernel_passes(copied, cfg, xs[: len(rows)], unit_pass=True)
-            for i, row in enumerate(rows):
-                alone = value_and_unit_passes(sets[row], cfg, xs[i : i + 1])
-                assert got[0][i] == want[0][i] == alone[0][0]
-                assert got[1][i] == want[1][i] == alone[1][0]
-
     def test_dataset_stack_is_built_once(self, monkeypatch):
         calls = []
         of = estimator._DatasetStack.of
