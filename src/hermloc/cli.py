@@ -49,6 +49,7 @@ from .experiments import (
     NOISE_MODELS,
     ExperimentConfig,
     HelixSpec,
+    _check_seed,
     _check_type,
     _summary,
     bernstein_demo,
@@ -139,6 +140,7 @@ def _out_dir(args, default: str) -> str:
 def _cmd_gen_data(args) -> int:
     params = _settings(args)
     noise, seed = params["noise"], params["seed"]
+    _check_seed(seed)
     ds = gen_training(HelixSpec(), params["M"], noise, sigma=params["sigma"],
                       rng=np.random.default_rng(seed))
     out = _out_dir(args, "data_out")
@@ -214,6 +216,7 @@ def _cmd_baseline_heat(args) -> int:
     times = [float(s) for s in args.times.split(",")]
     n_list = [int(s) for s in args.n_list.split(",")]
 
+    _check_seed(params["seed"])
     spec = HelixSpec()
     ds = gen_training(spec, params["M"], "none", rng=np.random.default_rng(params["seed"]))
     t_grid, xs = spec.grid(params["test_points"])

@@ -168,7 +168,7 @@ def gen_training(
     if noise == "none":
         values = spec.target(t)
     elif noise == "additive":
-        if sigma <= 0:
+        if not 0.0 < sigma < math.inf:
             raise ValueError("additive noise needs sigma > 0")
         values = spec.target(t) + rng.normal(0.0, sigma, M)
     else:
@@ -185,6 +185,12 @@ def _check_type(name: str, value, kind: type) -> None:
     """Raise ``ValueError`` unless ``value`` is accepted for a parameter of type ``kind``."""
     if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
         raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
+def _check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` can seed ``np.random.default_rng``."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -216,10 +222,9 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.noise not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.noise!r}")
-        if self.sigma <= 0:
+        if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,12 @@ coefficients with one (points x K) factor matrix per axis.  That costs
 O(K**d) multiply-adds per point and no exponential per (center, point)
 pair.  Points are contracted one at a time in chunks whose intermediate
 holds at most ``_CHUNK_ENTRIES`` values, so memory is flat in the number
-of points and a point's value never depends on the batch it came in.
+of points.  The first and largest contraction reads the coefficients in
+blocks of ``_BLOCK_ROWS`` rows, each block against every point of the
+chunk before the next, so a block stays in cache instead of the whole
+tensor streaming from memory once per point.  Every point still makes the
+same BLAS calls with the same shapes, so a point's value never depends on
+the batch it came in.
 
 Rounding: the coefficients of a synthesized kernel cancel heavily, so an
 evaluation is exact only to the scale u * sum_j |c_j| (u = 2**-53), far
@@ -68,6 +73,13 @@ MAX_DIM = 3
 # 2**20 doubles (8 MB), whatever the number of points evaluated.
 _CHUNK_ENTRIES = 1 << 20
 
+# Coefficient rows (K values each) contracted against every point of a chunk
+# before the next block is read: 64 x 72 doubles (36 KB) stay in a 48 KB L1
+# cache at K = 72.  A multiple of 4 rows keeps OpenBLAS's dgemv_t off its
+# leftover-row kernel: measured with OpenBLAS, the values then equal one
+# product over all rows bitwise (blocks of 45 or 50 rows differed by ulps).
+_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class GaussianNetwork:
@@ -85,11 +97,16 @@ class GaussianNetwork:
     per axis a: no exponential is formed per (center, point) pair.
 
     A call takes an (N, dim) batch, a single point being a batch of one.
-    Each point is contracted on its own, the last axis first: one
-    matrix-vector product (K**(dim-1) x K) per point, then dim-1 smaller
-    ones on the shrinking per-point vectors.  A point's value therefore
-    depends only on that point, so any batch and any chunking agree
-    bitwise.  Points are processed in chunks of at most
+    Each point is contracted on its own, the last axis first.  The
+    (K**(dim-1) x K) coefficient rows go in blocks of ``_BLOCK_ROWS``: one
+    matrix-vector product per (block, point), every point of a chunk taking
+    the block while it is in cache.  Then come dim-1 smaller products on
+    the shrinking per-point vectors.  The calls and their shapes do not
+    depend on the batch, so a point's value depends only on that point and
+    any batch and any chunking agree bitwise.  The cost falls on a lone
+    point, which makes K**(dim-1) / ``_BLOCK_ROWS`` calls where one would
+    do: 81 at K = 72, dim = 3, about 0.3 ms against 0.13 ms for one call
+    (2-core Xeon, 48 KB L1).  Points are processed in chunks of at most
     ``_CHUNK_ENTRIES // K**(dim-1)``, so memory stays flat in the number
     of points.
 
@@ -140,8 +157,13 @@ class GaussianNetwork:
         with np.errstate(under="ignore"):
             # factors[p, a, i] = exp(-(pts[p, a] - axis_centers[i])**2)
             factors = np.exp(-((pts[:, :, None] - self.axis_centers) ** 2))
-        # a stack of per-point matrix-vector products, one BLAS call each
-        vals = self.coeffs.reshape(-1, k) @ factors[:, -1, :, None]
+        # per-point matrix-vector products against one cache-sized block of
+        # coefficient rows at a time, one BLAS call per (point, block)
+        rows = self.coeffs.reshape(-1, k)
+        vals = np.empty((n, rows.shape[0], 1))
+        for r in range(0, rows.shape[0], _BLOCK_ROWS):
+            block = slice(r, r + _BLOCK_ROWS)
+            np.matmul(rows[block], factors[:, -1, :, None], out=vals[:, block])
         for a in range(self.dim - 2, -1, -1):
             vals = vals.reshape(n, -1, k) @ factors[:, a, :, None]
         return vals.reshape(n)

@@ -421,6 +421,36 @@ class TestExitCodes:
         assert "error: unknown config fields: ['sigmaa']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, message", [
+        ("gen-data", "additive noise needs sigma > 0"),
+        ("helix", "sigma must be positive"),
+    ], ids=["gen-data", "helix"])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, command, message, sigma, via):
+        if via == "flag":
+            given = ["--sigma", str(sigma)]
+        else:  # json writes NaN and Infinity, and reads them back
+            given = ["--config", _write_json(tmp_path / "c.json", {"sigma": sigma})]
+        small = ["--m", "16", "--n", "4", "--test-points", "8"] if command == "helix" else []
+        out = tmp_path / "out"
+        rc = cli.main([command, "--noise", "additive", *given, *small, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("gen-data", []),
+        ("helix", ["--m", "16", "--n", "4", "--test-points", "8"]),
+        ("baseline-heat", ["--times", "0.1", "--n-list", "4"]),
+    ], ids=["gen-data", "helix", "baseline-heat"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--seed", "-1", *extra, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: seed must be a non-negative integer\n")
+        assert not out.exists()
+
     def test_deep_eval_non_numeric_coordinates_exit_2(self, tmp_path, capsys):
         graph = _write_json(tmp_path / "graph.json", GRAPH)
         inputs = _write_json(tmp_path / "inputs.json", {"s1": {"a": 1}, "s2": [0.0, 1.0]})

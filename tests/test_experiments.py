@@ -125,8 +125,9 @@ class TestGenTraining:
             gen_training(spec, 0, "none", rng=rng)
         with pytest.raises(ValueError):
             gen_training(spec, 10, "pink", rng=rng)
-        with pytest.raises(ValueError):
-            gen_training(spec, 10, "additive", sigma=0.0, rng=rng)
+        for sigma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="additive noise needs sigma > 0"):
+                gen_training(spec, 10, "additive", sigma=sigma, rng=rng)
         assert NOISE_MODELS == ("none", "additive", "multiplicative")
 
 
@@ -143,14 +144,15 @@ class TestExperimentConfig:
             ExperimentConfig(alpha=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(noise="white")
-        with pytest.raises(ValueError):
-            ExperimentConfig(sigma=-1.0)
+        for sigma in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                ExperimentConfig(sigma=sigma)
         for few in (1, 2):
             with pytest.raises(ValueError, match="test_points >= 3"):
                 ExperimentConfig(test_points=few)
         with pytest.raises(ValueError, match="alpha"):
             replace(ExperimentConfig(), alpha=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             ExperimentConfig(seed=-1)
 
     def test_field_types(self):

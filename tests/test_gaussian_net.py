@@ -129,21 +129,36 @@ class TestGaussianNetwork:
         assert gap <= 2.0 * U * float(np.sum(np.abs(net.coeffs)))
 
     @pytest.mark.parametrize(
-        "n, q, Q, entries",
-        [(4, 1, 2, None), (4, 2, 3, None), (4, 2, 3, 3 * 32 * 32)],
-        ids=["d2", "d3", "d3-small-chunks"],
+        "n, q, Q, entries, block",
+        [
+            (4, 1, 2, None, None),
+            (4, 2, 3, None, None),
+            (4, 2, 3, 3 * 32 * 32, None),
+            # 324 coefficient rows: the last block of 64 holds 4
+            (3, 1, 3, None, None),
+            # 1,024 rows in blocks of 3, each chunk of 3 points spanning all of them
+            (4, 2, 3, 3 * 32 * 32, 3),
+        ],
+        ids=["d2", "d3", "d3-small-chunks", "d3-partial-block", "d3-blocks-of-3"],
     )
-    def test_scalar_batch_and_chunks_agree_bitwise(self, n, q, Q, entries, monkeypatch):
+    def test_scalar_batch_and_chunks_agree_bitwise(self, n, q, Q, entries, block, monkeypatch):
         if entries is not None:
             monkeypatch.setattr(gaussian_net, "_CHUNK_ENTRIES", entries)
+        if block is not None:
+            monkeypatch.setattr(gaussian_net, "_BLOCK_ROWS", block)
         net = prefab_kernel_network(n, q, Q, 1.0)
         step = gaussian_net._CHUNK_ENTRIES // net.axis_centers.size ** (Q - 1)
         pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(step + 5, Q))
         batch = net(pts)
         assert batch.shape == (step + 5,)
-        for i in (0, 1, step - 1, step, step + 4):
+        picked = [0, 1, step - 1, step, step + 4]
+        for i in picked:
             assert net(pts[i : i + 1])[0] == batch[i]
         np.testing.assert_array_equal(net(pts[step - 2 :]), batch[step - 2 :])
+        # every block of rows is contracted: the values are the network's
+        gap = np.max(np.abs(batch[picked] - dense_sum(net, pts[picked])))
+        assert gap <= 2.0 * U * float(np.sum(np.abs(net.coeffs)))
+        assert net(pts[:0]).shape == (0,)
 
     @pytest.mark.parametrize("count", [121, 1024])
     def test_memory_is_flat_in_points(self, count):
