@@ -5,8 +5,7 @@ Subcommands:
   gen-data        draw helix training samples and write a dataset CSV
   estimate        run the kernel estimator on a dataset CSV
   helix           run the full helix reconstruction experiment
-  baseline-heat   heat-kernel smoother vs kernel estimator comparison table
-  demo-bernstein  Bernstein operator saturation table
+  rates           kernel and heat smoother errors and doubling slopes in n
   synth-net       build the Gaussian network for a localized kernel
   deep-eval       evaluate a DAG composition from JSON descriptions
 
@@ -40,7 +39,6 @@ from .estimator import (
     _write_json,
     estimate_batch,
     guarded_ratio,
-    ratio_reconstruction,
     read_dataset_csv,
     value_and_unit_passes,
     write_dataset_csv,
@@ -51,10 +49,8 @@ from .experiments import (
     HelixSpec,
     _check_seed,
     _check_type,
-    _summary,
-    bernstein_demo,
     gen_training,
-    heat_value_and_unit_passes,
+    rate_table,
     run_experiment,
 )
 from .gaussian_net import prefab_kernel_network, write_network_json
@@ -83,7 +79,7 @@ _PARAMETERS = {
     "gen-data": {"M": 256, "noise": "none", "sigma": 0.3, "seed": 0},
     "estimate": {"n": 64, "alpha": 1.0, "q": 1},
     "helix": {**asdict(ExperimentConfig()), "output": "helix_out"},
-    "baseline-heat": {"M": 1024, "seed": 0, "test_points": 512},
+    "rates": {"M": 1024, "seed": 0, "test_points": 512},
     "synth-net": {"n": 4, "q": 1, "ambient_dim": 2, "alpha": 1.0},
 }
 _HELP = {
@@ -211,54 +207,19 @@ def _cmd_helix(args) -> int:
     return 0
 
 
-def _cmd_baseline_heat(args) -> int:
+def _cmd_rates(args) -> int:
     params = _settings(args)
-    times = [float(s) for s in args.times.split(",")]
-    n_list = [int(s) for s in args.n_list.split(",")]
-
-    _check_seed(params["seed"])
-    spec = HelixSpec()
-    ds = gen_training(spec, params["M"], "none", rng=np.random.default_rng(params["seed"]))
-    t_grid, xs = spec.grid(params["test_points"])
-    f_true = spec.target(t_grid)
-    interior = spec.interior(t_grid)
-
-    rows = []
-    for t in times:
-        est = guarded_ratio(*heat_value_and_unit_passes(ds, t, xs))
-        rows.append(("heat", t, _summary(est - f_true, interior)["interior_max"]))
-    for n in n_list:
-        ecfg = EstimatorConfig.build(n, 1.0, 1)
-        est = ratio_reconstruction(ds, ecfg, xs)
-        rows.append(("kernel", n, _summary(est - f_true, interior)["interior_max"]))
-
-    out = _out_dir(args, "baseline_out")
-    path = os.path.join(out, "baseline_heat.csv")
-    _write_csv(path, ["method", "parameter", "interior_max_error"], list(zip(*rows)))
-    print(f"{'method':8s} {'parameter':>10s} {'interior max error':>20s}")
-    for kind, param, err in rows:
-        print(f"{kind:8s} {param:10.4g} {err:20.6e}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_demo_bernstein(args) -> int:
-    n_list = [int(s) for s in args.n_list.split(",")]
-    if args.grid < 1:
-        raise ValueError("--grid must be at least 1")
-    xs = np.linspace(0.0, 1.0, args.grid)
-    target = xs * (1.0 - xs)
-    rows = []
-    for n in n_list:
-        vals = bernstein_demo(lambda u: u * u, n, xs)
-        scaled = n * (vals - xs * xs)
-        rows.append((n, float(np.max(np.abs(scaled))), float(np.max(np.abs(scaled - target)))))
-    out = _out_dir(args, "bernstein_out")
-    path = os.path.join(out, "bernstein.csv")
-    _write_csv(path, ["n", "sup_scaled_error", "sup_dev_from_x_1mx"], list(zip(*rows)))
-    print(f"{'n':>6s} {'sup n|B_n(x^2)-x^2|':>22s} {'dev from x(1-x)':>18s}")
-    for n, sup_scaled, dev in rows:
-        print(f"{n:6d} {sup_scaled:22.12f} {dev:18.3e}")
+    n_list = [int(s) for s in args.n_list.split(",")]  # a ValueError exits 2
+    rows = rate_table(n_list, params["M"], params["seed"], params["test_points"])
+    path = os.path.join(_out_dir(args, "rates_out"), "rates.csv")
+    methods, regimes, ns, errors, slopes = zip(*rows)
+    slopes = ["" if s is None else str(s) for s in slopes]
+    _write_csv(path, ["method", "regime", "n", "error", "slope"],
+               [methods, regimes, ns, errors, slopes])
+    print("method   regime       n        error   slope")
+    for method, regime, n, err, slope in rows:
+        slope = "" if slope is None else f"{slope:7.2f}"
+        print(f"{method:8s} {regime:8s} {n:5d} {err:12.4e} {slope}")
     print(f"wrote {path}")
     return 0
 
@@ -377,17 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("helix", _cmd_helix, "run the helix reconstruction experiment")
 
-    p = add("baseline-heat", _cmd_baseline_heat, "heat smoother vs kernel estimator table")
-    p.add_argument("--times", default="0.1,0.05,0.025",
-                   help="comma-separated diffusion times (default %(default)s)")
-    p.add_argument("--n-list", default="16,32,64",
-                   help="comma-separated kernel degrees (default %(default)s)")
-
-    p = add("demo-bernstein", _cmd_demo_bernstein, "Bernstein saturation table")
-    p.add_argument("--n-list", default="16,64,256",
-                   help="comma-separated degrees (default %(default)s)")
-    p.add_argument("--grid", type=int, default=257,
-                   help="grid size on [0,1] (default %(default)s)")
+    p = add("rates", _cmd_rates, "kernel and heat smoother error rates in n")
+    p.add_argument("--n-list", default="4,8,16,32,64",
+                   help="comma-separated increasing degrees, each at least 2 (default %(default)s)")
 
     p = add("synth-net", _cmd_synth_net, "build a Gaussian network for a kernel")
     p.add_argument("--check", action="store_true",

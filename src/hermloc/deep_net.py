@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 
+_POOLING_PARAMS = {"identity": (), "clip": ("lo", "hi"), "radial": ("radius",)}
+
+
 def make_pooling(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarray]:
     """Resolve a pooling map by name.
 
@@ -70,7 +73,14 @@ def make_pooling(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarra
     clip(lo, hi)        -- componentwise clamp to the box [lo, hi]
     radial(radius)      -- projects onto the sphere of the given radius;
                            the origin maps to radius * e_1
+
+    A parameter the pooling does not read raises ``ValueError`` naming it.
     """
+    if name not in _POOLING_PARAMS:
+        raise ValueError(f"unknown pooling {name!r}")
+    unread = sorted(set(params) - set(_POOLING_PARAMS[name]))
+    if unread:
+        raise ValueError(f"{name} pooling reads no parameter {unread[0]!r}")
     if name == "identity":
         return lambda v: v
     if name == "clip":
@@ -79,21 +89,19 @@ def make_pooling(name: str, params: Mapping) -> Callable[[np.ndarray], np.ndarra
         if not lo < hi:
             raise ValueError("clip pooling requires lo < hi")
         return lambda v: np.clip(v, lo, hi)
-    if name == "radial":
-        radius = float(params.get("radius", 1.0))
-        if not 0 < radius < math.inf:
-            raise ValueError(f"radial pooling requires a finite positive radius, got {radius!r}")
+    radius = float(params.get("radius", 1.0))
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radial pooling requires a finite positive radius, got {radius!r}")
 
-        def _radial(v: np.ndarray) -> np.ndarray:
-            nrm = float(np.linalg.norm(v))
-            if nrm == 0.0:
-                out = np.zeros_like(v)
-                out[0] = radius
-                return out
-            return (radius / nrm) * v
+    def _radial(v: np.ndarray) -> np.ndarray:
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0:
+            out = np.zeros_like(v)
+            out[0] = radius
+            return out
+        return (radius / nrm) * v
 
-        return _radial
-    raise ValueError(f"unknown pooling {name!r}")
+    return _radial
 
 
 @dataclass(frozen=True)
@@ -237,18 +245,17 @@ def dag_from_doc(doc, path: str) -> Dag:
         ):
             if not ok:
                 raise ValueError(f"{path}: node {nid!r}: {key} must be {want}, got {row[key]!r}")
-        pooling_c = pooling.get("c", 1.0)
-        if type(pooling_c) not in (int, float):
-            raise ValueError(
-                f"{path}: node {nid!r}: pooling c must be a number, got {pooling_c!r}"
-            )
+        for key, value in pooling.items():
+            if key != "name" and type(value) not in (int, float):
+                raise ValueError(
+                    f"{path}: node {nid!r}: pooling {key} must be a number, got {value!r}")
         if nid in nodes:
             raise ValueError(f"{path}: duplicate node id {nid!r}")
         nodes[nid] = DagNode(
             id=nid, kind=str(row["kind"]), in_dim=row["in_dim"], children=tuple(children),
             pooling_name=str(pooling.get("name", "identity")),
             pooling_params={k: v for k, v in pooling.items() if k not in ("name", "c")},
-            pooling_c=float(pooling_c),
+            pooling_c=float(pooling.get("c", 1.0)),
             lipschitz=None if lipschitz is None else float(lipschitz),
         )
     return Dag(nodes=nodes, sink=str(doc["sink"]))

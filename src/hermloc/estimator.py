@@ -38,8 +38,9 @@ Every JSON input (configs, DAGs, networks, DAG inputs) is read by
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 constant-speed curve (q = 1), the oracle the Monte-Carlo estimator is checked
 against: the pass engine on a composite Gauss-Legendre rule, whose nodes are
-the samples and whose weights multiply the kernel rows.  Its panels double
-until each point's value agrees over two doublings.
+the samples and whose weights multiply the kernel rows.  Its panels double,
+in ``_curve_limit``, until each point's value agrees over two doublings; the
+heat smoother's limit runs on the same loop with its own weight rows.
 """
 
 from __future__ import annotations
@@ -512,14 +513,11 @@ def continuous_operator_on_curve(
 
     where mu is arc length normalized to total mass 1, the distribution of
     uniformly drawn samples.  The chart must run at constant speed, so mu is
-    dt / (t1 - t0).  Each level of composite Gauss-Legendre panels is one
-    ``_weighted_passes`` call on the nodes y(t_j) with values f(y(t_j)): the
-    estimator's kernel rows, from the form of ``compile_kernel(n, 1)``, times
-    the node weights, with factor lam.  Panels double until a point agrees to
-    ``tol`` (absolute, relative above magnitude 1) over two doublings; then
-    it leaves the finer levels, so its value in a batch is bitwise its value
-    alone.  ``x`` is a finite (T, Q) batch or one point (Q,); the result has
-    shape ``x.shape[:-1]``.  ``f`` maps (N, Q) points to (N,) values.
+    dt / (t1 - t0).  It is ``_curve_limit`` on the estimator's kernel rows,
+    from the form of ``compile_kernel(n, 1)``, with factor lam; a point's value
+    in a batch is bitwise its value alone.  ``x`` is a finite (T, Q) batch or
+    one point (Q,); the result has shape ``x.shape[:-1]``.  ``f`` maps (N, Q)
+    points to (N,) values.
 
     Non-smooth targets: next to a square-root kink composite Gauss-Legendre
     converges only like h**1.5, so a ``tol`` that ``_MAX_PANELS`` panels
@@ -533,14 +531,25 @@ def continuous_operator_on_curve(
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, x.shape[-1] if x.ndim else 1)
     rows = _kernel_rows(_curve_form(float(n)), lam)
-    glx, glw = _gauss_legendre()
+    out = _curve_limit(curve, f, xs, rows, lam, lam * math.sqrt(2.0) * n, tol)
+    return out.reshape(x.shape[:-1])[()]
 
-    # the chart's polyline length sets the first panel count (resolve the
-    # kernel's oscillation)
+
+def _curve_limit(curve: Curve, f: Callable, xs: np.ndarray, rows: Callable, factor: float,
+                 freq: float, tol: float) -> np.ndarray:
+    """factor * integral w(x, y(t)) f(y(t)) dmu(t) at a (T, Q) batch, panels doubling.
+
+    Each level of Gauss-Legendre panels is one ``_weighted_passes`` call on
+    the nodes y(t_j), valued f(y(t_j)), with ``rows`` times the node weights;
+    the first resolves rows oscillating at ``freq`` radians per unit length.
+    A point leaves the finer levels once it agrees to ``tol`` (absolute,
+    relative above magnitude 1) over two doublings.
+    """
+    glx, glw = _gauss_legendre()
     probe = curve.chart(np.linspace(curve.t0, curve.t1, 257))
     length = float(np.linalg.norm(np.diff(probe, axis=0), axis=1).sum())
     panels = 32
-    target = lam * math.sqrt(2.0) * n * length / (2.0 * math.pi)
+    target = freq * length / (2.0 * math.pi)
     while panels < min(_MAX_PANELS, 2.0 * target):
         panels *= 2
 
@@ -558,15 +567,13 @@ def continuous_operator_on_curve(
                              f"finite values of shape {tnodes.shape}, got shape {vals.shape}")
         val = _weighted_passes(Dataset(pts, vals, 1)._stack, xs[todo],
                                lambda chunk, points_t: rows(chunk, points_t) * wnodes,
-                               lam, False)[0]
+                               factor, False)[0]
         close = np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val))
         agree = np.where(close, agree + 1, 0)
         done = agree >= 2
         out[todo[done]] = val[done]
         todo, prev, agree = todo[~done], val[~done], agree[~done]
         if not todo.size:
-            return out.reshape(x.shape[:-1])[()]
+            return out
         panels *= 2
-    raise QuadratureConvergenceError(
-        f"no agreement to {tol} within {_MAX_PANELS} panels"
-    )
+    raise QuadratureConvergenceError(f"no agreement to {tol} within {_MAX_PANELS} panels")

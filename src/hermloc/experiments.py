@@ -1,4 +1,4 @@
-"""Helix reconstruction experiments, baselines, and saturation demos.
+"""Helix reconstruction experiments, the heat-smoother baseline and the rate table.
 
 The curve under study is t -> (cos(pi t), sin(pi t), pi t) on [0, 2*pi], a
 constant-speed helix in R^3 (speed sqrt(2)*pi) carrying the arc-length
@@ -36,6 +36,10 @@ report the full-range max and the interior max over t in
 near the endpoints, and the interior split keeps that effect visible
 without letting it mask interior behavior.
 
+``rate_table`` sets the kernel against the heat smoother at t = 1/n^2: in
+the M -> infinity limit the kernel's doubling slope keeps growing on a
+smooth target, while the heat smoother's saturates at 2.
+
 Trials run in parallel worker threads; trial i owns the independent
 generator seeded by (seed, i), and report assembly is single-threaded in
 trial order, so results are identical to a serial run.  The estimator's
@@ -58,10 +62,13 @@ from .estimator import (
     Curve,
     Dataset,
     EstimatorConfig,
+    _curve_limit,
     _squared_distances,
     _weighted_passes,
     _write_csv,
     _write_json,
+    continuous_operator_on_curve,
+    guarded_ratio,
     ratio_reconstruction,
 )
 
@@ -76,7 +83,7 @@ __all__ = [
     "run_experiment",
     "write_report",
     "heat_value_and_unit_passes",
-    "bernstein_demo",
+    "rate_table",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -163,13 +170,13 @@ def gen_training(
         raise ValueError("M must be positive")
     if noise not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {noise!r}; choose from {NOISE_MODELS}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive")
     t = rng.uniform(spec.t_min, spec.t_max, M)
     points = spec.point(t)
     if noise == "none":
         values = spec.target(t)
     elif noise == "additive":
-        if not 0.0 < sigma < math.inf:
-            raise ValueError("additive noise needs sigma > 0")
         values = spec.target(t) + rng.normal(0.0, sigma, M)
     else:
         z = rng.normal(0.0, 1.5, M)
@@ -355,10 +362,16 @@ def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, n
     The value pass is the Monte-Carlo heat-kernel smoother
     (1/(M (4 pi t)^{q/2})) sum_j exp(-|x - y_j|^2/t) F_j, reported raw; the
     unit pass is the same sum with every F_j = 1, the denominator of the
-    normalized form.  ``xs`` is a finite batch (N, Q).  The sums go through
-    ``estimator._weighted_passes``: memory flat in N and M, the error bound
-    of ``_row_sums``, and bitwise the same passes alone or in any batch.
+    normalized form.  ``xs`` is a finite batch (N, Q).  ``_weighted_passes``
+    sums them: memory flat in N and M, and bitwise alone or in any batch.
     """
+    rows = _heat_rows(t)  # checks t first
+    scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
+    return _weighted_passes(ds._stack, xs, rows, scale, unit_pass=True)
+
+
+def _heat_rows(t: float) -> Callable:
+    """The weight rows exp(-|x - y_j|^2 / t) of a chunk of points x, for ``_weighted_passes``."""
     if not 0 < t < math.inf:  # the one check on diffusion times; NaN fails it too
         raise ValueError(f"diffusion time t must be finite and positive, got {t!r}")
 
@@ -367,35 +380,54 @@ def heat_value_and_unit_passes(ds: Dataset, t: float, xs) -> tuple[np.ndarray, n
         d2 /= -t
         return np.exp(d2)
 
-    scale = 1.0 / (ds.size * (4.0 * math.pi * t) ** (ds.q / 2.0))
-    return _weighted_passes(ds._stack, xs, weights, scale, unit_pass=True)
+    return weights
 
 
-def bernstein_demo(f: Callable[[float], float], n: int, x) -> float | np.ndarray:
-    """Bernstein operator B_n(f)(x) = sum_k C(n,k) f(k/n) x^k (1-x)^{n-k} on [0,1].
+def rate_table(n_list, M: int, seed: int, test_points: int) -> list[tuple]:
+    """(method, regime, n, error, slope) rows of the kernel and the heat smoother.
 
-    Binomial weights are formed in log space.  For f(x) = x^2 the scaled
-    error n*(B_n(f) - f) equals x(1-x) for every n, the classic constancy
-    that contrasts with the kernel estimator's n-sweep improvement.
+    Both take alpha = 1, the heat smoother t = 1/n^2.  A limit row's error is
+    the max |ratio - f| at t_min + (t_max - t_min) * linspace(0.2, 0.8, 6) of
+    the value limit over the unit limit, each to tol 1e-12 from the kernel's
+    first panel count; a sample row's is the interior max of the ratio on a
+    ``test_points`` grid from one ``gen_training(spec, M, "none",
+    rng=default_rng(seed))`` draw.  Rows sort by method, regime and n.
+    ``slope`` is log2(err_prev / err) / log2(n / n_prev) within a (method,
+    regime) group, None on its first row or where an error is 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xs = np.asarray(x, dtype=float)
-    single = xs.ndim == 0
-    pts = np.atleast_1d(xs)
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    k = np.arange(n + 1)
-    fvals = np.array([float(f(ki / n)) for ki in k])
-    log_binom = np.array([math.lgamma(n + 1) - math.lgamma(ki + 1) - math.lgamma(n - ki + 1)
-                          for ki in range(n + 1)])
-    out = np.empty(pts.shape)
-    for i, xi in enumerate(pts):
-        if xi == 0.0:
-            out[i] = fvals[0]
-        elif xi == 1.0:
-            out[i] = fvals[-1]
-        else:
-            logw = log_binom + k * math.log(xi) + (n - k) * math.log1p(-xi)
-            out[i] = float(np.dot(np.exp(logw), fvals))
-    return float(out[0]) if single else out
+    if not (n_list and all(type(n) is int and n >= 2 for n in n_list)
+            and all(a < b for a, b in zip(n_list, n_list[1:]))):
+        raise ValueError(f"n_list must be strictly increasing integers >= 2, got {n_list!r}")
+    _check_seed(seed)
+    spec, curve = HelixSpec(), HelixSpec().curve()
+    ds = gen_training(spec, M, "none", rng=np.random.default_rng(seed))
+    t_grid, xs = spec.grid(test_points)
+    t_six = spec.t_min + (spec.t_max - spec.t_min) * np.linspace(0.2, 0.8, 6)
+    tol = 1e-12
+
+    def sample_error(fhat):
+        return _summary(fhat - spec.target(t_grid), spec.interior(t_grid))["interior_max"]
+
+    def limit_error(limit):  # limit(g): the limit of samples valued g at the six points
+        ratio = limit(spec.target_ambient) / limit(lambda pts: np.ones(pts.shape[0]))
+        return float(np.max(np.abs(ratio - spec.target(t_six))))
+
+    errors = {}
+    for n in n_list:
+        t = 1.0 / n**2
+        errors["heat", "sample", n] = sample_error(
+            guarded_ratio(*heat_value_and_unit_passes(ds, t, xs)))
+        errors["kernel", "sample", n] = sample_error(
+            ratio_reconstruction(ds, EstimatorConfig.build(n, 1.0, 1), xs))
+        errors["heat", "limit", n] = limit_error(lambda g: _curve_limit(
+            curve, g, spec.point(t_six), _heat_rows(t), (4.0 * math.pi * t) ** -0.5,
+            math.sqrt(2.0) * n, tol))
+        errors["kernel", "limit", n] = limit_error(lambda g: continuous_operator_on_curve(
+            curve, g, n, 1.0, spec.point(t_six), tol=tol))
+    rows = []
+    for (method, regime, n), err in sorted(errors.items()):
+        slope = None
+        if rows and rows[-1][:2] == (method, regime) and rows[-1][3] > 0 < err:
+            slope = math.log2(rows[-1][3] / err) / math.log2(n / rows[-1][2])
+        rows.append((method, regime, n, err, slope))
+    return rows

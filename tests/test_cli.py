@@ -24,7 +24,7 @@ from hermloc.estimator import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from hermloc.experiments import HelixSpec
+from hermloc.experiments import HelixSpec, rate_table
 from hermloc.gaussian_net import MAX_M, prefab_kernel_network, read_network_json
 from hermloc.kernels import eval_kernel
 
@@ -93,8 +93,8 @@ class TestEstimate:
         def second_pass(*args):
             raise AssertionError("a second kernel pass")
 
+        # value_and_unit_passes is the one pass; cli imports no ratio_reconstruction
         monkeypatch.setattr(cli, "estimate_batch", second_pass)
-        monkeypatch.setattr(cli, "ratio_reconstruction", second_pass)
         out_dir = tmp_path / "est"
         rc = cli.main(["estimate", "--data", str(data_dir / "data.csv"), "--n", "8",
                        "--helix-grid", "40", "--ratio", "--out", str(out_dir)])
@@ -261,26 +261,18 @@ class TestSubcommandsWriteOutput:
         assert lines[-2] == "[[], [], []]"
         assert lines[-1] == "0 False"
 
-    def test_baseline_heat(self, tmp_path):
-        rc = cli.main(["baseline-heat", "--m", "16", "--times", "0.1", "--n-list", "4",
-                       "--test-points", "16", "--out", str(tmp_path)])
-        assert rc == 0
-        with open(tmp_path / "baseline_heat.csv", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert [r[0] for r in rows] == ["method", "heat", "kernel"]
-
-    def test_demo_bernstein(self, tmp_path):
-        rc = cli.main(["demo-bernstein", "--n-list", "4,8", "--grid", "9",
+    def test_rates(self, tmp_path):
+        rc = cli.main(["rates", "--m", "16", "--n-list", "4,8", "--test-points", "16",
                        "--out", str(tmp_path)])
         assert rc == 0
-        with open(tmp_path / "bernstein.csv", encoding="utf-8") as fh:
-            assert len(list(csv.reader(fh))) == 3
-
-    def test_demo_bernstein_empty_grid_exits_2(self, tmp_path, capsys):
-        rc = cli.main(["demo-bernstein", "--grid", "0", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "--grid must be at least 1" in capsys.readouterr().err
-        assert not (tmp_path / "bernstein.csv").exists()
+        with open(tmp_path / "rates.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["method", "regime", "n", "error", "slope"]
+        assert [r[:3] for r in rows[1:]] == [[m, r, n] for m in ("heat", "kernel")
+                                             for r in ("limit", "sample") for n in ("4", "8")]
+        got = rate_table([4, 8], 16, 0, 16)
+        assert [r[3:] for r in rows[1:]] == [
+            [str(err), "" if slope is None else str(slope)] for *_, err, slope in got]
 
     def test_deep_eval(self, tmp_path):
         graph = _write_json(tmp_path / "graph.json", GRAPH)
@@ -325,9 +317,8 @@ class TestConfigPrecedence:
          ["--m", "16", "--n", "4", "--alpha", "0.5", "--noise", "additive", "--sigma", "1",
           "--trials", "2", "--test-points", "8", "--seed", "1"],
          ["--m", "12"], "summary.json"),
-        ("baseline-heat", {"M": 16, "seed": 1, "test_points": 16},
-         ["--m", "16", "--seed", "1", "--test-points", "16"], ["--seed", "2"],
-         "baseline_heat.csv"),
+        ("rates", {"M": 16, "seed": 1, "test_points": 16},
+         ["--m", "16", "--seed", "1", "--test-points", "16"], ["--seed", "2"], "rates.csv"),
         ("synth-net", {"n": 3, "q": 2, "ambient_dim": 3, "alpha": 0.5},
          ["--n", "3", "--q", "2", "--ambient-dim", "3", "--alpha", "0.5"], ["--n", "2"],
          "network.json"),
@@ -337,7 +328,7 @@ class TestConfigPrecedence:
         data = tmp_path / "data"
         assert cli.main(["gen-data", "--m", "8", "--out", str(data)]) == 0
         extra = {"estimate": ["--data", str(data / "data.csv"), "--helix-grid", "16"],
-                 "baseline-heat": ["--times", "0.1", "--n-list", "4"]}.get(command, [])
+                 "rates": ["--n-list", "4"]}.get(command, [])
         config = ["--config", _write_json(tmp_path / "c.json", doc)]
 
         def run(label, args):
@@ -390,7 +381,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, doc", [
         ("gen-data", {"M": None}),
         ("estimate", {"n": [8]}),
-        ("baseline-heat", {"M": True}),
+        ("rates", {"M": True}),
         ("synth-net", {"n": {"value": 3}}),
     ])
     def test_config_value_of_wrong_json_type_exits_2(self, tmp_path, capsys, command, doc):
@@ -407,7 +398,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        "gen-data", "estimate", "helix", "baseline-heat", "synth-net",
+        "gen-data", "estimate", "helix", "rates", "synth-net",
     ])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, command):
         data = tmp_path / "data"
@@ -421,29 +412,29 @@ class TestExitCodes:
         assert "error: unknown config fields: ['sigmaa']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, message", [
-        ("gen-data", "additive noise needs sigma > 0"),
-        ("helix", "sigma must be positive"),
-    ], ids=["gen-data", "helix"])
+    # sigma is checked whatever the noise model, as ExperimentConfig checks it
+    @pytest.mark.parametrize("command, noise", [
+        ("gen-data", "additive"), ("helix", "additive"), ("gen-data", "none"),
+    ], ids=["gen-data", "helix", "gen-data-none"])
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, command, message, sigma, via):
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, command, noise, sigma, via):
         if via == "flag":
             given = ["--sigma", str(sigma)]
         else:  # json writes NaN and Infinity, and reads them back
             given = ["--config", _write_json(tmp_path / "c.json", {"sigma": sigma})]
         small = ["--m", "16", "--n", "4", "--test-points", "8"] if command == "helix" else []
         out = tmp_path / "out"
-        rc = cli.main([command, "--noise", "additive", *given, *small, "--out", str(out)])
+        rc = cli.main([command, "--noise", noise, *given, *small, "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", "error: sigma must be positive\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [
         ("gen-data", []),
         ("helix", ["--m", "16", "--n", "4", "--test-points", "8"]),
-        ("baseline-heat", ["--times", "0.1", "--n-list", "4"]),
-    ], ids=["gen-data", "helix", "baseline-heat"])
+        ("rates", ["--n-list", "4"]),
+    ], ids=["gen-data", "helix", "rates"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command, extra):
         out = tmp_path / "out"
         rc = cli.main([command, "--seed", "-1", *extra, "--out", str(out)])
@@ -542,6 +533,28 @@ class TestExitCodes:
         assert rc == 2
         assert "node 'top': pooling must be an object, got 'clip'" in capsys.readouterr().err
 
+    def test_deep_eval_pooling_parameter_not_a_number_or_not_read_exits_2(self, tmp_path,
+                                                                           capsys):
+        inputs = _write_json(tmp_path / "inputs.json", {"s1": [2.0], "s2": [3.0, 4.0]})
+        out = tmp_path / "out"
+        graph = str(tmp_path / "graph.json")
+        for pooling, message in (
+            ({"name": "clip", "lo": "-0.5", "hi": True},
+             f"{graph}: node 'top': pooling lo must be a number, got '-0.5'"),
+            ({"name": "clip", "lo": -0.5, "hi": True},
+             f"{graph}: node 'top': pooling hi must be a number, got True"),
+            ({"name": "clip", "low": -0.5}, "node top: clip pooling reads no parameter 'low'"),
+            ({"name": "identity", "radius": 1.0},
+             "node top: identity pooling reads no parameter 'radius'"),
+        ):
+            doc = json.loads(json.dumps(GRAPH))
+            doc["nodes"][2]["pooling"] = pooling
+            _write_json(tmp_path / "graph.json", doc)
+            rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_deep_eval_bound_breaking_numbers_exit_2(self, tmp_path, capsys):
         # json reads NaN and Infinity; each would poison the propagation bound
         for key, bad in (("pooling", {"name": "radial", "radius": math.nan}),
@@ -555,19 +568,23 @@ class TestExitCodes:
             assert rc == 2
             assert "node top: " in capsys.readouterr().err
 
-    def test_baseline_heat_non_finite_time_exits_2(self, tmp_path, capsys):
-        for times in ("nan,0.1", "0.1,inf", "0"):
-            rc = cli.main(["baseline-heat", "--m", "16", "--times", times, "--n-list", "4",
-                           "--test-points", "16", "--out", str(tmp_path)])
-            assert rc == 2
-            assert "diffusion time t must be finite and positive" in capsys.readouterr().err
-        assert not (tmp_path / "baseline_heat.csv").exists()
+    @pytest.mark.parametrize("n_list, why", [
+        ("8,4", "strictly increasing"), ("4,4", "strictly increasing"), ("1,4", ">= 2"),
+        ("4,8.0", "invalid literal for int()"), ("4,x", "invalid literal for int()"),
+        ("", "invalid literal for int()"),
+    ])
+    def test_rates_n_list_not_increasing_integers_exits_2(self, tmp_path, capsys, n_list, why):
+        rc = cli.main(["rates", "--m", "16", "--test-points", "16", "--n-list", n_list,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and why in err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["helix", "--m", "16", "--n", "4"], "test_points >= 3"),
-        (["baseline-heat", "--m", "16", "--n-list", "4", "--times", "0.1"],
-         "at least 3 test points are needed, got {}"),
-    ], ids=["helix", "baseline-heat"])
+        (["rates", "--m", "16", "--n-list", "4"], "at least 3 test points are needed, got {}"),
+    ], ids=["helix", "rates"])
     @pytest.mark.parametrize("points", ["0", "1", "2"])
     def test_fewer_than_three_test_points_exit_2(self, tmp_path, capsys, argv, message, points):
         rc = cli.main([*argv, "--test-points", points, "--out", str(tmp_path / "out")])
@@ -599,9 +616,7 @@ class TestFlags:
                          "--points", "--helix-grid", "--ratio"},
             "helix": {"--out", "--config", "--seed", "--trials", "--m", "--n", "--alpha",
                       "--noise", "--sigma", "--test-points"},
-            "baseline-heat": {"--out", "--config", "--seed", "--m", "--times", "--n-list",
-                              "--test-points"},
-            "demo-bernstein": {"--out", "--n-list", "--grid"},
+            "rates": {"--out", "--config", "--seed", "--m", "--test-points", "--n-list"},
             "synth-net": {"--out", "--config", "--n", "--q", "--ambient-dim", "--alpha",
                           "--check"},
             "deep-eval": {"--out", "--graph", "--inputs"},
@@ -609,9 +624,9 @@ class TestFlags:
 
     def test_unread_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["demo-bernstein", "--seed", "3"])
+            cli.main(["rates", "--sigma", "3"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert "unrecognized arguments: --sigma 3" in capsys.readouterr().err
 
 
 class TestParameterTable:

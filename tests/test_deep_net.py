@@ -134,6 +134,11 @@ class TestPooling:
                 make_pooling("radial", {"radius": radius})
         with pytest.raises(ValueError):
             make_pooling("softmax", {})
+        with pytest.raises(ValueError, match="clip pooling reads no parameter 'low'"):
+            make_pooling("clip", {"low": -0.5})
+        with pytest.raises(ValueError, match="radial pooling reads no parameter 'lo'"):
+            make_pooling("radial", {"lo": 1.0})
+        assert make_pooling("clip", {"lo": -1, "hi": 1.0})(np.array([2.0]))[0] == 1.0
 
 
 class TestDagStructure:
@@ -673,8 +678,10 @@ class TestDagJson:
         path.write_text('{"nodes": 1, "sink": "s"}')
         with pytest.raises(ValueError, match="'nodes' must be a list"):
             read_dag_json(str(path))
-        doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1},
-                         {**top, "pooling": {"name": "identity", "c": [1]}}], "sink": "t"}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="node 't': pooling c must be a number"):
-            read_dag_json(str(path))
+        # every pooling parameter takes the exact-type rule: a string or a bool is not a number
+        for key, bad in (("c", [1]), ("lo", "-0.5"), ("hi", True), ("lo", None)):
+            doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1},
+                             {**top, "pooling": {"name": "clip", key: bad}}], "sink": "t"}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"node 't': pooling {key} must be a number"):
+                read_dag_json(str(path))

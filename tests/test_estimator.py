@@ -31,7 +31,7 @@ from hermloc.estimator import (
     value_and_unit_passes,
     write_dataset_csv,
 )
-from hermloc.experiments import HelixSpec, gen_training, heat_value_and_unit_passes
+from hermloc.experiments import HelixSpec, gen_training, heat_value_and_unit_passes, rate_table
 from hermloc.gaussian_net import prefab_kernel_network, shallow_net_estimate
 from hermloc.kernels import compile_kernel, eval_kernel
 from oracles import write_csv_per_cell
@@ -143,7 +143,7 @@ class TestDatasetCsv:
         floats[:k] = special[:k]
         floats[rows - k : rows] = special[:k]  # and across the last block boundary
         ints = rng.integers(-(10**15), 10**15, rows)
-        # baseline-heat's parameter column: diffusion times and integer degrees
+        # a column that mixes floats and integers, as diffusion times and degrees
         mixed = tuple(float(v) if i % 2 else int(i) for i, v in enumerate(floats))
         names = [("heat", "kernel", "")[i % 3] for i in range(rows)]
         header = ["x", "n", "parameter", "name"]
@@ -685,27 +685,24 @@ class TestContinuousOperator:
         assert len(levels) == 3
 
     def test_no_saturation_for_a_smooth_target(self):
-        # sigma(f)/sigma(1) at six points in [0.2, 0.8] of the range, lam = 1:
-        # errors 4.3e-4, 6.3e-6, 3.6e-8, 1.6e-10 at n = 8, 16, 32, 64, and the
-        # doubling slope grows (6.1, 7.4, 7.8) instead of stalling at a fixed
-        # rate.  Margins from the tolerance: each sigma is below 1 and settles
-        # to within tol = 1e-12, and |f| <= 1, so a ratio moves by at most
-        # 2 * tol / sigma(1) = 2 * tol * arc length = 5.6e-11.  That is 0.2% of
-        # err(32) against a bound 2.9 times err(32), and it can lower the
-        # 32 -> 64 slope by at most log2(1 + 5.6e-11 / 1.6e-10) = 0.43, to
-        # 7.4, still above 6.1.
-        spec = HelixSpec()
-        curve = spec.curve()
-        ones = lambda pts: np.ones(pts.shape[0])
-        t = spec.t_min + (spec.t_max - spec.t_min) * np.linspace(0.2, 0.8, 6)
-        xs = spec.point(t)
-        err = {}
-        for n in (8.0, 16.0, 32.0, 64.0):
-            num = continuous_operator_on_curve(curve, spec.target_ambient, n, 1.0, xs, tol=1e-12)
-            den = continuous_operator_on_curve(curve, ones, n, 1.0, xs, tol=1e-12)
-            err[n] = float(np.max(np.abs(num / den - spec.target(t))))
-        assert err[32.0] <= err[8.0] * 4.0**-6
-        assert math.log2(err[32.0] / err[64.0]) > math.log2(err[8.0] / err[16.0])
+        # rate_table's kernel limit rows, sigma(f)/sigma(1) at six points in
+        # [0.2, 0.8] of the range, lam = 1: errors 4.3e-4, 6.3e-6, 3.6e-8,
+        # 1.6e-10 at n = 8, 16, 32, 64, and the doubling slope grows (6.1, 7.4,
+        # 7.8) instead of stalling at a fixed rate.  Margins from the
+        # tolerance: each sigma is below 1 and settles to within tol = 1e-12,
+        # and |f| <= 1, so a ratio moves by at most 2 * tol / sigma(1) = 2 *
+        # tol * arc length = 5.6e-11.  That is 0.2% of err(32) against a bound
+        # 2.9 times err(32), and it can lower the 32 -> 64 slope by at most
+        # log2(1 + 5.6e-11 / 1.6e-10) = 0.43, to 7.4, still above 6.1, and the
+        # 16 -> 32 slope by at most log2(1 + 5.6e-11 / 3.6e-8) = 0.002, against
+        # the 3.4 between the 7.4 measured and the bound of 4.
+        rows = rate_table([8, 16, 32, 64], 16, 0, 16)
+        kernel = [row[2:] for row in rows if row[:2] == ("kernel", "limit")]
+        err = {n: e for n, e, _ in kernel}
+        slope = {n: s for n, _, s in kernel}
+        assert err[32] <= err[8] * 4.0**-6
+        assert slope[64] > slope[16]
+        assert slope[32] > 4.0
 
     def test_quadrature_rule_is_built_once(self, monkeypatch):
         spec = HelixSpec()

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from hermloc import experiments
-from hermloc.estimator import Dataset, EstimatorConfig, _squared_distances, estimate_batch
+from hermloc.estimator import (
+    Dataset,
+    EstimatorConfig,
+    _squared_distances,
+    estimate_batch,
+    guarded_ratio,
+)
 from hermloc.experiments import (
     INTERIOR_HI,
     INTERIOR_LO,
@@ -23,9 +29,9 @@ from hermloc.experiments import (
     UNBIAS_FACTOR,
     ExperimentConfig,
     HelixSpec,
-    bernstein_demo,
     gen_training,
     heat_value_and_unit_passes,
+    rate_table,
     ratio_reconstruction,
     run_experiment,
     write_report,
@@ -125,9 +131,10 @@ class TestGenTraining:
             gen_training(spec, 0, "none", rng=rng)
         with pytest.raises(ValueError):
             gen_training(spec, 10, "pink", rng=rng)
-        for sigma in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="additive noise needs sigma > 0"):
-                gen_training(spec, 10, "additive", sigma=sigma, rng=rng)
+        for noise in NOISE_MODELS:
+            for sigma in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="sigma must be positive"):
+                    gen_training(spec, 10, noise, sigma=sigma, rng=rng)
         assert NOISE_MODELS == ("none", "additive", "multiplicative")
 
 
@@ -390,27 +397,45 @@ class TestHeatKernelBaseline:
                 heat_value_and_unit_passes(ds, t, np.zeros((1, 2)))
 
 
-class TestBernsteinDemo:
-    def test_reproduces_affine(self):
-        xs = np.linspace(0.0, 1.0, 33)
-        got = bernstein_demo(lambda u: 2.0 * u + 1.0, 20, xs)
-        np.testing.assert_allclose(got, 2.0 * xs + 1.0, atol=1e-13)
+class TestRateTable:
+    def test_heat_limit_saturates_at_order_two(self):
+        # The heat smoother's limit at t = 1/n^2 is f + O(t): its doubling
+        # slope tends to 2 and stays there.  Margin from the tolerance, stated
+        # before measuring: each limit is below 1 and settles to within tol =
+        # 1e-12, |f| <= 1, and the limit of a unit column is 1/(2 * arc length)
+        # (exp(-d^2/t) has mass sqrt(pi t) against the factor 1/sqrt(4 pi t)),
+        # so a ratio moves by at most 2 * tol * 2 * arc length = 1.1e-10.
+        # Against err(64) near 1e-4, from err(4) near 2.4e-2 at slope 2, that
+        # moves a slope by under 1e-5; the rest of the 0.1 is the bias's t^2
+        # term, a relative O(t) = O(1/n^2) change to each error.
+        rows = rate_table([16, 32, 64], 16, 0, 16)
+        slopes = [s for method, regime, _, _, s in rows if (method, regime) == ("heat", "limit")]
+        assert slopes[0] is None
+        assert abs(slopes[1] - 2.0) < 0.1 and abs(slopes[2] - 2.0) < 0.1
 
-    def test_square_error_law(self):
-        # B_n(u^2)(x) - x^2 = x(1-x)/n exactly, at every n
-        xs = np.linspace(0.0, 1.0, 257)
-        for n in (16, 64, 256):
-            got = bernstein_demo(lambda u: u * u, n, xs)
-            scaled = n * (got - xs * xs)
-            np.testing.assert_allclose(scaled, xs * (1.0 - xs), atol=1e-9)
+    def test_sample_rows_are_the_interior_max_of_one_draw(self):
+        spec = HelixSpec()
+        ds = gen_training(spec, 32, "none", rng=np.random.default_rng(3))
+        t_grid, xs = spec.grid(24)
+        inside = spec.interior(t_grid)
+        fhat = {
+            "heat": guarded_ratio(*heat_value_and_unit_passes(ds, 1.0 / 36, xs)),
+            "kernel": ratio_reconstruction(ds, EstimatorConfig.build(6, 1.0, 1), xs),
+        }
+        rows = rate_table([4, 6], 32, 3, 24)
+        got = {m: e for m, r, n, e, _ in rows if (r, n) == ("sample", 6)}
+        assert got == {m: float(np.max(np.abs(v - spec.target(t_grid))[inside]))
+                       for m, v in fhat.items()}
 
-    def test_edges_exact(self):
-        f = lambda u: math.sin(3.0 * u)
-        assert bernstein_demo(f, 12, 0.0) == f(0.0)
-        assert bernstein_demo(f, 12, 1.0) == f(1.0)
+    def test_slope_of_each_group(self):
+        rows = rate_table([4, 6], 32, 3, 24)
+        assert [r[:3] for r in rows] == [(m, r, n) for m in ("heat", "kernel")
+                                         for r in ("limit", "sample") for n in (4, 6)]
+        for first, second in zip(rows[::2], rows[1::2]):
+            assert first[4] is None
+            assert second[4] == math.log2(first[3] / second[3]) / math.log2(6 / 4)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bernstein_demo(lambda u: u, 0, 0.5)
-        with pytest.raises(ValueError):
-            bernstein_demo(lambda u: u, 4, 1.5)
+    @pytest.mark.parametrize("n_list", [[], [4, 4], [8, 4], [1, 4], [4, 8.0], [4, True]])
+    def test_n_list_must_be_increasing_integers_from_two(self, n_list):
+        with pytest.raises(ValueError, match="n_list must be strictly increasing integers >= 2"):
+            rate_table(n_list, 16, 0, 16)
