@@ -231,7 +231,7 @@ def _cmd_synth_net(args) -> int:
     out = _out_dir(args, "synth_out")
     path = os.path.join(out, "network.json")
     write_network_json(net, path)
-    print(f"wrote {path} ({net.coeffs.size} Gaussian terms, scale={net.scale})")
+    print(f"wrote {path} ({net.axis_centers.size ** net.dim} Gaussian terms, scale={net.scale})")
     if args.check:
         radii = np.linspace(0.0, 3.0, 121)
         pts = np.zeros((radii.size, big_q))

@@ -19,40 +19,40 @@ decays like m**(d-2) 3**(-m**2/2).
 Networks carry an input scale s and evaluate x -> base(s * x) on a batch
 (N, d) of points; nothing else is trained or adapted.
 
-Because the centers form a tensor grid, a network is stored as its 1-D
-axis centers (K = 2m**2 values) and a coefficient tensor of shape (K,)*d,
-whose d axes give the input dimension, and it is evaluated in
-tensor-product form: exp(-|s x - z_j|**2) is the product over the axes of
-exp(-(s x_a - z_{j_a})**2), so the network is a d-way contraction of the
-coefficients with one (points x K) factor matrix per axis.  That costs
-O(K**d) multiply-adds per point and no exponential per (center, point)
-pair.  Points are contracted one at a time in chunks whose intermediate
-holds at most ``_CHUNK_ENTRIES`` values, so memory is flat in the number
-of points.  The first and largest contraction reads the coefficients in
-blocks of ``_BLOCK_ROWS`` rows, each block against every point of the
-chunk before the next, so a block stays in cache instead of the whole
-tensor streaming from memory once per point.  Every point still makes the
-same BLAS calls with the same shapes, so a point's value never depends on
-the batch it came in.
+The quadrature runs axis by axis, so the coefficients come in factored
+(Tucker) form: c_j = sum_k core[k] prod_a factor[j_a, k_a], with one axis
+factor (K, r) mapping r Hermite degrees to the K = 2m**2 axis centers and
+a core of shape (r,)*d (Tucker 1966; Kolda and Bader, SIAM Rev. 51(3),
+2009).  A network is stored and evaluated in that form and the (K,)*d
+coefficients are never multiplied out.  Each Gaussian factors over the
+axes, so a point x costs d*K*r multiply-adds for v_a = g_a @ factor, with
+g_a[i] = exp(-(s x_a - z_i)**2) on each axis a, and r**d more to contract
+the core against the v_a: 9.7e3 in all for the prefab kernel at n = 6,
+Q = 3 (K = 72, r = 18), against K**d = 3.7e5 for the dense sum.  Points go
+in chunks whose intermediates hold at most ``_CHUNK_ENTRIES`` values, so
+memory is flat in the number of points, and every point makes the same
+BLAS calls with the same shapes, so a point's value never depends on the
+batch it came in.
 
-Rounding: the coefficients of a synthesized kernel cancel heavily, so an
-evaluation is exact only to the scale u * sum_j |c_j| (u = 2**-53), far
-above u times the output.  For ``prefab_kernel_network(6, 2, 3, 1.0)``,
-sum_j |c_j| = 5.3e5 and u * sum_j |c_j| = 5.9e-11 against a peak output of
-3.4.  The network's own evaluation order therefore sets the rounding noise
-in any comparison of the network against its kernel (the benchmark's
-``net_kernel_dev``): a dense sum over the K**d centers would carry noise
-of the same scale, rounded differently, so it is no more exact.
+Rounding: the terms cancel heavily in the axis products g_a @ factor, not
+in the core, so an evaluation is exact only to the scale u * S (u =
+2**-53), S = sum_k |core[k]| prod_a w[k_a] with w the column sums of
+|factor|; S bounds sum_j |c_j| too.  For ``prefab_kernel_network(6, 2, 3,
+1.0)``, S = 3.8e6 (u * S = 4.2e-10) and sum_j |c_j| = 5.3e5, against a peak
+output of 3.4.  The network's own evaluation order therefore sets the
+rounding noise in any comparison of the network against its kernel (the
+benchmark's ``net_kernel_dev``, 1.3e-11).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import Dataset, _read_json, _weighted_passes, _write_json
+from .experiments import _check_type
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from .kernels import _filter_sums
 
@@ -69,170 +69,180 @@ MAX_M = 6
 MAX_DIM = 3
 
 
-# Entries of the (points x K**(dim-1)) intermediate of one chunk of points:
-# 2**20 doubles (8 MB), whatever the number of points evaluated.
+# Values held per chunk of points by the intermediates of one evaluation,
+# each point taking d*K + d*r + r**(d-1) of them: 2**20 doubles (8 MB),
+# whatever the number of points evaluated.
 _CHUNK_ENTRIES = 1 << 20
-
-# Coefficient rows (K values each) contracted against every point of a chunk
-# before the next block is read: 64 x 72 doubles (36 KB) stay in a 48 KB L1
-# cache at K = 72.  A multiple of 4 rows keeps OpenBLAS's dgemv_t off its
-# leftover-row kernel: measured with OpenBLAS, the values then equal one
-# product over all rows bitwise (blocks of 45 or 50 rows differed by ulps).
-_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class GaussianNetwork:
-    """Gaussian network on a tensor grid of centers.
+    """Gaussian network on a tensor grid of centers, in factored form.
 
     Evaluates
 
-        x -> sum_j coeffs[j] exp(-|scale*x - z_j|**2),
+        x -> sum_j c_j exp(-|scale*x - z_j|**2),
+        c_j = sum_k core[k] factor[j_1, k_1] .. factor[j_dim, k_dim],
 
     where j = (j_1, .., j_dim) runs over the tensor grid whose coordinates
     are the 1-D ``axis_centers`` (K,), z_j = (axis_centers[j_1], ..,
-    axis_centers[j_dim]), and ``coeffs`` has shape (K,)*dim.  Since each
-    Gaussian factors over the axes, the sum is a contraction of ``coeffs``
-    with one (points x K) factor matrix exp(-(scale*x_a - axis_centers)**2)
-    per axis a: no exponential is formed per (center, point) pair.
+    axis_centers[j_dim]), ``factor`` has shape (K, r) and ``core`` shape
+    (r,)*dim.  A dense network with coefficients C of shape (K,)*dim is the
+    same class with factor = I_K and core = C.
 
     A call takes an (N, dim) batch, a single point being a batch of one.
-    Each point is contracted on its own, the last axis first.  The
-    (K**(dim-1) x K) coefficient rows go in blocks of ``_BLOCK_ROWS``: one
-    matrix-vector product per (block, point), every point of a chunk taking
-    the block while it is in cache.  Then come dim-1 smaller products on
-    the shrinking per-point vectors.  The calls and their shapes do not
-    depend on the batch, so a point's value depends only on that point and
-    any batch and any chunking agree bitwise.  The cost falls on a lone
-    point, which makes K**(dim-1) / ``_BLOCK_ROWS`` calls where one would
-    do: 81 at K = 72, dim = 3, about 0.3 ms against 0.13 ms for one call
-    (2-core Xeon, 48 KB L1).  Points are processed in chunks of at most
-    ``_CHUNK_ENTRIES // K**(dim-1)``, so memory stays flat in the number
-    of points.
-
-    The rounding error of the sum is on the scale u * sum_j |coeffs[j]|
-    (u = 2**-53), not of the output: the coefficients of a synthesized
-    kernel cancel heavily (sum |c_j| = 5.3e5 against a peak output of 3.4
-    for ``prefab_kernel_network(6, 2, 3, 1.0)``).
+    Each point is contracted on its own: one (dim, K) @ (K, r) product
+    gives v_a = g_a @ factor for every axis a, where g_a[i] =
+    exp(-(scale*x_a - axis_centers[i])**2), then the core, as (r**(dim-1),
+    r) rows, takes the last v_a and dim-1 smaller products the others.
+    That is dim*K*r + r**dim multiply-adds per point and no exponential
+    per (center, point) pair.  The calls and their shapes do not depend on
+    the batch, so any batch and any chunking agree bitwise.  Points go in
+    chunks of at most ``_CHUNK_ENTRIES // (dim*K + dim*r + r**(dim-1))``,
+    so memory stays flat in the number of points.  The rounding error is
+    on the scale u * S of the module docstring, not of the output.
     """
 
     scale: float
     axis_centers: np.ndarray
-    coeffs: np.ndarray
+    factor: np.ndarray
+    core: np.ndarray
 
     def __post_init__(self) -> None:
         z = np.asarray(self.axis_centers, dtype=float)
-        c = np.asarray(self.coeffs, dtype=float)
+        u = np.asarray(self.factor, dtype=float)
+        core = np.asarray(self.core, dtype=float)
         if z.ndim != 1 or z.size == 0:
             raise ValueError("axis_centers must be a non-empty 1-D array")
-        if c.ndim < 1 or c.shape != (z.size,) * c.ndim:
-            raise ValueError(f"coeffs must have shape (K,)*dim with K = {z.size}, got {c.shape}")
+        if core.ndim < 1 or core.size == 0 or core.shape != core.shape[:1] * core.ndim:
+            raise ValueError(f"core must have shape (r,)*dim with r >= 1, got {core.shape}")
+        if u.shape != (z.size, core.shape[0]):
+            raise ValueError(f"factor must have shape (K, r) = {(z.size, core.shape[0])} "
+                             f"(axis centers, core axis length), got {u.shape}")
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise ValueError("scale must be a positive finite real")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("axis_centers must be finite")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
+        for name, arr in (("axis_centers", z), ("factor", u), ("core", core)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "axis_centers", z)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "factor", u)
+        object.__setattr__(self, "core", core)
 
     @property
     def dim(self) -> int:
-        """The input dimension: the number of axes of ``coeffs``."""
-        return self.coeffs.ndim
+        """The input dimension: the number of axes of ``core``."""
+        return self.core.ndim
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The (K,)*dim coefficients c_j, multiplied out anew on each access.
+
+        Evaluation never forms them; they give sum_j |c_j| and the dense
+        reference sums of the tests.
+        """
+        c = self.core
+        for _ in range(self.dim):
+            # the leading core axis becomes the last center axis
+            c = np.moveaxis(c, 0, -1) @ self.factor.T
+        return c
 
     def __call__(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must be a batch (N, {self.dim}), got shape {pts.shape}")
         pts = pts * self.scale
-        step = max(1, _CHUNK_ENTRIES // self.axis_centers.size ** (self.dim - 1))
+        (k, r), d = self.factor.shape, self.dim
+        step = max(1, _CHUNK_ENTRIES // (d * k + d * r + r ** (d - 1)))
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], step):
             out[start : start + step] = self._contract(pts[start : start + step])
         return out
 
     def _contract(self, pts: np.ndarray) -> np.ndarray:
-        n, k = pts.shape[0], self.axis_centers.size
+        n, r = pts.shape[0], self.core.shape[0]
         with np.errstate(under="ignore"):
-            # factors[p, a, i] = exp(-(pts[p, a] - axis_centers[i])**2)
-            factors = np.exp(-((pts[:, :, None] - self.axis_centers) ** 2))
-        # per-point matrix-vector products against one cache-sized block of
-        # coefficient rows at a time, one BLAS call per (point, block)
-        rows = self.coeffs.reshape(-1, k)
-        vals = np.empty((n, rows.shape[0], 1))
-        for r in range(0, rows.shape[0], _BLOCK_ROWS):
-            block = slice(r, r + _BLOCK_ROWS)
-            np.matmul(rows[block], factors[:, -1, :, None], out=vals[:, block])
+            # g[p, a, i] = exp(-(pts[p, a] - axis_centers[i])**2)
+            g = np.exp(-((pts[:, :, None] - self.axis_centers) ** 2))
+        v = g @ self.factor
+        vals = self.core.reshape(-1, r) @ v[:, -1, :, None]
         for a in range(self.dim - 2, -1, -1):
-            vals = vals.reshape(n, -1, k) @ factors[:, a, :, None]
+            vals = vals.reshape(n, -1, r) @ v[:, a, :, None]
         return vals.reshape(n)
 
 
 def write_network_json(net: GaussianNetwork, path: str) -> None:
-    """Serialize in tensor form with shortest round-trip decimals; reload is bit exact.
+    """Serialize in factored form with shortest round-trip decimals; reload is bit exact.
 
-    The document holds ``dim``, ``scale``, ``axis_centers`` (K values) and
-    ``coeffs`` as ``{"shape": [K, .., K], "values": [...]}`` in C order.
+    The document holds ``dim``, ``scale``, ``axis_centers`` (K values),
+    ``factor`` and ``core``, each of the last two as ``{"shape": [...],
+    "values": [...]}`` in C order: [K, r] and [r, .., r].
     """
     doc = {
         "dim": net.dim,
         "scale": net.scale,
-        "axis_centers": [float(v) for v in net.axis_centers],
-        "coeffs": {
-            "shape": list(net.coeffs.shape),
-            "values": [float(v) for v in net.coeffs.ravel()],
-        },
+        "axis_centers": net.axis_centers.tolist(),
+        "factor": {"shape": list(net.factor.shape), "values": net.factor.ravel().tolist()},
+        "core": {"shape": list(net.core.shape), "values": net.core.ravel().tolist()},
     }
     _write_json(path, doc)
 
 
-def read_network_json(path: str) -> GaussianNetwork:
-    """Read the tensor form that ``write_network_json`` writes.
+def _read_tensor(path: str, doc: dict, key: str) -> np.ndarray:
+    """The tensor field ``key``: its value count checked against the stated shape first."""
+    field = doc[key]
+    if not (isinstance(field, dict) and set(field) == {"shape", "values"}
+            and isinstance(field["values"], list)):
+        raise ValueError(f"{path}: field {key!r} must be an object with 'shape' and a "
+                         "'values' list")
+    shape, values = field["shape"], field["values"]
+    if not isinstance(shape, list) or not all(type(v) is int and v >= 0 for v in shape):
+        raise ValueError(f"{path}: field {key!r} needs a shape of nonnegative integers")
+    if len(values) != math.prod(shape):
+        raise ValueError(f"{path}: field {key!r} holds {len(values)} values for shape {shape}")
+    try:
+        flat = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {key!r} must hold numbers: {exc}") from exc
+    if flat.ndim != 1:
+        raise ValueError(f"{path}: field {key!r} must hold a flat list of numbers")
+    return flat.reshape(shape)
 
-    Raises ValueError, naming the field, for the retired dense format
-    (a ``centers`` list), a missing field, a ``dim`` that is not the
-    integer number of coefficient axes, a coefficient count that does not
-    match the stated shape, and non-finite values (``json`` reads NaN and
+
+def read_network_json(path: str) -> GaussianNetwork:
+    """Read the factored form that ``write_network_json`` writes.
+
+    Raises ValueError, naming the field, for the retired formats (a dense
+    ``centers`` list or a ``coeffs`` tensor), a missing field, a value
+    count that does not match the stated shape, a ``dim`` that is not the
+    integer number of core axes, a core that is not (r,)*dim, a factor
+    that is not (K, r) and non-finite values (``json`` reads NaN and
     Infinity).
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a network must be a JSON object")
-    if "centers" in doc:
-        raise ValueError(
-            f"{path}: field 'centers' belongs to the dense network format, which is "
-            "no longer read; write the network again in tensor form"
-        )
-    for key in ("dim", "scale", "axis_centers", "coeffs"):
+    for key, form in (("centers", "dense network"), ("coeffs", "unfactored tensor")):
+        if key in doc:
+            raise ValueError(
+                f"{path}: field {key!r} belongs to the {form} format, which is no longer "
+                "read; write the network again in factored form"
+            )
+    for key in ("dim", "scale", "axis_centers", "factor", "core"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
-    scale, coeffs = doc["scale"], doc["coeffs"]
+    scale = doc["scale"]
     if isinstance(scale, bool) or not isinstance(scale, (int, float)):
         raise ValueError(f"{path}: field 'scale' must be a number")
-    if not isinstance(coeffs, dict) or set(coeffs) != {"shape", "values"}:
-        raise ValueError(f"{path}: field 'coeffs' must be an object with 'shape' and 'values'")
-    shape = coeffs["shape"]
-    if not isinstance(shape, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape
-    ):
-        raise ValueError(f"{path}: field 'coeffs' needs a shape of nonnegative integers")
+    factor, core = _read_tensor(path, doc, "factor"), _read_tensor(path, doc, "core")
     dim = doc["dim"]
-    if type(dim) is not int or dim != len(shape):
-        raise ValueError(f"{path}: field 'dim' must be {len(shape)} (coeffs axes), got {dim!r}")
+    if type(dim) is not int or dim != core.ndim:
+        raise ValueError(f"{path}: field 'dim' must be {core.ndim} (core axes), got {dim!r}")
     try:
         centers = np.array(doc["axis_centers"], dtype=float)
-        values = np.array(coeffs["values"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: axis_centers and coeffs must hold numbers: {exc}") from exc
-    if values.ndim != 1 or values.size != math.prod(shape):
-        raise ValueError(
-            f"{path}: field 'coeffs' holds {values.size} values for shape {tuple(shape)}"
-        )
+        raise ValueError(f"{path}: field 'axis_centers' must hold numbers: {exc}") from exc
     try:
-        return GaussianNetwork(
-            scale=float(scale), axis_centers=centers, coeffs=values.reshape(shape)
-        )
+        return GaussianNetwork(float(scale), centers, factor, core)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -247,14 +257,14 @@ def poly_to_gaussian(B) -> GaussianNetwork:
     |k|_1 >= m**2.
 
     The network's axis centers are (sqrt(3)/2) x_i over the nodes x_i of
-    the size-2m**2 Gauss-Hermite rule.  Coefficients are linear in B:
-    center z_j = (sqrt(3)/2) x_j, j = (j_1, .., j_d), receives
+    the size-2m**2 Gauss-Hermite rule, with weights lambda_i.  Its core is
+    (3/(2 pi))**(d/2) B and its axis factor, of shape (2m**2, m**2),
 
-        c_j = (3/(2 pi))**(d/2) * prod_axis [lambda exp(3 x**2/4)](x_j,axis)
-              * sum_k B[k] 3**(|k|/2) psi_k(x_j).
+        factor[i, k] = lambda_i exp(3 x_i**2/4) psi_k(x_i) 3**(k/2),
 
-    The inner polynomial evaluation runs as per-axis mode products against
-    B, so the cost is O(d * (2m^2)^d * m^2).
+    so center z_j = (sqrt(3)/2) x_j, j = (j_1, .., j_d), has the
+    coefficient c_j = sum_k core[k] prod_a factor[j_a, k_a], which is never
+    formed.  A build costs O(m**4) for the factor and a copy of B.
     """
     B = np.asarray(B, dtype=float)
     d = B.ndim
@@ -268,29 +278,18 @@ def poly_to_gaussian(B) -> GaussianNetwork:
         raise ValueError("B must be finite")
     if np.any(B[_total_degree(kcap, d) >= kcap]):
         raise ValueError(f"B has a nonzero entry at |k|_1 >= m**2 = {kcap}")
+    centers, factor = _axis_factor(m)
+    return GaussianNetwork(1.0, centers, factor, (3.0 / (2.0 * math.pi)) ** (d / 2.0) * B)
 
-    nodes, weights = gauss_hermite_rule(2 * kcap)
-    # lambda_i * exp(3 x_i^2/4), formed per axis in log space
+
+def _axis_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The axis centers (2m**2,) and the axis factor (2m**2, m**2) of ``poly_to_gaussian``."""
+    nodes, weights = gauss_hermite_rule(2 * m * m)
+    # lambda_i * exp(3 x_i^2/4), formed in log space
     axis_w = np.exp(np.log(weights) + 0.75 * nodes * nodes)
-
-    psi = hermite_matrix(kcap - 1, nodes)  # (2m^2, m^2)
-    psi_scaled = psi * np.power(3.0, 0.5 * np.arange(kcap))[None, :]
-
-    # mode products: contract each leading k axis with the scaled node rows;
-    # the node axis lands at the end, so after d rounds the axis order is
-    # (n_1, .., n_d)
-    vals = B
-    for _ in range(d):
-        vals = np.tensordot(vals, psi_scaled, axes=([0], [1]))
-
-    wgrid = axis_w
-    for _ in range(d - 1):
-        wgrid = np.multiply.outer(wgrid, axis_w)
-
-    pref = (3.0 / (2.0 * math.pi)) ** (d / 2.0)
-    coeffs = pref * wgrid * vals
-    axis_centers = (math.sqrt(3.0) / 2.0) * nodes
-    return GaussianNetwork(scale=1.0, axis_centers=axis_centers, coeffs=coeffs)
+    psi = hermite_matrix(m * m - 1, nodes)
+    factor = axis_w[:, None] * psi * np.power(3.0, 0.5 * np.arange(m * m))
+    return (math.sqrt(3.0) / 2.0) * nodes, factor
 
 
 def _total_degree(size: int, d: int) -> np.ndarray:
@@ -303,48 +302,48 @@ def prefab_kernel_network(n: int, q: int, Q: int, alpha: float) -> GaussianNetwo
 
     Builds G(P) for P(y) = Phi_{n,q,Q}(0, y) with synthesis parameter m = n,
     stores the input scale n**(1-alpha), and folds the estimator prefactor
-    n**(q(1-alpha)) into the coefficients.  The psi_k coefficient of P is
+    n**(q(1-alpha)) into the core.  The psi_k coefficient of P is
 
         b_k = psi_k(0) * pi**s * F_s(|k|_1 / 2),   s = (Q-q)/2,
 
     with the filter sum F_s(l) = sum_j H(sqrt(2(l+j))/n) (-1)**j binom(s, j)
     of :func:`hermloc.kernels._filter_sums`, the same sum the kernel table
     takes at s = -(q-1)/2.  b_k is nonzero only for all-even k (psi_k(0)
-    vanishes otherwise) with |k|_1 < n**2.  The dense tensor of the b_k is
-    the Q-fold outer product of the psi_k(0) vector, times pi**s, times the
-    filter sum looked up by |k|_1.  The center grid comes from
-    :func:`hermloc.hermite.gauss_hermite_rule`, so a build needs numpy alone.
+    vanishes otherwise) with |k|_1 < n**2, so the network keeps only the
+    even columns of the ``poly_to_gaussian`` factor and the even entries
+    of B as its core: r = ceil(n**2/2) per axis, 18 at n = 6.  The core is
+    the Q-fold outer product of the psi_{2l}(0), times the prefactors,
+    times the filter sum looked up by |k|_1.  The center grid comes from
+    :func:`hermloc.hermite.gauss_hermite_rule`, so a build needs numpy
+    alone.  Raises ValueError for a bool or non-integer n, q or Q, a bool
+    or non-real alpha, and values out of range.
     """
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_M:
+    for name, value in (("n", n), ("q", q), ("Q", Q)):
+        _check_type(name, value, int)
+    _check_type("alpha", alpha, float)
+    if not 2 <= n <= MAX_M:
         # the synthesis parameter m is n, capped by poly_to_gaussian
         raise ValueError(f"n must be an integer in 2..{MAX_M} at this synthesis scale")
-    if not (isinstance(q, (int, np.integer)) and isinstance(Q, (int, np.integer))):
-        raise ValueError("q and Q must be integers")
     if not 1 <= q <= Q <= MAX_DIM:
         raise ValueError(f"need 1 <= q <= Q <= {MAX_DIM}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
 
-    n2 = n * n
+    r = (n * n + 1) // 2
     half = (Q - q) / 2.0
-    pref = math.pi ** half
-    # the filter sum depends on k only through |k|_1 = 2l; it stays 0 at odd
-    # totals and at every total >= n**2
+    # the filter sum depends on k = 2l only through |l|_1; it is 0 at every
+    # |k|_1 >= n**2, that is |l|_1 >= r
     sums, e = _filter_sums(n, half)
-    acc_by_total = np.zeros(Q * (n2 - 1) + 1)
-    acc_by_total[0:n2:2] = np.ldexp(sums[: (n2 + 1) // 2], e)
-    psi0 = np.zeros(n2)
-    psi0[0::2] = psi_zero_even((n2 + 1) // 2)
-    B = psi0
+    acc_by_total = np.zeros(Q * (r - 1) + 1)
+    acc_by_total[:r] = np.ldexp(sums[:r], e)
+    psi0 = psi_zero_even(r)
+    core = psi0
     for _ in range(Q - 1):
-        B = np.multiply.outer(B, psi0)
-    B *= pref  # in place: no further tensor-sized temporaries
-    B *= acc_by_total[_total_degree(n2, Q)]
-
-    net = poly_to_gaussian(B)
-    scale = float(n) ** (1.0 - alpha)
-    factor = float(n) ** (q * (1.0 - alpha))
-    return replace(net, scale=scale, coeffs=factor * net.coeffs)
+        core = np.multiply.outer(core, psi0)
+    pref = (3.0 / (2.0 * math.pi)) ** (Q / 2.0) * math.pi**half * float(n) ** (q * (1.0 - alpha))
+    core = pref * core * acc_by_total[_total_degree(r, Q)]
+    centers, factor = _axis_factor(n)
+    return GaussianNetwork(float(n) ** (1.0 - alpha), centers, factor[:, ::2].copy(), core)
 
 
 def shallow_net_estimate(ds: Dataset, net: GaussianNetwork, xs) -> np.ndarray:

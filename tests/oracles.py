@@ -12,6 +12,12 @@ which ties the compiled kernel of :mod:`hermloc.kernels` to the projection
 machinery; ``phi_localized`` is the d-dimensional filtered kernel built on
 ``proj_tensor``.
 
+``dense_synthesis`` and ``dense_prefab_coeffs`` multiply a Gaussian network
+out to its dense (K,)*d coefficient tensor the direct way (mode products
+against B, then the outer-product weight grid), and ``dense_sum`` adds a
+network's Gaussians center by center: the references for the factored
+networks of :mod:`hermloc.gaussian_net`.
+
 Three helpers the tests share sit here too: ``quad_integrate`` applies a
 Gauss-Hermite rule, ``estimate_lipschitz`` samples difference quotients,
 and ``write_csv_per_cell`` is the per-cell table writer that
@@ -27,8 +33,8 @@ import numpy as np
 from scipy.special import binom as _binom
 from scipy.special import gammaln, gammasgn
 
-from hermloc.hermite import hermite_matrix, psi_zero_even
-from hermloc.kernels import filter_h
+from hermloc.hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
+from hermloc.kernels import _filter_sums, filter_h
 
 MAX_COMPOSITIONS = 2_000_000
 
@@ -273,6 +279,74 @@ def phi_localized(n: float, d: int, x, y) -> float:
             continue
         total += h * proj_tensor(m, d, x, y)
     return float(total)
+
+
+def dense_synthesis(B) -> np.ndarray:
+    """Dense coefficients (K,)*d, K = 2m**2, of the network of sum_k B[k] psi_k.
+
+    Center z_j = (sqrt(3)/2) x_j over the nodes of the size-2m**2
+    Gauss-Hermite rule receives
+
+        c_j = (3/(2 pi))**(d/2) * prod_axis [lambda exp(3 x**2/4)](x_j,axis)
+              * sum_k B[k] 3**(|k|/2) psi_k(x_j),
+
+    the polynomial evaluated by per-axis mode products against B.  ``B``
+    must have shape (m**2,)*d; nothing else is checked.
+    """
+    B = np.asarray(B, dtype=float)
+    d, kcap = B.ndim, B.shape[0]
+    nodes, weights = gauss_hermite_rule(2 * kcap)
+    axis_w = np.exp(np.log(weights) + 0.75 * nodes * nodes)
+    psi_scaled = hermite_matrix(kcap - 1, nodes) * np.power(3.0, 0.5 * np.arange(kcap))[None, :]
+    # each round contracts the leading k axis; the node axis lands at the end
+    vals = B
+    for _ in range(d):
+        vals = np.tensordot(vals, psi_scaled, axes=([0], [1]))
+    wgrid = axis_w
+    for _ in range(d - 1):
+        wgrid = np.multiply.outer(wgrid, axis_w)
+    pref = (3.0 / (2.0 * math.pi)) ** (d / 2.0)
+    return pref * wgrid * vals
+
+
+def dense_prefab_coeffs(n: int, q: int, Q: int, alpha: float) -> np.ndarray:
+    """Dense (2n**2,)*Q coefficients of ``prefab_kernel_network(n, q, Q, alpha)``.
+
+    B[k] = psi_k(0) * pi**s * F_s(|k|_1 / 2), s = (Q-q)/2, over every
+    multi-index k of (n**2,)*Q, is synthesized by ``dense_synthesis`` and
+    scaled by n**(q(1-alpha)).
+    """
+    n2 = n * n
+    half = (Q - q) / 2.0
+    sums, e = _filter_sums(n, half)
+    acc_by_total = np.zeros(Q * (n2 - 1) + 1)
+    acc_by_total[0:n2:2] = np.ldexp(sums[: (n2 + 1) // 2], e)
+    psi0 = np.zeros(n2)
+    psi0[0::2] = psi_zero_even((n2 + 1) // 2)
+    B = psi0
+    for _ in range(Q - 1):
+        B = np.multiply.outer(B, psi0)
+    B *= math.pi**half
+    B *= acc_by_total[sum(np.ix_(*(np.arange(n2),) * Q))]
+    return float(n) ** (q * (1.0 - alpha)) * dense_synthesis(B)
+
+
+def dense_sum(net, x) -> np.ndarray:
+    """Reference sum_j c_j exp(-|s x - z_j|**2) over every center of the grid.
+
+    Each term is formed from the squared distance itself (no expansion
+    into |x|**2 - 2 x.z + |z|**2) and the terms are added by numpy's
+    pairwise summation.
+    """
+    grids = np.meshgrid(*([net.axis_centers] * net.dim), indexing="ij")
+    centers = np.stack([g.ravel() for g in grids], axis=1)
+    coeffs = net.coeffs.ravel()
+    out = []
+    for p in np.atleast_2d(x) * net.scale:
+        r2 = np.sum((p - centers) ** 2, axis=1)
+        with np.errstate(under="ignore"):
+            out.append(np.sum(coeffs * np.exp(-r2)))
+    return np.array(out)
 
 
 def quad_integrate(

@@ -59,7 +59,8 @@ class TestSynthNet:
             f"(sum |c_j| = {mass:.3e}, rounding scale u*sum |c_j| = {2.0**-53 * mass:.3e})"
         )
         # the file holds the network only: no timings, no check figures
-        assert sorted(json.loads(path.read_text())) == ["axis_centers", "coeffs", "dim", "scale"]
+        assert sorted(json.loads(path.read_text())) == [
+            "axis_centers", "core", "dim", "factor", "scale"]
 
 
 class TestEstimate:

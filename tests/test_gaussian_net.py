@@ -1,8 +1,9 @@
 """Gaussian network synthesis: basis emulation, prefab kernels, estimates.
 
 Oracles: the Hermite recurrence for the emulated functions, the compiled
-kernel tables for the prefab surrogates, and the plain kernel estimator
-for the shallow-network estimate.
+kernel tables for the prefab surrogates, the dense synthesis and the
+center-by-center sum of ``oracles`` for the factored networks, and the
+plain kernel estimator for the shallow-network estimate.
 """
 
 import json
@@ -26,6 +27,7 @@ from hermloc.gaussian_net import (
 )
 from hermloc.hermite import hermite_matrix
 from hermloc.kernels import compile_kernel, eval_kernel
+from oracles import dense_prefab_coeffs, dense_sum
 
 XS = np.linspace(-4.0, 4.0, 801)
 
@@ -49,31 +51,15 @@ def basis_error(k, m, d):
 U = 2.0**-53
 
 
-def dense_sum(net, x):
-    """Reference sum_j c_j exp(-|s x - z_j|**2) over every center of the grid.
-
-    Each term is formed from the squared distance itself (no expansion
-    into |x|**2 - 2 x.z + |z|**2) and the terms are added by numpy's
-    pairwise summation.
-    """
-    grids = np.meshgrid(*([net.axis_centers] * net.dim), indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=1)
-    coeffs = net.coeffs.ravel()
-    out = []
-    for p in np.atleast_2d(x) * net.scale:
-        r2 = np.sum((p - centers) ** 2, axis=1)
-        with np.errstate(under="ignore"):
-            out.append(np.sum(coeffs * np.exp(-r2)))
-    return np.array(out)
-
-
 class TestGaussianNetwork:
     def test_call_scalar_and_batch(self):
-        # centers (0, 0) and (1, -1) with weights 2 and -0.5
+        # centers (0, 0) and (1, -1) with weights 2 and -0.5: a dense network
         coeffs = np.zeros((3, 3))
         coeffs[1, 1] = 2.0
         coeffs[2, 0] = -0.5
-        net = GaussianNetwork(scale=1.0, axis_centers=np.array([-1.0, 0.0, 1.0]), coeffs=coeffs)
+        net = GaussianNetwork(
+            scale=1.0, axis_centers=np.array([-1.0, 0.0, 1.0]), factor=np.eye(3), core=coeffs
+        )
         assert net.dim == 2
         x = np.array([0.3, 0.4])
         single = net(x[None, :])
@@ -88,25 +74,32 @@ class TestGaussianNetwork:
             net(x)
 
     def test_scale_composes_with_input(self):
-        net = GaussianNetwork(scale=3.0, axis_centers=np.array([0.6]), coeffs=np.array([1.0]))
+        net = GaussianNetwork(
+            scale=3.0, axis_centers=np.array([0.6]), factor=np.eye(1), core=np.array([1.0])
+        )
         assert net(np.array([[0.2]]))[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="coeffs must have shape"):
-            GaussianNetwork(scale=1.0, axis_centers=np.zeros(3), coeffs=np.float64(1.0))
+        with pytest.raises(ValueError, match="core must have shape"):
+            GaussianNetwork(1.0, np.zeros(3), np.eye(3), np.float64(1.0))
+        with pytest.raises(ValueError, match="core must have shape"):
+            GaussianNetwork(1.0, np.zeros(3), np.eye(3), np.zeros((3, 2)))
+        # factor rows not K, factor columns not the core's r
+        with pytest.raises(ValueError, match="factor must have shape"):
+            GaussianNetwork(1.0, np.zeros(3), np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="factor must have shape"):
+            GaussianNetwork(1.0, np.zeros(3), np.eye(3), np.zeros(2))
         with pytest.raises(ValueError):
-            GaussianNetwork(scale=1.0, axis_centers=np.zeros(3), coeffs=np.zeros(2))
+            GaussianNetwork(0.0, np.zeros(1), np.eye(1), np.zeros(1))
         with pytest.raises(ValueError):
-            GaussianNetwork(scale=0.0, axis_centers=np.zeros(1), coeffs=np.zeros(1))
-        with pytest.raises(ValueError):
-            GaussianNetwork(scale=1.0, axis_centers=np.zeros((1, 1)), coeffs=np.zeros(1))
-        with pytest.raises(ValueError, match="coeffs"):
-            GaussianNetwork(
-                scale=1.0, axis_centers=np.zeros(2), coeffs=np.array([1.0, math.inf])
-            )
+            GaussianNetwork(1.0, np.zeros((1, 1)), np.eye(1), np.zeros(1))
+        with pytest.raises(ValueError, match="core"):
+            GaussianNetwork(1.0, np.zeros(2), np.eye(2), np.array([1.0, math.inf]))
+        with pytest.raises(ValueError, match="factor"):
+            GaussianNetwork(1.0, np.zeros(1), np.array([[math.nan]]), np.ones(1))
         with pytest.raises(ValueError, match="axis_centers"):
-            GaussianNetwork(scale=1.0, axis_centers=np.array([math.nan]), coeffs=np.ones(1))
-        net = GaussianNetwork(scale=1.0, axis_centers=np.zeros(1), coeffs=np.ones(1))
+            GaussianNetwork(1.0, np.array([math.nan]), np.eye(1), np.ones(1))
+        net = GaussianNetwork(1.0, np.zeros(1), np.eye(1), np.ones(1))
         with pytest.raises(ValueError):
             net(np.zeros((2, 3)))
 
@@ -129,25 +122,25 @@ class TestGaussianNetwork:
         assert gap <= 2.0 * U * float(np.sum(np.abs(net.coeffs)))
 
     @pytest.mark.parametrize(
-        "n, q, Q, entries, block",
+        "n, q, Q, entries",
         [
-            (4, 1, 2, None, None),
-            (4, 2, 3, None, None),
-            (4, 2, 3, 3 * 32 * 32, None),
-            # 324 coefficient rows: the last block of 64 holds 4
-            (3, 1, 3, None, None),
-            # 1,024 rows in blocks of 3, each chunk of 3 points spanning all of them
-            (4, 2, 3, 3 * 32 * 32, 3),
+            (4, 1, 2, None),
+            (4, 2, 3, None),
+            (4, 2, 3, 3 * 32 * 32),
+            # r = 5 even degrees on each of the 18 center axes
+            (3, 1, 3, None),
+            # the benchmark's network, each chunk of 3 points holding its
+            # intermediates of 3 * 72 + 3 * 18 + 18 * 18 values per point
+            (6, 2, 3, 3 * (3 * 72 + 3 * 18 + 18 * 18)),
         ],
-        ids=["d2", "d3", "d3-small-chunks", "d3-partial-block", "d3-blocks-of-3"],
+        ids=["d2", "d3", "d3-small-chunks", "d3-odd-n", "d3-chunks-of-3"],
     )
-    def test_scalar_batch_and_chunks_agree_bitwise(self, n, q, Q, entries, block, monkeypatch):
+    def test_scalar_batch_and_chunks_agree_bitwise(self, n, q, Q, entries, monkeypatch):
         if entries is not None:
             monkeypatch.setattr(gaussian_net, "_CHUNK_ENTRIES", entries)
-        if block is not None:
-            monkeypatch.setattr(gaussian_net, "_BLOCK_ROWS", block)
         net = prefab_kernel_network(n, q, Q, 1.0)
-        step = gaussian_net._CHUNK_ENTRIES // net.axis_centers.size ** (Q - 1)
+        k, r = net.factor.shape
+        step = gaussian_net._CHUNK_ENTRIES // (Q * k + Q * r + r ** (Q - 1))
         pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(step + 5, Q))
         batch = net(pts)
         assert batch.shape == (step + 5,)
@@ -155,14 +148,15 @@ class TestGaussianNetwork:
         for i in picked:
             assert net(pts[i : i + 1])[0] == batch[i]
         np.testing.assert_array_equal(net(pts[step - 2 :]), batch[step - 2 :])
-        # every block of rows is contracted: the values are the network's
+        # every chunk is contracted: the values are the network's
         gap = np.max(np.abs(batch[picked] - dense_sum(net, pts[picked])))
         assert gap <= 2.0 * U * float(np.sum(np.abs(net.coeffs)))
         assert net(pts[:0]).shape == (0,)
 
-    @pytest.mark.parametrize("count", [121, 1024])
+    @pytest.mark.parametrize("count", [121, 1024, 100_000])
     def test_memory_is_flat_in_points(self, count):
-        # the dense sum over all 373,248 centers at once needs hundreds of MB
+        # the dense sum over all 373,248 centers at once needs hundreds of MB,
+        # and 100,000 points in one chunk would hold 475 MB of intermediates
         net = prefab_kernel_network(6, 2, 3, 1.0)
         pts = np.zeros((count, 3))
         pts[:, 0] = np.linspace(0.0, 3.0, count)
@@ -224,7 +218,7 @@ class TestBasisSynthesis:
             poly_to_gaussian(B)
 
 
-# coefficients of prefab_kernel_network(n, q, Q, alpha) at the indices
+# dense coefficients of prefab_kernel_network(n, q, Q, alpha) at the indices
 # (K//2,)*Q (the peak), (K//4,)*Q and (K//2, K//4, ..), or (K//2 + 2,) at
 # Q = 1, as built from the sparse multi-index form the dense tensor replaced
 PREFAB_REFERENCE = {
@@ -241,13 +235,30 @@ PREFAB_REFERENCE = {
 class TestPrefabKernel:
     @pytest.mark.parametrize("args", sorted(PREFAB_REFERENCE), ids=str)
     def test_coefficients_match_reference(self, args):
-        coeffs = prefab_kernel_network(*args).coeffs
+        coeffs = dense_prefab_coeffs(*args)
         k, d = coeffs.shape[0], coeffs.ndim
         mixed = (k // 2,) + (k // 4,) * (d - 1) if d > 1 else (k // 2 + 2,)
         got = [coeffs[(k // 2,) * d], coeffs[(k // 4,) * d], coeffs[mixed]]
         want = PREFAB_REFERENCE[args]
         assert float(np.max(np.abs(coeffs))) == pytest.approx(want[0], rel=1e-15)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * want[0])
+
+    @pytest.mark.parametrize("args", [*sorted(PREFAB_REFERENCE), (6, 1, 3, 1.0)], ids=str)
+    def test_factored_coefficients_match_dense_oracle(self, args):
+        # c_j = sum_k core[k] prod_a factor[j_a, k_a], computed by both sides
+        # with at most nr = Q (n**2 + 3) + 4 roundings per term (Q sums of at
+        # most n**2 terms, the axis products and the prefactors), so each is
+        # within gamma_nr T_j of the exact value, T_j = sum_k |core[k]| prod_a
+        # |factor[j_a, k_a]|; max_j T_j <= sum_j T_j = sum_k |core[k]| prod_a
+        # w[k_a], with w the column sums of |factor|
+        n, _, Q, _ = args
+        net = prefab_kernel_network(*args)
+        mass = np.abs(net.core)
+        for _ in range(Q):
+            mass = np.tensordot(mass, np.sum(np.abs(net.factor), axis=0), axes=([0], [0]))
+        nr = Q * (n * n + 3) + 4
+        bound = 2.0 * nr * U / (1.0 - nr * U) * float(mass)
+        assert float(np.max(np.abs(net.coeffs - dense_prefab_coeffs(*args)))) <= bound
 
     def test_matches_compiled_kernel(self):
         # (6, 2, 3) is the benchmark's network, with its budget, and the one
@@ -274,6 +285,16 @@ class TestPrefabKernel:
         r = net.scale * np.linalg.norm(pts, axis=1)
         want = n ** (q * (1.0 - alpha)) * eval_kernel(table, r)
         assert float(np.max(np.abs(got - want))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [("n", (True, 1, 2, 1.0)), ("q", (4, True, 2, 1.0)), ("Q", (4, 1, True, 1.0)),
+         ("alpha", (4, 1, 1, True))],
+        ids=["n", "q", "Q", "alpha"],
+    )
+    def test_bool_arguments_rejected(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be of type"):
+            prefab_kernel_network(*args)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -322,6 +343,15 @@ class TestShallowEstimate:
             )
 
 
+def net_doc(**fields):
+    """A valid one-dimensional factored network document, with ``fields`` replaced."""
+    doc = {"dim": 1, "scale": 1.0, "axis_centers": [0.0, 1.0],
+           "factor": {"shape": [2, 1], "values": [1.0, 0.5]},
+           "core": {"shape": [1], "values": [2.0]}}
+    doc.update(fields)
+    return doc
+
+
 class TestNetworkJson:
     def test_bit_exact_round_trip(self, tmp_path):
         net = prefab_kernel_network(4, 1, 2, 0.5)
@@ -331,22 +361,34 @@ class TestNetworkJson:
         assert back.dim == net.dim
         assert back.scale == net.scale
         np.testing.assert_array_equal(back.axis_centers, net.axis_centers)
-        assert back.coeffs.shape == net.coeffs.shape == (32, 32)
-        np.testing.assert_array_equal(back.coeffs, net.coeffs)
+        assert back.factor.shape == net.factor.shape == (32, 8)
+        np.testing.assert_array_equal(back.factor, net.factor)
+        assert back.core.shape == net.core.shape == (8, 8)
+        np.testing.assert_array_equal(back.core, net.core)
 
     def test_tensor_form_on_disk(self, tmp_path):
         path = tmp_path / "net.json"
         write_network_json(prefab_kernel_network(3, 1, 2, 1.0), str(path))
         doc = json.loads(path.read_text())
-        assert sorted(doc) == ["axis_centers", "coeffs", "dim", "scale"]
+        assert sorted(doc) == ["axis_centers", "core", "dim", "factor", "scale"]
         assert len(doc["axis_centers"]) == 18
-        assert doc["coeffs"]["shape"] == [18, 18]
-        assert len(doc["coeffs"]["values"]) == 18 * 18
+        assert doc["factor"]["shape"] == [18, 5]
+        assert len(doc["factor"]["values"]) == 18 * 5
+        assert doc["core"]["shape"] == [5, 5]
+        assert len(doc["core"]["values"]) == 5 * 5
+
+    def test_written_document_reads_back(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(net_doc()))
+        net = read_network_json(str(path))
+        assert net(np.array([[0.0]]))[0] == 2.0 * (1.0 + 0.5 * math.exp(-1.0))
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "net.json"
-        path.write_text('{"dim": 1, "scale": 1.0, "axis_centers": [0.0]}')
-        with pytest.raises(ValueError, match="'coeffs'"):
+        doc = net_doc()
+        del doc["core"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'core'"):
             read_network_json(str(path))
 
     def test_dense_format_rejected(self, tmp_path):
@@ -355,46 +397,69 @@ class TestNetworkJson:
         with pytest.raises(ValueError, match="'centers'"):
             read_network_json(str(path))
 
+    def test_unfactored_tensor_format_rejected(self, tmp_path):
+        path = tmp_path / "net.json"
+        doc = {"dim": 2, "scale": 1.0, "axis_centers": [0.0, 1.0],
+               "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="field 'coeffs' belongs to the unfactored"):
+            read_network_json(str(path))
+
     def test_dim_not_matching_shape_rejected(self, tmp_path):
         # a huge dim must be refused before anything of that size is built
         path = tmp_path / "net.json"
-        doc = {"dim": 10**12, "scale": 1.0, "axis_centers": [0.0, 1.0],
-               "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="field 'dim' must be 2"):
+        path.write_text(json.dumps(net_doc(dim=10**12)))
+        with pytest.raises(ValueError, match="field 'dim' must be 1"):
             read_network_json(str(path))
 
     @pytest.mark.parametrize("dim", [True, 2.0, 1, 3, None], ids=repr)
     def test_dim_must_be_the_coeffs_axis_count(self, tmp_path, dim):
         path = tmp_path / "net.json"
-        doc = {"dim": dim, "scale": 1.0, "axis_centers": [0.0, 1.0],
-               "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}}
+        doc = net_doc(dim=dim, factor={"shape": [2, 2], "values": [1.0, 0.0, 0.0, 1.0]},
+                      core={"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]})
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="field 'dim' must be 2"):
             read_network_json(str(path))
 
     def test_count_not_matching_shape_rejected(self, tmp_path):
+        # a shape of 10**12 entries is refused by its count, not built
         path = tmp_path / "net.json"
-        doc = {"dim": 2, "scale": 1.0, "axis_centers": [0.0, 1.0],
-               "coeffs": {"shape": [2, 2], "values": [1.0, 2.0, 3.0]}}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="'coeffs' holds 3 values for shape"):
+        path.write_text(json.dumps(net_doc(core={"shape": [10**6, 10**6], "values": [1.0]})))
+        with pytest.raises(ValueError, match=r"'core' holds 1 values for shape \[1000000, 10"):
+            read_network_json(str(path))
+        path.write_text(json.dumps(net_doc(factor={"shape": [2, 1], "values": [1.0]})))
+        with pytest.raises(ValueError, match="'factor' holds 1 values for shape"):
+            read_network_json(str(path))
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("core", {"dim": 2, "core": {"shape": [1, 2], "values": [1.0, 2.0]}}),
+            ("factor", {"factor": {"shape": [3, 1], "values": [1.0, 0.5, 0.25]}}),
+            ("factor", {"factor": {"shape": [2, 2], "values": [1.0, 0.5, 0.25, 0.0]}}),
+        ],
+        ids=["core-not-square", "factor-rows-not-K", "factor-columns-not-r"],
+    )
+    def test_shapes_must_fit(self, tmp_path, field, fields):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(net_doc(**fields)))
+        with pytest.raises(ValueError, match=f"{field} must have shape"):
             read_network_json(str(path))
 
     @pytest.mark.parametrize(
         "field, text",
         [
-            ("scale", '"scale": NaN, "axis_centers": [0.0], "coeffs": '
-                      '{"shape": [1], "values": [1.0]}'),
-            ("axis_centers", '"scale": 1.0, "axis_centers": [Infinity], "coeffs": '
-                             '{"shape": [1], "values": [1.0]}'),
-            ("coeffs", '"scale": 1.0, "axis_centers": [0.0], "coeffs": '
-                       '{"shape": [1], "values": [NaN]}'),
+            ("scale", '"scale": NaN'),
+            ("axis_centers", '"axis_centers": [0.0, Infinity]'),
+            ("factor", '"factor": {"shape": [2, 1], "values": [1.0, -Infinity]}'),
+            ("core", '"core": {"shape": [1], "values": [NaN]}'),
         ],
-        ids=["scale", "axis_centers", "coeffs"],
+        ids=["scale", "axis_centers", "factor", "core"],
     )
     def test_non_finite_values_rejected(self, tmp_path, field, text):
         path = tmp_path / "net.json"
-        path.write_text('{"dim": 1, ' + text + "}")
+        doc = net_doc()
+        del doc[field]
+        path.write_text(json.dumps(doc)[:-1] + ", " + text + "}")
         with pytest.raises(ValueError, match=field):
             read_network_json(str(path))
