@@ -16,6 +16,9 @@ names; each parameter takes its flag (helix's ``output`` is --out), else
 its config value, else its default.  A key the subcommand does not read,
 or a value of the wrong JSON type, is a validation error.
 
+The parser is built once per process and parameter table: ``main`` builds
+it again only after ``_PARAMETERS`` changes.
+
 Exit code 0 on success, 2 on a validation error (bad or unknown flag,
 malformed config or input file), 1 on a runtime failure.
 """
@@ -23,6 +26,7 @@ malformed config or input file), 1 on a runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -240,9 +244,13 @@ def _cmd_synth_net(args) -> int:
         want = float(n) ** (q * (1.0 - alpha)) * eval_kernel(compile_kernel(n, q), lam * radii)
         got = net(pts)
         dev = float(np.max(np.abs(got - want)))
-        mass = float(np.sum(np.abs(net.coeffs)))
+        # S sets the rounding scale of the factored evaluation (see gaussian_net)
+        mass, w = np.abs(net.core), np.sum(np.abs(net.factor), axis=0)
+        for _ in range(net.dim):
+            mass = mass @ w
         print(f"max |network - localized kernel| on [0,3]: {dev:.3e} "
-              f"(sum |c_j| = {mass:.3e}, rounding scale u*sum |c_j| = {_U * mass:.3e})")
+              f"(S = sum_k |core_k| prod_a w(k_a) = {mass:.3e}, "
+              f"rounding scale u*S = {_U * mass:.3e})")
     return 0
 
 
@@ -354,9 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(table: str) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per parameter table; ``table`` is ``repr(_PARAMETERS)``.
+
+    Parsing leaves no state in the parser, so one serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(repr(_PARAMETERS)).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:

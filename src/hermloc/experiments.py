@@ -302,7 +302,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.trials == 1:
         trials = [one_trial(0)]
     else:
-        workers = min(cfg.trials, os.cpu_count() or 1, 8)
+        # the CPUs this process may run on, where the platform can say
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(cfg.trials, cpus, 8)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(one_trial, range(cfg.trials)))
 

@@ -137,8 +137,8 @@ class GaussianNetwork:
     def coeffs(self) -> np.ndarray:
         """The (K,)*dim coefficients c_j, multiplied out anew on each access.
 
-        Evaluation never forms them; they give sum_j |c_j| and the dense
-        reference sums of the tests.
+        Evaluation never forms them; the tests' dense reference sums and the
+        benchmark's center counts read them.
         """
         c = self.core
         for _ in range(self.dim):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hermloc import estimator
 from hermloc.estimator import (
     _PAIRS_PER_CHUNK,
+    _chunk_rows,
     _row_sums,
     Curve,
     Dataset,
@@ -202,15 +203,35 @@ class TestEstimate:
             assert estimate_batch(ds, cfg, xs[i : i + 1])[0] == batch[i]
 
     def test_single_equals_batch_across_chunks(self):
-        # 300 points against 512 samples span three chunks of test points
+        # 300 points against 512 samples span five chunks of test points
         ds = self._dataset(m=512, seed=12)
         cfg = EstimatorConfig.build(8.0, 1.0, 1)
         xs = np.random.default_rng(13).normal(size=(300, 3))
-        rows = _PAIRS_PER_CHUNK // ds.size
+        rows = _chunk_rows(ds.size)
         assert 2 * rows < xs.shape[0]
         batch = estimate_batch(ds, cfg, xs)
         for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, 299):
             assert estimate_batch(ds, cfg, xs[i : i + 1])[0] == batch[i]
+
+    @pytest.mark.parametrize("m, rows", [(256, 64), (16, 1024)])
+    def test_single_equals_batch_at_small_sample_chunk_edges(self, m, rows):
+        ds = self._dataset(m=m, seed=14)
+        cfg = EstimatorConfig.build(8.0, 1.0, 1)
+        xs = np.random.default_rng(15).normal(size=(2 * rows + 5, 3))
+        assert _chunk_rows(ds.size) == rows
+        num, den = value_and_unit_passes(ds, cfg, xs)
+        np.testing.assert_array_equal(num, estimate_batch(ds, cfg, xs))
+        for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, xs.shape[0] - 1):
+            one_num, one_den = value_and_unit_passes(ds, cfg, xs[i : i + 1])
+            assert (one_num[0], one_den[0]) == (num[i], den[i])
+
+    def test_chunk_rows_rule(self):
+        # about 2**14 pairs, at least 64 points, at most _PAIRS_PER_CHUNK pairs
+        got = {m: _chunk_rows(m) for m in (1, 16, 256, 512, 1000, 1024, 16384, 1 << 17)}
+        assert got == {1: 1 << 14, 16: 1024, 256: 64, 512: 64, 1000: 64, 1024: 64,
+                       16384: 4, 1 << 17: 1}
+        sizes = range(1, _PAIRS_PER_CHUNK + 1, 97)
+        assert all(_chunk_rows(m) * m <= _PAIRS_PER_CHUNK for m in sizes)
 
     def test_no_test_points(self):
         ds = self._dataset()
@@ -556,7 +577,7 @@ class TestTreeSums:
         ds = Dataset(pts, np.cos(pts @ np.array([1.0, -1.0, 0.5])), 1)
         cfg = EstimatorConfig.build(8.0, 1.0, 1)
         xs = rng.normal(size=(200, 3))
-        rows = _PAIRS_PER_CHUNK // ds.size
+        rows = _chunk_rows(ds.size)
         assert 3 * rows < xs.shape[0]
         num, den = value_and_unit_passes(ds, cfg, xs)
         np.testing.assert_array_equal(num, estimate_batch(ds, cfg, xs))

@@ -269,6 +269,21 @@ class TestWriteReport:
         assert "output" not in doc["config"]
         assert len(doc["trial_summaries"]) == 2
 
+    def test_trial_threads_follow_the_cpus_the_process_may_use(self, tmp_path, monkeypatch):
+        cfg = dict(M=64, n=8, test_points=128, seed=11, trials=3, noise="additive")
+        run_experiment(ExperimentConfig(**cfg, output=str(tmp_path / "all")))
+        pools = []
+        pool = experiments.ThreadPoolExecutor
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or pool(max_workers))
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run_experiment(ExperimentConfig(**cfg, output=str(tmp_path / "one")))
+        assert pools == [1]
+        names = sorted(p.name for p in (tmp_path / "all").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+        for name in names:
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
     def test_single_trial_average_equals_trial(self, tmp_path):
         out = tmp_path / "run"
         report = run_experiment(

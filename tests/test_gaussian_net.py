@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hermloc import gaussian_net
-from hermloc.estimator import _PAIRS_PER_CHUNK, Dataset, EstimatorConfig, estimate_batch
+from hermloc.estimator import Dataset, EstimatorConfig, _chunk_rows, estimate_batch
 from hermloc.gaussian_net import (
     MAX_DIM,
     MAX_M,
@@ -326,7 +326,7 @@ class TestShallowEstimate:
         ds = Dataset(pts, np.sin(pts[:, 0] - pts[:, 1]), 1)
         net = prefab_kernel_network(4, 1, 2, 1.0)
         xs = rng.normal(size=(200, 2)) * 0.5
-        assert 2 * (_PAIRS_PER_CHUNK // ds.size) < xs.shape[0]
+        assert 2 * _chunk_rows(ds.size) < xs.shape[0]
         batch = shallow_net_estimate(ds, net, xs)
         assert batch.shape == (200,)
         for i in range(200):
