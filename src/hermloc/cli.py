@@ -16,9 +16,6 @@ names; each parameter takes its flag (helix's ``output`` is --out), else
 its config value, else its default.  A key the subcommand does not read,
 or a value of the wrong JSON type, is a validation error.
 
-The parser is built once per process and parameter table: ``main`` builds
-it again only after ``_PARAMETERS`` changes.
-
 Exit code 0 on success, 2 on a validation error (bad or unknown flag,
 malformed config or input file), 1 on a runtime failure.
 """
@@ -26,7 +23,6 @@ malformed config or input file), 1 on a runtime failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -362,17 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(table: str) -> argparse.ArgumentParser:
-    """``build_parser()``, built once per parameter table; ``table`` is ``repr(_PARAMETERS)``.
-
-    Parsing leaves no state in the parser, so one serves every call.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser(repr(_PARAMETERS)).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:

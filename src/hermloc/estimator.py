@@ -273,8 +273,9 @@ class EstimatorConfig:
         return cls(float(alpha), compile_kernel(n, q))
 
 
-# the most (point, sample) pairs in a chunk of test points; `_chunk_rows` takes
-# about 2**14, at least 64 points, so a chunk's working set stays resident
+# the most (point, sample) pairs in a chunk of test points while a chunk holds
+# more than one point; `_chunk_rows` takes about 2**14, at least 64 points, so
+# a chunk's working set stays resident
 _PAIRS_PER_CHUNK = 1 << 16
 
 
@@ -284,14 +285,20 @@ def _chunk_rows(size: int) -> int:
     About 2**14 pairs, at least 64 points and at most ``_PAIRS_PER_CHUNK``
     pairs; only M < 1024 differs from 2**16 pairs.  A chunk's buffers (the
     distances, the weight rows and the (2t, M) summands) then fit in a 2 MB
-    L2 and stay mapped from chunk to chunk and pass to pass.  At M = 256,
-    the default helix run, a 256-point chunk's ~3.5 MB went back to the OS
-    after every pass: 608 minor page faults per 512-point pass in a fresh
-    process and 737 per helix run in a long one, against 0 with 64-point
-    chunks (2-core Xeon, numpy 2.4.6).  A plain 2**14-pair budget gives
-    M = 16384 one-point chunks, 24,640 faults and 308 against 213 ms per
-    pass; a plain 64-point cap slows few samples (M = 16, 100,000 points:
-    186 against 115 ms).
+    L2 and stay mapped from chunk to chunk and pass to pass.  Measured with
+    ``ratio_reconstruction`` on the helix at n = 64 (n = 6 at M = 16384),
+    2-core Xeon with 2 MB L2 a core, numpy 2.4.6; faults are ``ru_minflt``
+    per pass over 20 passes after 6 warm-ups:
+
+    - M = 256, 512 points: 736 faults a pass with 256-point chunks, whose
+      ~3.5 MB go back to the OS after every pass, against 0 with 64-point
+      chunks.
+    - A plain 2**14-pair budget gives M = 16384 one-point chunks (512
+      points): 24,640 faults a pass against 736 with 4-point chunks, and
+      253-262 against 222-225 ms (min of 20, two processes a side).
+    - A plain 64-point cap slows few samples: M = 16, 100,000 points takes
+      195 ms against 107 ms with this rule and 118 ms with 2**16 pairs (min
+      of 15 calls, the three rules alternated in one process).
     """
     return max(1, min(_PAIRS_PER_CHUNK // size, max(64, (1 << 14) // size)))
 

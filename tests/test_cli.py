@@ -634,60 +634,6 @@ class TestFlags:
         assert "unrecognized arguments: --sigma 3" in capsys.readouterr().err
 
 
-class TestParserReuse:
-    """``main`` builds its parser once per parameter table, and parsing leaves it unchanged."""
-
-    CALLS = [
-        ["gen-data", "--m", "40", "--noise", "additive", "--seed", "3", "--out", "{}/data"],
-        ["estimate", "--data", "{}/data/data.csv", "--n", "8", "--helix-grid", "16", "--ratio",
-         "--out", "{}/est"],
-        ["rates", "--test-points", "2", "--out", "{}/bad"],
-        ["gen-data", "--out", "{}/plain"],
-        ["synth-net", "--n", "3", "--out", "{}/net"],
-        ["estimate", "--data", "{}/data/data.csv", "--helix-grid", "8", "--out", "{}/raw"],
-    ]
-
-    def _run(self, root, fresh, capsys):
-        codes = []
-        for argv in self.CALLS:
-            if fresh:
-                cli._parser.cache_clear()
-            codes.append(cli.main([a.format(root) for a in argv]))
-        capsys.readouterr()
-        files = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-        return codes, files
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """One entry per ``build_parser`` call, counted from an empty parser cache."""
-        builds = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-        cli._parser.cache_clear()
-        return builds
-
-    def test_calls_in_one_process_match_separate_calls(self, tmp_path, capsys, builds):
-        shared = self._run(tmp_path / "shared", False, capsys)
-        assert len(builds) == 1
-        fresh = self._run(tmp_path / "fresh", True, capsys)
-        assert len(builds) == 1 + len(self.CALLS)
-        assert shared[0] == fresh[0] == [0, 0, 2, 0, 0, 0]
-        assert shared[1] == fresh[1]
-        assert len(shared[1]) == 5
-
-    def test_built_once_and_again_after_a_table_edit(self, tmp_path, capsys, monkeypatch, builds):
-        for k in range(3):
-            assert cli.main(["gen-data", "--m", "5", "--out", str(tmp_path / str(k))]) == 0
-        assert len(builds) == 1
-        monkeypatch.setitem(cli._PARAMETERS["gen-data"], "M", 11)
-        assert cli.main(["gen-data", "--out", str(tmp_path / "edited")]) == 0
-        assert cli.main(["gen-data", "--out", str(tmp_path / "again")]) == 0
-        assert len(builds) == 2
-        capsys.readouterr()
-        with open(tmp_path / "again" / "data.csv", encoding="utf-8") as fh:
-            assert len(list(csv.reader(fh))) == 12
-
-
 class TestParameterTable:
     """Each --config parameter's flag, help line and resolved default come from one table."""
 
