@@ -14,7 +14,10 @@ Every subcommand takes --out <dir>.  Those with a row in ``_PARAMETERS``
 also take --config <json>, a JSON object keyed by the row's parameter
 names; each parameter takes its flag (helix's ``output`` is --out), else
 its config value, else its default.  A key the subcommand does not read,
-or a value of the wrong JSON type, is a validation error.
+or a value of the wrong JSON type, is a validation error.  One helper,
+``estimator._check_type``, holds the exact-type rule for the values read
+from a config, a DAG or a DAG inputs file: a bool is neither an integer
+nor a number, and a string is not a number.
 
 Exit code 0 on success, 2 on a validation error (bad or unknown flag,
 malformed config or input file), 1 on a runtime failure.
@@ -33,6 +36,7 @@ import numpy as np
 from .deep_net import dag_from_doc, eval_gfunction
 from .estimator import (
     EstimatorConfig,
+    _check_type,
     _read_csv,
     _read_json,
     _write_csv,
@@ -48,7 +52,6 @@ from .experiments import (
     ExperimentConfig,
     HelixSpec,
     _check_seed,
-    _check_type,
     gen_training,
     rate_table,
     run_experiment,
@@ -255,18 +258,12 @@ def _cmd_deep_eval(args) -> int:
     dag = dag_from_doc(doc, args.graph)
     names = {}
     for row in doc["nodes"]:
-        name = row.get("constituent")
-        if name is None:
-            raise ValueError(f"node {row.get('id')!r}: missing constituent name")
-        if not isinstance(name, str):
-            raise ValueError(
-                f"node {row.get('id')!r}: constituent must be a string, got {name!r}"
-            )
+        nid, name = row["id"], row.get("constituent")
+        _check_type(f"{args.graph}: node {nid!r}: constituent", name, str)
         if name not in CONSTITUENTS:
             raise ValueError(
                 f"unknown constituent {name!r}; choose from {sorted(CONSTITUENTS)}"
             )
-        nid = str(row["id"])
         in_dim = dag.nodes[nid].in_dim
         if _WIDTHS.get(name, in_dim) != in_dim:
             raise ValueError(f"node {nid!r}: {name} reads {_WIDTHS[name]} coordinates, "
@@ -284,11 +281,8 @@ def _cmd_deep_eval(args) -> int:
         if unknown:
             raise ValueError(f"inputs name ids that are not sources of the graph: {unknown}")
         for sid, coords in assignment.items():
-            # exact types, as dag_from_doc: a JSON string or boolean is not a number
-            if not all(type(c) in (int, float) for c in
-                       (coords if isinstance(coords, list) else [coords])):
-                raise ValueError(
-                    f"source coordinates must be numbers: source {sid!r}: got {coords!r}")
+            for c in coords if isinstance(coords, list) else [coords]:
+                _check_type(f"{args.inputs}: source {sid!r} coordinate", c, float)
         value = eval_gfunction(dag, assignment)
         # JSON has no NaN or Infinity, so such a value is a failure, not an output
         if not math.isfinite(value):

@@ -43,9 +43,8 @@ from .estimator import (
     Dataset,
     EstimatorConfig,
     _DatasetStack,
+    _check_type,
     _kernel_passes,
-    _read_json,
-    _write_json,
     guarded_ratio,
 )
 
@@ -53,9 +52,7 @@ __all__ = [
     "make_pooling",
     "DagNode",
     "Dag",
-    "read_dag_json",
     "dag_from_doc",
-    "write_dag_json",
     "eval_gfunction",
     "PropagationReport",
     "propagation_gap",
@@ -207,17 +204,16 @@ class Dag:
         return Dag(nodes=nodes, sink=self.sink)
 
 
-def read_dag_json(path: str) -> Dag:
-    """Load graph structure from JSON; constituents are attached in code."""
-    return dag_from_doc(_read_json(path), path)
-
-
 def dag_from_doc(doc, path: str) -> Dag:
     """Graph structure from a parsed DAG JSON document read from ``path``.
 
-    ``path`` only names the source in error messages.  A node field of the
-    wrong JSON type raises ``ValueError`` naming the node and the field; a
-    node row that is not an object is named by its position.
+    ``path`` only names the source in error messages.  ``id``, ``sink`` and
+    the ``children`` entries must be strings, ``in_dim`` an integer,
+    ``lipschitz`` a number or null, and ``pooling`` an object whose
+    ``name`` is a string and whose other entries are numbers.  A value of
+    the wrong JSON type raises ``ValueError`` (``estimator._check_type``)
+    naming the node and the field; a node row that is not an object, or
+    whose ``id`` is not a string, is named by its position.
     """
     if not isinstance(doc, dict) or "nodes" not in doc or "sink" not in doc:
         raise ValueError(f"{path}: document needs 'nodes' and 'sink'")
@@ -230,48 +226,32 @@ def dag_from_doc(doc, path: str) -> Dag:
         for key in ("id", "kind", "in_dim"):
             if key not in row:
                 raise ValueError(f"{path}: node missing field {key!r}")
-        nid = str(row["id"])
+        _check_type(f"{path}: node {i}: id", row["id"], str)
+        nid = row["id"]
+        where = f"{path}: node {nid!r}"
         pooling = row.get("pooling", {"name": "identity"})
         children = row.get("children", [])
         lipschitz = row.get("lipschitz")
-        # exact JSON types: a bool is neither an integer nor a number
-        for key, ok, want in (
-            ("in_dim", type(row["in_dim"]) is int, "an integer"),
-            ("pooling", isinstance(pooling, dict), "an object"),
-            ("children", isinstance(children, list)
-             and all(isinstance(c, str) for c in children), "a list of strings"),
-            ("lipschitz", lipschitz is None or type(lipschitz) in (int, float),
-             "a number or null"),
-        ):
-            if not ok:
-                raise ValueError(f"{path}: node {nid!r}: {key} must be {want}, got {row[key]!r}")
+        _check_type(f"{where}: in_dim", row["in_dim"], int)
+        if not isinstance(pooling, dict):
+            raise ValueError(f"{where}: pooling must be an object, got {pooling!r}")
+        if not (isinstance(children, list) and all(isinstance(c, str) for c in children)):
+            raise ValueError(f"{where}: children must be a list of strings, got {children!r}")
+        if lipschitz is not None:
+            _check_type(f"{where}: lipschitz", lipschitz, float)
         for key, value in pooling.items():
-            if key != "name" and type(value) not in (int, float):
-                raise ValueError(
-                    f"{path}: node {nid!r}: pooling {key} must be a number, got {value!r}")
+            _check_type(f"{where}: pooling {key}", value, str if key == "name" else float)
         if nid in nodes:
             raise ValueError(f"{path}: duplicate node id {nid!r}")
         nodes[nid] = DagNode(
-            id=nid, kind=str(row["kind"]), in_dim=row["in_dim"], children=tuple(children),
-            pooling_name=str(pooling.get("name", "identity")),
+            id=nid, kind=row["kind"], in_dim=row["in_dim"], children=tuple(children),
+            pooling_name=pooling.get("name", "identity"),
             pooling_params={k: v for k, v in pooling.items() if k not in ("name", "c")},
             pooling_c=float(pooling.get("c", 1.0)),
             lipschitz=None if lipschitz is None else float(lipschitz),
         )
-    return Dag(nodes=nodes, sink=str(doc["sink"]))
-
-
-def write_dag_json(dag: Dag, path: str) -> None:
-    rows = []
-    for nid in sorted(dag.nodes):
-        node = dag.nodes[nid]
-        pooling = {"name": node.pooling_name, **node.pooling_params}
-        if node.pooling_c != 1.0:
-            pooling["c"] = node.pooling_c
-        rows.append({"id": node.id, "kind": node.kind, "in_dim": node.in_dim,
-                     "children": list(node.children), "pooling": pooling,
-                     "lipschitz": node.lipschitz})
-    _write_json(path, {"nodes": rows, "sink": dag.sink})
+    _check_type(f"{path}: sink", doc["sink"], str)
+    return Dag(nodes=nodes, sink=doc["sink"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,9 @@ infinity comes out of finite input.
 The dataset CSV (header y_1..y_Q,value) is written by ``_write_csv``, the one
 table writer, and read by ``_read_csv``, which also reads ``--points`` files.
 Every JSON input (configs, DAGs, networks, DAG inputs) is read by
-``_read_json``, and every JSON output is written by ``_write_json``.
+``_read_json``, and every JSON output is written by ``_write_json``.  The
+values read from those inputs take one exact-type rule, ``_check_type``: a
+bool is neither an integer nor a number, and a string is not a number.
 
 ``continuous_operator_on_curve`` is the M -> infinity limit for data on a
 constant-speed curve (q = 1), the oracle the Monte-Carlo estimator is checked
@@ -99,7 +101,8 @@ class Dataset:
             raise ValueError("dataset must contain at least one sample")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
             raise ValueError("dataset entries must be finite")
-        if not isinstance(self.q, (int, np.integer)) or not 1 <= self.q <= pts.shape[1]:
+        _check_type("q", self.q, int)
+        if not 1 <= self.q <= pts.shape[1]:
             raise ValueError("q must be an integer in 1..Q")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
@@ -220,6 +223,16 @@ def _read_csv(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     del blocks  # freed before the columns are copied out
     values = table[:, dim].copy() if dim < ncol else None
     return np.ascontiguousarray(table[:, :dim]), values
+
+
+# accepted values per parameter type (its default's type); a bool is neither int nor float
+_VALUE_TYPES = {int: (int, np.integer), float: (float, int, np.integer, np.floating), str: (str,)}
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ``ValueError`` unless ``value`` is accepted for a parameter of type ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def _read_json(path: str):

@@ -62,6 +62,7 @@ from .estimator import (
     Curve,
     Dataset,
     EstimatorConfig,
+    _check_type,
     _curve_limit,
     _squared_distances,
     _weighted_passes,
@@ -182,16 +183,6 @@ def gen_training(
         z = rng.normal(0.0, 1.5, M)
         values = np.cos(spec.argument(t) + z) * UNBIAS_FACTOR
     return Dataset(points=points, values=values, q=1)
-
-
-# accepted values per parameter type (its default's type); a bool is neither int nor float
-_VALUE_TYPES = {int: (int, np.integer), float: (float, int, np.integer, np.floating), str: (str,)}
-
-
-def _check_type(name: str, value, kind: type) -> None:
-    """Raise ``ValueError`` unless ``value`` is accepted for a parameter of type ``kind``."""
-    if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def _check_seed(seed: int) -> None:
@@ -398,7 +389,9 @@ def rate_table(n_list, M: int, seed: int, test_points: int) -> list[tuple]:
     ``slope`` is log2(err_prev / err) / log2(n / n_prev) within a (method,
     regime) group, None on its first row or where an error is 0.
     """
-    if not (n_list and all(type(n) is int and n >= 2 for n in n_list)
+    for i, n in enumerate(n_list):
+        _check_type(f"n_list[{i}]", n, int)
+    if not (n_list and all(n >= 2 for n in n_list)
             and all(a < b for a, b in zip(n_list, n_list[1:]))):
         raise ValueError(f"n_list must be strictly increasing integers >= 2, got {n_list!r}")
     _check_seed(seed)

@@ -51,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Dataset, _read_json, _weighted_passes, _write_json
-from .experiments import _check_type
+from .estimator import Dataset, _check_type, _read_json, _weighted_passes, _write_json
 from .hermite import gauss_hermite_rule, hermite_matrix, psi_zero_even
 from .kernels import _filter_sums
 
@@ -187,24 +186,30 @@ def write_network_json(net: GaussianNetwork, path: str) -> None:
     _write_json(path, doc)
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """The list ``values`` of JSON numbers as a float array; ``name`` names it in errors."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    for value in values:
+        _check_type(f"{name} entry", value, float)
+    return np.array(values, dtype=float)
+
+
 def _read_tensor(path: str, doc: dict, key: str) -> np.ndarray:
-    """The tensor field ``key``: its value count checked against the stated shape first."""
+    """The tensor field ``key``, its value count checked against the stated shape."""
     field = doc[key]
     if not (isinstance(field, dict) and set(field) == {"shape", "values"}
-            and isinstance(field["values"], list)):
-        raise ValueError(f"{path}: field {key!r} must be an object with 'shape' and a "
-                         "'values' list")
-    shape, values = field["shape"], field["values"]
-    if not isinstance(shape, list) or not all(type(v) is int and v >= 0 for v in shape):
-        raise ValueError(f"{path}: field {key!r} needs a shape of nonnegative integers")
-    if len(values) != math.prod(shape):
-        raise ValueError(f"{path}: field {key!r} holds {len(values)} values for shape {shape}")
-    try:
-        flat = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: field {key!r} must hold numbers: {exc}") from exc
-    if flat.ndim != 1:
-        raise ValueError(f"{path}: field {key!r} must hold a flat list of numbers")
+            and isinstance(field["shape"], list)):
+        raise ValueError(f"{path}: field {key!r} must be an object with a 'shape' list and "
+                         "'values'")
+    shape = field["shape"]
+    for v in shape:
+        _check_type(f"{path}: field {key!r} shape entry", v, int)
+        if v < 0:
+            raise ValueError(f"{path}: field {key!r} needs a shape of nonnegative integers")
+    flat = _floats(f"{path}: field {key!r} values", field["values"])
+    if flat.size != math.prod(shape):
+        raise ValueError(f"{path}: field {key!r} holds {flat.size} values for shape {shape}")
     return flat.reshape(shape)
 
 
@@ -212,11 +217,11 @@ def read_network_json(path: str) -> GaussianNetwork:
     """Read the factored form that ``write_network_json`` writes.
 
     Raises ValueError, naming the field, for the retired formats (a dense
-    ``centers`` list or a ``coeffs`` tensor), a missing field, a value
-    count that does not match the stated shape, a ``dim`` that is not the
-    integer number of core axes, a core that is not (r,)*dim, a factor
-    that is not (K, r) and non-finite values (``json`` reads NaN and
-    Infinity).
+    ``centers`` list or a ``coeffs`` tensor), a missing field, a value of
+    the wrong JSON type (``estimator._check_type``), a value count that
+    does not match the stated shape, a ``dim`` that is not the number of
+    core axes, a core that is not (r,)*dim, a factor that is not (K, r) and
+    non-finite values (``json`` reads NaN and Infinity).
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -231,16 +236,13 @@ def read_network_json(path: str) -> GaussianNetwork:
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
     scale = doc["scale"]
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-        raise ValueError(f"{path}: field 'scale' must be a number")
+    _check_type(f"{path}: field 'scale'", scale, float)
     factor, core = _read_tensor(path, doc, "factor"), _read_tensor(path, doc, "core")
     dim = doc["dim"]
-    if type(dim) is not int or dim != core.ndim:
+    _check_type(f"{path}: field 'dim'", dim, int)
+    if dim != core.ndim:
         raise ValueError(f"{path}: field 'dim' must be {core.ndim} (core axes), got {dim!r}")
-    try:
-        centers = np.array(doc["axis_centers"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: field 'axis_centers' must hold numbers: {exc}") from exc
+    centers = _floats(f"{path}: field 'axis_centers'", doc["axis_centers"])
     try:
         return GaussianNetwork(float(scale), centers, factor, core)
     except ValueError as exc:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from hermloc import cli
-from hermloc.deep_net import read_dag_json
 from hermloc.estimator import (
     Dataset,
     EstimatorConfig,
@@ -452,16 +451,18 @@ class TestExitCodes:
         inputs = _write_json(tmp_path / "inputs.json", {"s1": {"a": 1}, "s2": [0.0, 1.0]})
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
-        assert "error: source coordinates must be numbers: source 's1'" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {inputs}: source 's1' coordinate must be "
+                                           "of type float, got {'a': 1}\n")
         # numpy reads "0.5" and true as floats; JSON strings and booleans are not numbers
-        for s1, s2, bad in (("0.5", [0.0, 1.0], "'s1': got '0.5'"),
-                            ([0.5], [True, 2.0], "'s2': got [True, 2.0]")):
+        for s1, s2, bad in (
+            ("0.5", [0.0, 1.0], "'s1' coordinate must be of type float, got '0.5'"),
+            ([0.5], [True, 2.0], "'s2' coordinate must be of type float, got True"),
+        ):
             inputs = _write_json(tmp_path / "inputs.json", {"s1": s1, "s2": s2})
             out = tmp_path / "out"
             rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs, "--out", str(out)])
             assert rc == 2
-            assert capsys.readouterr() == (
-                "", f"error: source coordinates must be numbers: source {bad}\n")
+            assert capsys.readouterr() == ("", f"error: {inputs}: source {bad}\n")
             assert not out.exists()
 
     def test_deep_eval_inputs_for_unknown_ids_exit_2(self, tmp_path, capsys):
@@ -509,7 +510,7 @@ class TestExitCodes:
         assert "gave the non-finite value inf" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("reader", ["config", "graph", "inputs", "dag", "network"])
+    @pytest.mark.parametrize("reader", ["config", "graph", "inputs", "network"])
     def test_json_syntax_error_names_the_file(self, tmp_path, capsys, reader):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 3,\n')
@@ -522,7 +523,7 @@ class TestExitCodes:
         }.get(reader)
         if argv is None:
             with pytest.raises(ValueError) as info:
-                {"dag": read_dag_json, "network": read_network_json}[reader](str(bad))
+                read_network_json(str(bad))
             err = f"error: {info.value}"
         else:
             assert cli.main(argv) == 2
@@ -545,9 +546,9 @@ class TestExitCodes:
         graph = str(tmp_path / "graph.json")
         for pooling, message in (
             ({"name": "clip", "lo": "-0.5", "hi": True},
-             f"{graph}: node 'top': pooling lo must be a number, got '-0.5'"),
+             f"{graph}: node 'top': pooling lo must be of type float, got '-0.5'"),
             ({"name": "clip", "lo": -0.5, "hi": True},
-             f"{graph}: node 'top': pooling hi must be a number, got True"),
+             f"{graph}: node 'top': pooling hi must be of type float, got True"),
             ({"name": "clip", "low": -0.5}, "node top: clip pooling reads no parameter 'low'"),
             ({"name": "identity", "radius": 1.0},
              "node top: identity pooling reads no parameter 'radius'"),
@@ -604,7 +605,16 @@ class TestExitCodes:
         inputs = _write_json(tmp_path / "inputs.json", {"s1": [0.0], "s2": [0.0, 1.0]})
         rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
         assert rc == 2
-        assert "node 'top': constituent must be a string, got ['sum']" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", f"error: {graph}: node 'top': constituent must be of type str, got ['sum']\n")
+        # an id is a string too, not converted to one
+        doc = {**json.loads(json.dumps(GRAPH)), "sink": "1"}
+        doc["nodes"][2]["id"] = 1
+        _write_json(tmp_path / "graph.json", doc)
+        rc = cli.main(["deep-eval", "--graph", graph, "--inputs", inputs])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: {graph}: node 2: id must be of type str, got 1\n")
 
 
 class TestFlags:

@@ -5,8 +5,8 @@ perturbations where the recursion is tight, and empirically, with
 kernel-estimate constituents produced by build_deep_approx.
 """
 
-import json
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -19,11 +19,10 @@ from hermloc.deep_net import (
     PropagationReport,
     _walk,
     build_deep_approx,
+    dag_from_doc,
     eval_gfunction,
     make_pooling,
     propagation_gap,
-    read_dag_json,
-    write_dag_json,
 )
 from hermloc.estimator import Dataset, EstimatorConfig, estimate_batch, ratio_reconstruction
 from oracles import estimate_lipschitz
@@ -610,78 +609,46 @@ class TestLayeredChannels:
 
 
 class TestDagJson:
-    def test_round_trip(self, tmp_path):
-        dag = two_level_tree()
-        path = tmp_path / "graph.json"
-        write_dag_json(dag, str(path))
-        back = read_dag_json(str(path))
-        assert back.sink == dag.sink
-        assert set(back.nodes) == set(dag.nodes)
-        for nid, node in dag.nodes.items():
-            other = back.nodes[nid]
-            assert other.kind == node.kind
-            assert other.in_dim == node.in_dim
-            assert other.children == node.children
-            assert other.pooling_name == node.pooling_name
-            assert other.pooling_params == node.pooling_params
-            assert other.pooling_c == node.pooling_c
-            assert other.lipschitz == node.lipschitz
-            assert other.constituent is None  # structure only
-
-    def test_reattach_and_evaluate(self, tmp_path):
-        dag = two_level_tree()
-        path = tmp_path / "graph.json"
-        write_dag_json(dag, str(path))
-        back = read_dag_json(str(path)).with_constituents(
-            {nid: dag.nodes[nid].constituent for nid in dag.nodes}
-        )
-        inputs = {"s1": [0.3], "s2": [0.8]}
-        assert eval_gfunction(back, inputs) == eval_gfunction(dag, inputs)
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"nodes": []}')
+    def test_malformed_rejected(self):
+        path = "bad.json"
         with pytest.raises(ValueError):
-            read_dag_json(str(path))
-        path.write_text(
-            '{"nodes": [{"id": "s", "kind": "source", "in_dim": 1},'
-            ' {"id": "s", "kind": "source", "in_dim": 1}], "sink": "s"}'
-        )
+            dag_from_doc({"nodes": []}, path)
+        source = {"id": "s", "kind": "source", "in_dim": 1}
         with pytest.raises(ValueError):
-            read_dag_json(str(path))
-        path.write_text('{"nodes": [{"id": "s", "kind": "source"}], "sink": "s"}')
+            dag_from_doc({"nodes": [source, source], "sink": "s"}, path)
         with pytest.raises(ValueError):
-            read_dag_json(str(path))
+            dag_from_doc({"nodes": [{"id": "s", "kind": "source"}], "sink": "s"}, path)
         top = {"id": "t", "kind": "internal", "in_dim": 1, "children": ["s"]}
         for key, bad in (("in_dim", 1.9), ("in_dim", True), ("pooling", "clip"),
                          ("children", "s"), ("children", [1]),
                          ("lipschitz", "1"), ("lipschitz", True)):
-            doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1}, {**top, key: bad}],
-                   "sink": "t"}
-            path.write_text(json.dumps(doc))
+            doc = {"nodes": [source, {**top, key: bad}], "sink": "t"}
             with pytest.raises(ValueError, match=f"node 't': {key} must be"):
-                read_dag_json(str(path))
+                dag_from_doc(doc, path)
         # numbers that would break the propagation bound; json reads NaN and Infinity
         for key, bad in (("lipschitz", -1.0), ("lipschitz", math.nan), ("lipschitz", math.inf),
                          ("pooling", {"name": "identity", "c": math.nan}),
                          ("pooling", {"name": "identity", "c": math.inf}),
                          ("pooling", {"name": "radial", "radius": math.nan}),
                          ("pooling", {"name": "radial", "radius": math.inf})):
-            doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1}, {**top, key: bad}],
-                   "sink": "t"}
-            path.write_text(json.dumps(doc))
+            doc = {"nodes": [source, {**top, key: bad}], "sink": "t"}
             with pytest.raises(ValueError, match="node t: .*finite"):
-                read_dag_json(str(path))
-        path.write_text('{"nodes": [1], "sink": "s"}')
+                dag_from_doc(doc, path)
         with pytest.raises(ValueError, match="node 0: row must be an object"):
-            read_dag_json(str(path))
-        path.write_text('{"nodes": 1, "sink": "s"}')
+            dag_from_doc({"nodes": [1], "sink": "s"}, path)
         with pytest.raises(ValueError, match="'nodes' must be a list"):
-            read_dag_json(str(path))
+            dag_from_doc({"nodes": 1, "sink": "s"}, path)
         # every pooling parameter takes the exact-type rule: a string or a bool is not a number
         for key, bad in (("c", [1]), ("lo", "-0.5"), ("hi", True), ("lo", None)):
-            doc = {"nodes": [{"id": "s", "kind": "source", "in_dim": 1},
-                             {**top, "pooling": {"name": "clip", key: bad}}], "sink": "t"}
-            path.write_text(json.dumps(doc))
-            with pytest.raises(ValueError, match=f"node 't': pooling {key} must be a number"):
-                read_dag_json(str(path))
+            doc = {"nodes": [source, {**top, "pooling": {"name": "clip", key: bad}}],
+                   "sink": "t"}
+            message = f"{path}: node 't': pooling {key} must be of type float, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dag_from_doc(doc, path)
+        # an id and the sink are strings, not converted to them
+        for doc, message in (
+            ({"nodes": [{**source, "id": 1}], "sink": "1"}, "node 0: id must be of type str"),
+            ({"nodes": [source], "sink": 1}, "sink must be of type str"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}, got 1')}$"):
+                dag_from_doc(doc, path)

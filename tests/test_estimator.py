@@ -78,6 +78,9 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), np.zeros(3), 0)
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(3), 3)
+        # a bool is not an integer
+        with pytest.raises(ValueError, match="^q must be of type int, got True$"):
+            Dataset(np.zeros((3, 2)), np.zeros(3), True)
 
 
 class TestDatasetCsv:

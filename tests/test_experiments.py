@@ -452,5 +452,8 @@ class TestRateTable:
 
     @pytest.mark.parametrize("n_list", [[], [4, 4], [8, 4], [1, 4], [4, 8.0], [4, True]])
     def test_n_list_must_be_increasing_integers_from_two(self, n_list):
-        with pytest.raises(ValueError, match="n_list must be strictly increasing integers >= 2"):
+        want = "n_list must be strictly increasing integers >= 2"
+        if any(type(n) is not int for n in n_list):
+            want = rf"^n_list\[1\] must be of type int, got {n_list[1]!r}$"
+        with pytest.raises(ValueError, match=want):
             rate_table(n_list, 16, 0, 16)

@@ -418,7 +418,8 @@ class TestNetworkJson:
         doc = net_doc(dim=dim, factor={"shape": [2, 2], "values": [1.0, 0.0, 0.0, 1.0]},
                       core={"shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]})
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="field 'dim' must be 2"):
+        want = "must be 2" if type(dim) is int else f"must be of type int, got {dim!r}"
+        with pytest.raises(ValueError, match=f"field 'dim' {want}"):
             read_network_json(str(path))
 
     def test_count_not_matching_shape_rejected(self, tmp_path):
@@ -453,8 +454,13 @@ class TestNetworkJson:
             ("axis_centers", '"axis_centers": [0.0, Infinity]'),
             ("factor", '"factor": {"shape": [2, 1], "values": [1.0, -Infinity]}'),
             ("core", '"core": {"shape": [1], "values": [NaN]}'),
+            # numpy reads "0.18" and true as floats; JSON strings and booleans are not numbers
+            ("axis_centers", '"axis_centers": [0.0, true]'),
+            ("factor", '"factor": {"shape": [2, 1], "values": [1.0, "0.5"]}'),
+            ("core", '"core": {"shape": [1], "values": ["0.18"]}'),
         ],
-        ids=["scale", "axis_centers", "factor", "core"],
+        ids=["scale", "axis_centers", "factor", "core", "axis_centers-bool", "factor-string",
+             "core-string"],
     )
     def test_non_finite_values_rejected(self, tmp_path, field, text):
         path = tmp_path / "net.json"
